@@ -1,6 +1,8 @@
 """Deterministic CPU-scheduling simulator for round-robin variants with
 dynamic time quanta (RR, DQRRR, IRRVQ, SARR, RP-5, MRR, DABRR)."""
 
+import types as _types
+
 from .engine import (
     CyclePlan,
     PolicyBehavior,
@@ -52,5 +54,6 @@ from .policies import (
 )
 from .workloads import GeneratorSpec, benchmark_case, expected_row, generate_workload
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _types.ModuleType)]
 __version__ = "0.1.0"

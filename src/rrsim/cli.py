@@ -69,6 +69,17 @@ def _policy(spec: str):
         raise CliError(str(exc)) from None
 
 
+def _write_output(data: bytes, path: str | None) -> None:
+    """Write ``data`` to the ``-o`` file, or to stdout when none is given."""
+    if not path:
+        sys.stdout.write(data.decode("utf-8"))
+        return
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise CliError(f"cannot write output file {path!r}: {exc.strerror or exc}") from None
+
+
 def _percent(value) -> str:
     return format_percent(value) + "%"
 
@@ -214,20 +225,12 @@ def _cmd_generate(args) -> int:
         raise CliError(str(exc)) from None
     workload = generate_workload(spec)
     fmt = JSON if args.output and args.output.endswith(".json") else CSV
-    data = serialize_workload(workload, fmt)
-    if args.output:
-        Path(args.output).write_bytes(data)
-    else:
-        sys.stdout.write(data.decode("utf-8"))
+    _write_output(serialize_workload(workload, fmt), args.output)
     return 0
 
 
 def _cmd_export_figures(args) -> int:
-    data = export_figure_data(comparison_reports())
-    if args.output:
-        Path(args.output).write_bytes(data)
-    else:
-        sys.stdout.write(data.decode("utf-8"))
+    _write_output(export_figure_data(comparison_reports()), args.output)
     return 0
 
 

@@ -1,9 +1,10 @@
 """Workload file formats: CSV and JSON.
 
-CSV uses the fixed header ``pid,arrival_ms,burst_ms`` (UTF-8, LF or CRLF).
-JSON is an object with ``label`` and a ``processes`` array of objects with
-``pid``, ``arrival_ms`` and ``burst_ms``.  Serialization is normalized, so
-parse/serialize round trips are byte-stable.
+CSV uses the fixed header ``pid,arrival_ms,burst_ms`` (UTF-8 with or
+without a BOM, LF or CRLF).  JSON is an object with ``label`` and a
+``processes`` array of objects with ``pid`` and the integers ``arrival_ms``
+and ``burst_ms``.  Serialization is normalized, so parse/serialize round
+trips are byte-stable.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ class ParseError(ValueError):
 def _decode(data: bytes | str) -> str:
     if isinstance(data, bytes):
         try:
-            return data.decode("utf-8")
+            return data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not valid UTF-8: {exc}") from None
     return data
@@ -69,9 +70,12 @@ def _parse_json(text: str, label: str) -> Workload:
         if not isinstance(item, dict):
             raise ParseError(f"process #{i + 1} is not an object")
         try:
-            records.append((item["pid"], int(item["arrival_ms"]), int(item["burst_ms"])))
-        except (KeyError, TypeError, ValueError) as exc:
+            pid, arrival, burst = item["pid"], item["arrival_ms"], item["burst_ms"]
+        except KeyError as exc:
             raise ParseError(f"process #{i + 1}: {exc!r}") from None
+        if type(arrival) is not int or type(burst) is not int:
+            raise ParseError(f"process #{i + 1}: arrival_ms and burst_ms must be integers")
+        records.append((pid, arrival, burst))
     return validate_workload(records, label=str(payload.get("label", label)))
 
 

@@ -145,8 +145,10 @@ def compare_runs(runs: Mapping[PolicyDescriptor, Mapping[str, RunMetrics]],
     """Aggregate per-case run metrics and compute gains against ``baseline``.
 
     ``runs`` maps each algorithm to its per-case metrics, keyed by case
-    id.  Every algorithm must cover the same case set and the baseline
-    must be among them.
+    id.  Only ``avg_waiting``, ``avg_turnaround`` and ``context_switches``
+    are read, so published reference rows aggregate the same way.  Every
+    algorithm must cover the same case set and the baseline must be among
+    them.
     """
     if baseline not in runs:
         raise MismatchedCaseSets(f"baseline {baseline.name} missing from runs")

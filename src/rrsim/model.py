@@ -54,6 +54,10 @@ class ProcessSpec:
     def __post_init__(self):
         if not self.pid:
             raise EmptyPid((self.pid, self.arrival, self.burst))
+        pid = self.pid
+        if pid != pid.strip() or "," in pid or "\r" in pid or "\n" in pid:
+            raise WorkloadError(f"pid {pid!r} has a comma, a line break or "
+                                f"edge whitespace, so it cannot round-trip through CSV")
         if self.arrival < 0:
             raise NegativeArrival(self.pid, self.arrival)
         if self.burst < 1:

@@ -11,8 +11,7 @@ makes the exit status nonzero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .engine import simulate
 from .metrics import (
@@ -22,9 +21,7 @@ from .metrics import (
     compute_metrics,
     format_average,
     format_percent,
-    round_half_up,
 )
-from .model import PolicyDescriptor
 from .policies import POLICY_NAMES, standard_policy
 from .workloads import (
     CASE_IDS,
@@ -119,120 +116,102 @@ def _fmt_quanta(quanta) -> str:
     return ",".join(str(q) for q in quanta)
 
 
-def _check(table, algorithm, cell, actual, published, derived=None, erratum_id=None):
-    """Compare one cell; erratum cells pass only when they match the rule."""
-    if derived is not None and derived != published:
-        outcome = KNOWN_ERRATUM if actual == derived else MISMATCH
-        return CellCheck(table, algorithm, cell, str(actual), str(published),
-                         outcome, erratum_id)
-    outcome = MATCH if actual == published else MISMATCH
-    return CellCheck(table, algorithm, cell, str(actual), str(published), outcome)
+def _check(table, algorithm, cell, fmt, actual, published, derived, erratum_id):
+    """Compare one cell as rendered by ``fmt``.
+
+    Where the rule-derived value renders differently from the published
+    one (an erratum), the cell passes as a known erratum only when it
+    matches the rule.
+    """
+    actual, shown = fmt(actual), fmt(published)
+    by_rule = shown if derived == published else fmt(derived)
+    if by_rule != shown:
+        outcome = KNOWN_ERRATUM if actual == by_rule else MISMATCH
+        return CellCheck(table, algorithm, cell, actual, shown, outcome, erratum_id)
+    outcome = MATCH if actual == shown else MISMATCH
+    return CellCheck(table, algorithm, cell, actual, shown, outcome)
+
+
+def _rule_derived(row):
+    return row.erratum.derived if row.erratum else row
 
 
 def _row_cells(case_id: str, algorithm: str, run: RunMetrics) -> list[CellCheck]:
     row = expected_row(case_id, algorithm)
-    table = f"case {case_id}"
-    derived = row.erratum.derived if row.erratum else None
+    derived = _rule_derived(row)
     eid = row.erratum.id if row.erratum else None
-
-    def cell(name, actual, published, derived_value):
-        return _check(table, algorithm, name, actual, published,
-                      derived_value if derived else None, eid)
-
-    return [
-        cell("quanta", _fmt_quanta(run.quanta()), _fmt_quanta(row.quanta),
-             _fmt_quanta(derived.quanta) if derived else None),
-        cell("context_switches", run.context_switches, row.context_switches,
-             derived.context_switches if derived else None),
-        cell("avg_waiting", format_average(run.avg_waiting),
-             format_average(row.avg_waiting),
-             format_average(derived.avg_waiting) if derived else None),
-        cell("avg_turnaround", format_average(run.avg_turnaround),
-             format_average(row.avg_turnaround),
-             format_average(derived.avg_turnaround) if derived else None),
-    ]
+    table = f"case {case_id}"
+    return [_check(table, algorithm, cell, fmt, actual,
+                   getattr(row, cell), getattr(derived, cell), eid)
+            for cell, actual, fmt in (
+                ("quanta", run.quanta(), _fmt_quanta),
+                ("context_switches", run.context_switches, str),
+                ("avg_waiting", run.avg_waiting, format_average),
+                ("avg_turnaround", run.avg_turnaround, format_average))]
 
 
-def _expected_sums(case_ids, algorithm):
-    """Published and rule-derived (cs, waiting, turnaround) sums over cases."""
-    published = [Fraction(0), Fraction(0), Fraction(0)]
-    derived = [Fraction(0), Fraction(0), Fraction(0)]
-    for case_id in case_ids:
-        row = expected_row(case_id, algorithm)
-        published[0] += row.context_switches
-        published[1] += row.avg_waiting
-        published[2] += row.avg_turnaround
-        source = row.erratum.derived if row.erratum else row
-        derived[0] += source.context_switches
-        derived[1] += source.avg_waiting
-        derived[2] += source.avg_turnaround
-    return published, derived
+_GROUPS = ((ZERO_GROUP, ZERO_ARRIVAL_CASES),
+           (NONZERO_GROUP, NONZERO_ARRIVAL_CASES),
+           (GRAND_GROUP, CASE_IDS))
+
+# Aggregate cells, each named after the AlgorithmComparison attribute it
+# reads, with the formatter its value is compared under.
+_FORMATTERS = {
+    "context_switch_total": str,
+    "waiting_total": format_average,
+    "turnaround_total": format_average,
+    "waiting_gain_pct": format_percent,
+    "turnaround_gain_pct": format_percent,
+}
+_GROUP_CELLS = ("context_switch_total", "waiting_total", "turnaround_total")
+# The grand cells are checked against the paper's own totals and gains,
+# since its gains do not all follow from its totals (SARR turnaround:
+# 20.10 published, 17.01 computed).
+_GRAND_CELLS = {
+    "waiting_total": PUBLISHED_WAITING_TOTALS,
+    "waiting_gain_pct": PUBLISHED_WAITING_GAINS,
+    "turnaround_total": PUBLISHED_TURNAROUND_TOTALS,
+    "turnaround_gain_pct": PUBLISHED_TURNAROUND_GAINS,
+}
 
 
-def _aggregate_cells(group: str, case_ids, runs) -> list[CellCheck]:
-    """Group-total cells (per-case columns are covered by the case tables)."""
+def _run_table(case_ids):
+    """Per-case metrics of every policy at its benchmark parameters."""
+    return {standard_policy(name).descriptor: {c: run_case(c, name) for c in case_ids}
+            for name in POLICY_NAMES}
+
+
+def _group_reports(table) -> dict[str, ComparisonReport]:
+    """Zero-arrival, nonzero-arrival and grand reports (RR base) of a
+    per-case table of runs, published rows or rule-derived rows."""
+    baseline = standard_policy("RR").descriptor
+    return {group: compare_runs({d: {c: per_case[c] for c in case_ids}
+                                 for d, per_case in table.items()}, baseline, group)
+            for group, case_ids in _GROUPS}
+
+
+def _summary_cells(runs) -> list[CellCheck]:
+    """Group totals, grand totals and gains of ``runs`` (all six cases)
+    against those of the published and the rule-derived rows."""
+    published = {d: {c: expected_row(c, d.name) for c in CASE_IDS} for d in runs}
+    derived = {d: {c: _rule_derived(row) for c, row in rows.items()}
+               for d, rows in published.items()}
+    actual, expected, rule = (_group_reports(t) for t in (runs, published, derived))
     checks = []
-    table = f"{group} totals"
-    for algorithm in POLICY_NAMES:
-        published, derived = _expected_sums(case_ids, algorithm)
-        per_case = runs[algorithm]
-        actual_cs = sum(per_case[c].context_switches for c in case_ids)
-        actual_wait = sum((per_case[c].avg_waiting for c in case_ids), Fraction(0))
-        actual_tat = sum((per_case[c].avg_turnaround for c in case_ids), Fraction(0))
-        eid = _erratum_ids(case_ids, algorithm)
-        checks.append(_check(table, algorithm, "context_switch_total",
-                             actual_cs, int(published[0]), int(derived[0]), eid))
-        checks.append(_check(table, algorithm, "waiting_total",
-                             format_average(actual_wait), format_average(published[1]),
-                             format_average(derived[1]), eid))
-        checks.append(_check(table, algorithm, "turnaround_total",
-                             format_average(actual_tat), format_average(published[2]),
-                             format_average(derived[2]), eid))
-    return checks
-
-
-def _erratum_ids(case_ids, algorithm) -> str | None:
-    ids = [expected_row(c, algorithm).erratum.id for c in case_ids
-           if expected_row(c, algorithm).erratum]
-    return ",".join(ids) if ids else None
-
-
-def _gain_cells(runs) -> list[CellCheck]:
-    """Grand totals and percentage gains versus the RR baseline."""
-    checks = []
-    base_wait = sum((runs["RR"][c].avg_waiting for c in CASE_IDS), Fraction(0))
-    base_tat = sum((runs["RR"][c].avg_turnaround for c in CASE_IDS), Fraction(0))
-    for algorithm in POLICY_NAMES:
-        per_case = runs[algorithm]
-        wait = sum((per_case[c].avg_waiting for c in CASE_IDS), Fraction(0))
-        tat = sum((per_case[c].avg_turnaround for c in CASE_IDS), Fraction(0))
-        wait_gain = round_half_up((base_wait - wait) / base_wait * 100, 2)
-        tat_gain = round_half_up((base_tat - tat) / base_tat * 100, 2)
-
-        _, derived = _expected_sums(CASE_IDS, algorithm)
-        _, derived_base = _expected_sums(CASE_IDS, "RR")
-        derived_wait_gain = round_half_up(
-            (derived_base[1] - derived[1]) / derived_base[1] * 100, 2)
-        derived_tat_gain = round_half_up(
-            (derived_base[2] - derived[2]) / derived_base[2] * 100, 2)
-
-        eid = _erratum_ids(CASE_IDS, algorithm)
-        checks.append(_check("grand totals", algorithm, "waiting_total",
-                             format_average(wait),
-                             format_average(PUBLISHED_WAITING_TOTALS[algorithm]),
-                             format_average(derived[1]), eid))
-        checks.append(_check("grand totals", algorithm, "waiting_gain_pct",
-                             format_percent(wait_gain),
-                             format_percent(PUBLISHED_WAITING_GAINS[algorithm]),
-                             format_percent(derived_wait_gain), eid))
-        checks.append(_check("grand totals", algorithm, "turnaround_total",
-                             format_average(tat),
-                             format_average(PUBLISHED_TURNAROUND_TOTALS[algorithm]),
-                             format_average(derived[2]), eid))
-        checks.append(_check("grand totals", algorithm, "turnaround_gain_pct",
-                             format_percent(tat_gain),
-                             format_percent(PUBLISHED_TURNAROUND_GAINS[algorithm]),
-                             format_percent(derived_tat_gain), eid))
+    for group, case_ids in _GROUPS:
+        table = f"{group} totals"
+        cells = _GRAND_CELLS if group == GRAND_GROUP else _GROUP_CELLS
+        for got, paper, by_rule in zip(actual[group].entries, expected[group].entries,
+                                       rule[group].entries):
+            algorithm = got.descriptor.name
+            rows = published[got.descriptor]
+            eid = ",".join(rows[c].erratum.id for c in case_ids if rows[c].erratum) or None
+            for cell in cells:
+                paper_value = (_GRAND_CELLS[cell][algorithm] if group == GRAND_GROUP
+                               else getattr(paper, cell))
+                checks.append(_check(table, algorithm, cell, _FORMATTERS[cell],
+                                     getattr(got, cell), paper_value,
+                                     getattr(by_rule, cell), eid))
     return checks
 
 
@@ -247,51 +226,30 @@ def reproduce_paper(case_ids=None) -> ReproductionReport:
         if case_id not in CASE_IDS:
             raise KeyError(f"unknown case {case_id!r}")
 
-    runs: dict[str, dict[str, RunMetrics]] = {
-        algorithm: {case_id: run_case(case_id, algorithm) for case_id in selected}
-        for algorithm in POLICY_NAMES}
-
-    checks: list[CellCheck] = []
-    for case_id in selected:
-        for algorithm in POLICY_NAMES:
-            checks.extend(_row_cells(case_id, algorithm, runs[algorithm][case_id]))
-
+    runs = _run_table(selected)
+    checks = [check for case_id in selected for d, per_case in runs.items()
+              for check in _row_cells(case_id, d.name, per_case[case_id])]
     if set(selected) == set(CASE_IDS):
-        checks.extend(_aggregate_cells(ZERO_GROUP, ZERO_ARRIVAL_CASES, runs))
-        checks.extend(_aggregate_cells(NONZERO_GROUP, NONZERO_ARRIVAL_CASES, runs))
-        checks.extend(_gain_cells(runs))
-
+        checks.extend(_summary_cells(runs))
     return ReproductionReport(tuple(checks))
 
 
 def comparison_reports() -> dict[str, ComparisonReport]:
     """Zero-arrival, nonzero-arrival and grand comparison reports (RR base)."""
-    descriptors = {name: standard_policy(name).descriptor for name in POLICY_NAMES}
-    metrics = {
-        descriptors[name]: {case_id: run_case(case_id, name) for case_id in CASE_IDS}
-        for name in POLICY_NAMES}
-
-    def subset(case_ids):
-        return {d: {c: per_case[c] for c in case_ids} for d, per_case in metrics.items()}
-
-    baseline = descriptors["RR"]
-    return {
-        ZERO_GROUP: compare_runs(subset(ZERO_ARRIVAL_CASES), baseline, ZERO_GROUP),
-        NONZERO_GROUP: compare_runs(subset(NONZERO_ARRIVAL_CASES), baseline, NONZERO_GROUP),
-        GRAND_GROUP: compare_runs(subset(CASE_IDS), baseline, GRAND_GROUP),
-    }
+    return _group_reports(_run_table(CASE_IDS))
 
 
 FIGURE_CSV_HEADER = "figure,algorithm,metric,case_group,value"
 
 _FIGURES = (
-    # figure id, metric attribute, source report, gain flag
-    ("fig2", "avg_waiting", ZERO_GROUP, False),
-    ("fig3", "avg_turnaround", ZERO_GROUP, False),
-    ("fig4", "avg_waiting", NONZERO_GROUP, False),
-    ("fig5", "avg_turnaround", NONZERO_GROUP, False),
-    ("fig6", "waiting_gain_pct", GRAND_GROUP, True),
-    ("fig7", "tat_gain_pct", GRAND_GROUP, True),
+    # figure id, metric, source report, per-case attribute (None: one row
+    # for the whole group), AlgorithmComparison attribute
+    ("fig2", "avg_waiting", ZERO_GROUP, "avg_waiting", "waiting_total"),
+    ("fig3", "avg_turnaround", ZERO_GROUP, "avg_turnaround", "turnaround_total"),
+    ("fig4", "avg_waiting", NONZERO_GROUP, "avg_waiting", "waiting_total"),
+    ("fig5", "avg_turnaround", NONZERO_GROUP, "avg_turnaround", "turnaround_total"),
+    ("fig6", "waiting_gain_pct", GRAND_GROUP, None, "waiting_gain_pct"),
+    ("fig7", "tat_gain_pct", GRAND_GROUP, None, "turnaround_gain_pct"),
 )
 
 
@@ -306,22 +264,15 @@ def export_figure_data(reports: dict[str, ComparisonReport]) -> bytes:
             raise KeyError(f"missing comparison report {key!r}")
 
     lines = [FIGURE_CSV_HEADER]
-    for figure, metric, group, is_gain in _FIGURES:
-        report = reports[group]
-        for entry in report.entries:
-            name = entry.descriptor.name
-            if is_gain:
-                value = (entry.waiting_gain_pct if metric == "waiting_gain_pct"
-                         else entry.turnaround_gain_pct)
-                lines.append(f"{figure},{name},{metric},{GRAND_GROUP},"
-                             f"{format_percent(value)}")
+    for figure, metric, group, case_attr, entry_attr in _FIGURES:
+        fmt = _FORMATTERS[entry_attr]
+        for entry in reports[group].entries:
+            prefix = f"{figure},{entry.descriptor.name},{metric}"
+            total = fmt(getattr(entry, entry_attr))
+            if case_attr:
+                lines.extend([f"{prefix},{c.case_id},{fmt(getattr(c, case_attr))}"
+                              for c in entry.per_case])
+                lines.append(f"{prefix},total,{total}")
             else:
-                for case in entry.per_case:
-                    value = (case.avg_waiting if metric == "avg_waiting"
-                             else case.avg_turnaround)
-                    lines.append(f"{figure},{name},{metric},{case.case_id},"
-                                 f"{format_average(value)}")
-                total = (entry.waiting_total if metric == "avg_waiting"
-                         else entry.turnaround_total)
-                lines.append(f"{figure},{name},{metric},total,{format_average(total)}")
+                lines.append(f"{prefix},{group},{total}")
     return ("\n".join(lines) + "\n").encode("utf-8")

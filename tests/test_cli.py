@@ -143,3 +143,25 @@ def test_export_figures(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "figure,algorithm,metric,case_group,value"
     assert "fig6,DABRR,waiting_gain_pct,grand,41.23" in lines
+
+
+@pytest.mark.parametrize("args", [
+    ("generate", "--n", "3", "--burst-min", "1", "--burst-max", "5"),
+    ("export-figures",),
+])
+def test_unwritable_output_exits_two(tmp_path, args):
+    target = tmp_path / "missing" / "out.csv"
+    proc = rrsim(*args, "-o", str(target))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("rrsim: cannot write output file")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not target.exists()
+
+
+def test_pid_with_comma_exits_two(tmp_path):
+    path = tmp_path / "comma.json"
+    path.write_text('{"processes": [{"pid": "a,b", "arrival_ms": 0, "burst_ms": 5}]}')
+    proc = rrsim("run", "--algo", "rr", "--workload", str(path), "--format", "csv")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "'a,b'" in proc.stderr

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from rrsim import DuplicatePid, EmptyWorkload
@@ -80,3 +82,22 @@ def test_unknown_format_rejected():
         parse_workload(b"", "xml")
     with pytest.raises(ValueError):
         serialize_workload(benchmark_case("I"), "xml")
+
+
+@pytest.mark.parametrize("arrival,burst", [
+    (1.7, 5), (1, True), ("1", 5), (0, 5.0), (None, 5),
+], ids=["float", "bool", "string", "integral-float", "null"])
+def test_json_times_must_be_real_integers(arrival, burst):
+    data = json.dumps({"processes": [{"pid": "P1", "arrival_ms": arrival,
+                                      "burst_ms": burst}]})
+    with pytest.raises(ParseError) as exc:
+        parse_workload(data, JSON)
+    assert "process #1" in str(exc.value)
+
+
+def test_utf8_bom_is_accepted():
+    bom = b"\xef\xbb\xbf"
+    w = parse_workload(bom + CASE_I_CSV.encode(), CSV)
+    assert w.processes == benchmark_case("I").processes
+    data = serialize_workload(benchmark_case("IV"), JSON)
+    assert parse_workload(bom + data, JSON) == benchmark_case("IV")

@@ -8,6 +8,7 @@ from rrsim import (
     NegativeArrival,
     NonPositiveBurst,
     PolicyDescriptor,
+    WorkloadError,
     validate_workload,
 )
 
@@ -70,3 +71,18 @@ def test_policy_descriptor_spec_string():
     assert PolicyDescriptor.of("RR", q=25).parameter("q") == 25
     with pytest.raises(KeyError):
         PolicyDescriptor.of("DABRR").parameter("q")
+
+
+@pytest.mark.parametrize("pid", ["a,b", "a\nb", "a\rb", " P1", "P1 ", "\tP1", " "])
+def test_pid_that_cannot_round_trip_through_csv_rejected(pid):
+    with pytest.raises(WorkloadError) as exc:
+        validate_workload([(pid, 0, 5)])
+    assert repr(pid) in str(exc.value)
+
+
+def test_package_exports_no_submodules():
+    import rrsim
+    for name in ("engine", "metrics", "model", "policies", "workloads"):
+        assert name not in rrsim.__all__
+    assert all(hasattr(rrsim, name) for name in rrsim.__all__)
+    assert "validate_workload" in rrsim.__all__
