@@ -1,20 +1,20 @@
 """Deterministic execution kernel for quantum-based scheduling policies.
 
-Two queue disciplines exist:
+Every policy runs on one cycle loop.  At each cycle start the policy
+receives a snapshot of the ready queue and answers with a dispatch order
+and a quantum for the whole cycle.  Completed processes leave; survivors
+keep the order in which they were executed.  The policy's
+``arrival_mode`` decides when arrivals join the queue:
 
-* ``fifo_tail_rejoin`` (classic round robin): a single FIFO queue with a
-  constant quantum.  Processes that arrive while a slice is running join
-  the tail, in arrival order, before the preempted process rejoins.
-
-* ``cycle_pass`` (every dynamic-quantum variant): scheduling proceeds in
-  cycles.  At each cycle start the policy receives a snapshot of the ready
-  queue and answers with a dispatch order and a quantum for the whole
-  cycle.  Completed processes leave; survivors keep the order in which
-  they were executed.  Arrival handling depends on the policy's
-  ``arrival_mode``: with ``cycle_boundary`` new processes are appended
-  once the cycle has finished; with ``slice_boundary_restart`` the arrival
-  check runs after every slice and any new admission abandons the rest of
-  the cycle so that a fresh one is planned over all unfinished processes.
+* ``cycle_boundary``: new processes are appended once the cycle has
+  finished.
+* ``slice_boundary_restart``: the arrival check runs after every slice,
+  and any new admission abandons the rest of the cycle so that a fresh
+  one is planned over all unfinished processes.
+* ``tail_rejoin`` (classic round robin): after every slice the new
+  processes join the next cycle's queue, in arrival order, before the
+  preempted process rejoins.  A cycle is thus one pass over a single
+  FIFO queue.
 
 The engine is a pure function of its inputs; simulating the same workload
 twice yields identical traces.
@@ -34,11 +34,10 @@ from .model import (
     Workload,
 )
 
-FIFO_TAIL_REJOIN = "fifo_tail_rejoin"
-CYCLE_PASS = "cycle_pass"
-
 CYCLE_BOUNDARY = "cycle_boundary"
 SLICE_BOUNDARY_RESTART = "slice_boundary_restart"
+TAIL_REJOIN = "tail_rejoin"
+ARRIVAL_MODES = (CYCLE_BOUNDARY, SLICE_BOUNDARY_RESTART, TAIL_REJOIN)
 
 
 class PolicyPlanInvalid(ValueError):
@@ -60,7 +59,8 @@ class ReadySnapshot:
 
     ``entries`` follow the current queue order (survivors of the previous
     cycle in execution order, then newly admitted processes in arrival
-    order).
+    order; in tail-rejoin mode a newcomer stands ahead of every survivor
+    preempted at or after its arrival).
     """
 
     entries: tuple[SnapshotEntry, ...]
@@ -94,12 +94,13 @@ class PolicyBehavior:
     descriptor: PolicyDescriptor
     plan: Callable[[ReadySnapshot], CyclePlan]
     arrival_mode: str = CYCLE_BOUNDARY
-    queue_discipline: str = CYCLE_PASS
 
 
 def _checked_plan(policy: PolicyBehavior, snapshot: ReadySnapshot) -> CyclePlan:
     plan = policy.plan(snapshot)
-    if sorted(plan.order) != sorted(snapshot.pids()) or len(set(plan.order)) != len(plan.order):
+    # snapshot pids are distinct, so equal lengths and equal sets make a permutation
+    if (len(plan.order) != len(snapshot.entries)
+            or set(plan.order) != {e.pid for e in snapshot.entries}):
         raise PolicyPlanInvalid(
             f"{policy.descriptor.name}: plan order {plan.order!r} is not a "
             f"permutation of the ready queue {snapshot.pids()!r}")
@@ -117,71 +118,11 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     has remaining work but some are still pending, an idle gap is emitted
     up to the next arrival.  Context-switch overhead is zero.
     """
-    if policy.queue_discipline == FIFO_TAIL_REJOIN:
-        return _simulate_fifo(workload, policy)
-    if policy.queue_discipline == CYCLE_PASS:
-        return _simulate_cycles(workload, policy)
-    raise ValueError(f"unknown queue discipline {policy.queue_discipline!r}")
-
-
-def _arrival_order(workload: Workload):
-    """Processes sorted by (arrival, submission index)."""
-    return sorted(enumerate(workload.processes), key=lambda t: (t[1].arrival, t[0]))
-
-
-def _simulate_fifo(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
-    quantum = policy.descriptor.parameter("q")
-    incoming = _arrival_order(workload)
-    remaining = {p.pid: p.burst for p in workload.processes}
-
-    queue: list[str] = []
-    slices: list[Slice] = []
-    idles: list[IdleGap] = []
-    clock = workload.min_arrival()
-    ptr = 0
-
-    def admit(upto: int):
-        nonlocal ptr
-        while ptr < len(incoming) and incoming[ptr][1].arrival <= upto:
-            queue.append(incoming[ptr][1].pid)
-            ptr += 1
-
-    admit(clock)
-    cycle = 0
-    pass_pending: set[str] = set()
-
-    while queue or ptr < len(incoming):
-        if not queue:
-            next_arrival = incoming[ptr][1].arrival
-            idles.append(IdleGap(clock, next_arrival))
-            clock = next_arrival
-            admit(clock)
-            continue
-        pid = queue.pop(0)
-        if not pass_pending:
-            # a new pass over the queue begins with this dispatch
-            cycle += 1
-            pass_pending = set(queue)
-        pass_pending.discard(pid)
-        run = min(quantum, remaining[pid])
-        remaining[pid] -= run
-        term = COMPLETED if remaining[pid] == 0 else QUANTUM_EXPIRED
-        slices.append(Slice(pid, clock, clock + run, cycle, quantum, term))
-        clock += run
-        admit(clock)  # same-ms arrivals enqueue before the preempted process
-        if remaining[pid] > 0:
-            queue.append(pid)
-
-    return ExecutionTrace(
-        algorithm=policy.descriptor,
-        slices=tuple(slices),
-        idles=tuple(idles),
-        quantum_log=((1, quantum),),
-    )
-
-
-def _simulate_cycles(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
-    incoming = _arrival_order(workload)
+    mode = policy.arrival_mode
+    if mode not in ARRIVAL_MODES:
+        raise ValueError(f"unknown arrival mode {mode!r}")
+    # sorted() is stable, so equal arrivals keep their submission order
+    incoming = sorted(workload.processes, key=lambda p: p.arrival)
     remaining = {p.pid: p.burst for p in workload.processes}
     arrival = {p.pid: p.arrival for p in workload.processes}
     submission = {p.pid: i for i, p in enumerate(workload.processes)}
@@ -195,19 +136,16 @@ def _simulate_cycles(workload: Workload, policy: PolicyBehavior) -> ExecutionTra
     cycle = 0
     ptr = 0
 
-    def admit(upto: int) -> bool:
+    def admit(upto: int):
         nonlocal ptr
-        grew = False
-        while ptr < len(incoming) and incoming[ptr][1].arrival <= upto:
-            queue.append(incoming[ptr][1].pid)
+        while ptr < len(incoming) and incoming[ptr].arrival <= upto:
+            queue.append(incoming[ptr].pid)
             ptr += 1
-            grew = True
-        return grew
 
     admit(clock)
     while queue or ptr < len(incoming):
         if not queue:
-            next_arrival = incoming[ptr][1].arrival
+            next_arrival = incoming[ptr].arrival
             idles.append(IdleGap(clock, next_arrival))
             clock = next_arrival
             admit(clock)
@@ -223,10 +161,13 @@ def _simulate_cycles(workload: Workload, policy: PolicyBehavior) -> ExecutionTra
             cycle_index=cycle,
         )
         plan = _checked_plan(policy, snapshot)
-        quantum_log.append((cycle, plan.quantum))
+        # A tail-rejoin cycle is one pass over a FIFO queue, not a quantum
+        # decision, so only a change of quantum is logged: classic round
+        # robin reports its one constant quantum, ((1, q),).
+        if mode != TAIL_REJOIN or not quantum_log or quantum_log[-1][1] != plan.quantum:
+            quantum_log.append((cycle, plan.quantum))
 
-        survivors: list[str] = []
-        restarted = False
+        queue = []  # the next cycle's queue, filled in execution order
         for pos, pid in enumerate(plan.order):
             run = min(plan.quantum, remaining[pid])
             remaining[pid] -= run
@@ -234,16 +175,15 @@ def _simulate_cycles(workload: Workload, policy: PolicyBehavior) -> ExecutionTra
             term = COMPLETED if remaining[pid] == 0 else QUANTUM_EXPIRED
             slices.append(Slice(pid, clock, clock + run, cycle, plan.quantum, term))
             clock += run
+            if mode == TAIL_REJOIN:
+                admit(clock)  # same-ms arrivals enqueue before the preempted process
             if remaining[pid] > 0:
-                survivors.append(pid)
-            if policy.arrival_mode == SLICE_BOUNDARY_RESTART:
-                queue = survivors + list(plan.order[pos + 1:])
-                if admit(clock):
-                    restarted = True  # abandon the cycle, replan over everyone
-                    break
-        if not restarted:
-            queue = survivors
-            admit(clock)
+                queue.append(pid)
+            if (mode == SLICE_BOUNDARY_RESTART and ptr < len(incoming)
+                    and incoming[ptr].arrival <= clock):
+                queue.extend(plan.order[pos + 1:])
+                break  # abandon the cycle, replan over everyone
+        admit(clock)
 
     return ExecutionTrace(
         algorithm=policy.descriptor,

@@ -1,10 +1,10 @@
 """Workload file formats: CSV and JSON.
 
 CSV uses the fixed header ``pid,arrival_ms,burst_ms`` (UTF-8 with or
-without a BOM, LF or CRLF).  JSON is an object with ``label`` and a
-``processes`` array of objects with ``pid`` and the integers ``arrival_ms``
-and ``burst_ms``.  Serialization is normalized, so parse/serialize round
-trips are byte-stable.
+without a BOM, LF or CRLF).  JSON is an object with an optional string
+``label`` and a ``processes`` array of objects with the string ``pid`` and
+the integers ``arrival_ms`` and ``burst_ms``.  Serialization is
+normalized, so parse/serialize round trips are byte-stable.
 """
 from __future__ import annotations
 
@@ -73,10 +73,15 @@ def _parse_json(text: str, label: str) -> Workload:
             pid, arrival, burst = item["pid"], item["arrival_ms"], item["burst_ms"]
         except KeyError as exc:
             raise ParseError(f"process #{i + 1}: {exc!r}") from None
+        if not isinstance(pid, str):
+            raise ParseError(f"process #{i + 1}: pid must be a string")
         if type(arrival) is not int or type(burst) is not int:
             raise ParseError(f"process #{i + 1}: arrival_ms and burst_ms must be integers")
         records.append((pid, arrival, burst))
-    return validate_workload(records, label=str(payload.get("label", label)))
+    label = payload.get("label", label)
+    if not isinstance(label, str):
+        raise ParseError("'label' must be a string")
+    return validate_workload(records, label=label)
 
 
 def parse_workload(data: bytes | str, format: str = CSV, label: str = "") -> Workload:

@@ -11,9 +11,8 @@ from typing import Iterable, Sequence
 
 from .engine import (
     CYCLE_BOUNDARY,
-    CYCLE_PASS,
-    FIFO_TAIL_REJOIN,
     SLICE_BOUNDARY_RESTART,
+    TAIL_REJOIN,
     CyclePlan,
     PolicyBehavior,
     ReadySnapshot,
@@ -92,7 +91,7 @@ def make_round_robin(q: int) -> PolicyBehavior:
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
         return CyclePlan(snapshot.pids(), q)
 
-    return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY, FIFO_TAIL_REJOIN)
+    return PolicyBehavior(descriptor, plan, TAIL_REJOIN)
 
 
 def make_dabrr() -> PolicyBehavior:
@@ -108,7 +107,7 @@ def make_dabrr() -> PolicyBehavior:
         return CyclePlan(tuple(e.pid for e in ordered),
                          mean_quantum(e.remaining for e in ordered))
 
-    return PolicyBehavior(descriptor, plan, SLICE_BOUNDARY_RESTART, CYCLE_PASS)
+    return PolicyBehavior(descriptor, plan, SLICE_BOUNDARY_RESTART)
 
 
 def make_sarr() -> PolicyBehavior:
@@ -119,7 +118,7 @@ def make_sarr() -> PolicyBehavior:
         return CyclePlan(snapshot.pids(),
                          median_quantum(e.remaining for e in snapshot.entries))
 
-    return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY, CYCLE_PASS)
+    return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
 
 
 def make_dqrrr() -> PolicyBehavior:
@@ -140,7 +139,7 @@ def make_dqrrr() -> PolicyBehavior:
             order = snapshot.pids()
         return CyclePlan(order, quantum)
 
-    return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY, CYCLE_PASS)
+    return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
 
 
 def make_irrvq() -> PolicyBehavior:
@@ -155,7 +154,7 @@ def make_irrvq() -> PolicyBehavior:
         ordered = _ascending(snapshot.entries)
         return CyclePlan(tuple(e.pid for e in ordered), ordered[0].remaining)
 
-    return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY, CYCLE_PASS)
+    return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
 
 
 def make_rp5(base: int) -> PolicyBehavior:
@@ -167,7 +166,7 @@ def make_rp5(base: int) -> PolicyBehavior:
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
         return CyclePlan(snapshot.pids(), base << (snapshot.cycle_index - 1))
 
-    return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY, CYCLE_PASS)
+    return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
 
 
 def make_mrr(floor: int) -> PolicyBehavior:
@@ -181,7 +180,7 @@ def make_mrr(floor: int) -> PolicyBehavior:
         return CyclePlan(tuple(e.pid for e in ordered),
                          range_quantum((e.remaining for e in ordered), floor))
 
-    return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY, CYCLE_PASS)
+    return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
 
 
 # CLI-facing policy registry.  Paper-style parameterization is the default:

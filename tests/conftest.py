@@ -1,4 +1,8 @@
+import os
 import random
+from pathlib import Path
+
+import pytest
 
 from rrsim.workloads import (
     ALL_ZERO,
@@ -11,6 +15,18 @@ from rrsim.workloads import (
 )
 
 ORDERS = (ASCENDING, DESCENDING, RANDOM)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _checkout_on_child_pythonpath():
+    """The CLI tests run `python -m rrsim` in a child process; let it import
+    the checkout's package, as pyproject's `pythonpath` does for pytest."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        yield
 
 
 def seeded_workload(seed: int, max_n: int = 12, max_burst: int = 200):

@@ -165,3 +165,13 @@ def test_pid_with_comma_exits_two(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and "'a,b'" in proc.stderr
+
+
+def test_non_string_json_pid_exits_two(tmp_path):
+    path = tmp_path / "pids.json"
+    path.write_text('{"label": "x", "processes": [{"pid": "P1", "arrival_ms": 0, "burst_ms": 5},'
+                    ' {"pid": 5, "arrival_ms": 0, "burst_ms": 5}]}')
+    proc = rrsim("run", "--algo", "rr", "--workload", str(path), "--format", "json")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "process #2" in proc.stderr

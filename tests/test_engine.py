@@ -12,7 +12,7 @@ from rrsim import (
     trace_violations,
     validate_workload,
 )
-from rrsim.engine import CYCLE_PASS, CyclePlan, PolicyBehavior
+from rrsim.engine import CyclePlan, PolicyBehavior
 from rrsim.model import COMPLETED, PolicyDescriptor, QUANTUM_EXPIRED
 from rrsim.policies import make_dabrr, make_round_robin, standard_policy
 from rrsim.workloads import benchmark_case
@@ -91,8 +91,7 @@ def test_dabrr_restart_replans_when_arrivals_interrupt_a_cycle():
 def _defective(order_fn, quantum=10):
     def plan(snapshot):
         return CyclePlan(order_fn(snapshot.pids()), quantum)
-    return PolicyBehavior(PolicyDescriptor.of("BROKEN"), plan,
-                          queue_discipline=CYCLE_PASS)
+    return PolicyBehavior(PolicyDescriptor.of("BROKEN"), plan)
 
 
 def test_plan_must_be_a_permutation():
@@ -101,6 +100,32 @@ def test_plan_must_be_a_permutation():
         simulate(w, _defective(lambda pids: pids[:-1]))
     with pytest.raises(PolicyPlanInvalid):
         simulate(w, _defective(lambda pids: pids + (pids[0],)))
+    with pytest.raises(PolicyPlanInvalid):
+        simulate(w, _defective(lambda pids: pids[:-1] + (pids[0],)))
+    with pytest.raises(PolicyPlanInvalid):
+        simulate(w, _defective(lambda pids: pids[:-1] + ("P99",)))
+
+
+def test_unknown_arrival_mode_rejected():
+    policy = dataclasses.replace(make_dabrr(), arrival_mode="sometimes")
+    with pytest.raises(ValueError, match="arrival mode"):
+        simulate(benchmark_case("I"), policy)
+
+
+def test_rr_plans_once_per_pass():
+    w = validate_workload([("P1", 0, 30), ("P2", 0, 10), ("P3", 10, 20), ("P4", 90, 5)])
+    rr = make_round_robin(10)
+    snapshots = []
+
+    def plan(snapshot):
+        snapshots.append(snapshot.pids())
+        return rr.plan(snapshot)
+
+    trace = simulate(w, dataclasses.replace(rr, plan=plan))
+    # P3 arrives as P1 is preempted and joins pass 2 ahead of it
+    assert snapshots == [("P1", "P2"), ("P3", "P1"), ("P3", "P1"), ("P4",)]
+    assert [s.cycle for s in trace.slices] == [1, 1, 2, 2, 3, 3, 4]
+    assert trace.quantum_log == ((1, 10),)
 
 
 def test_plan_quantum_must_be_positive():

@@ -95,6 +95,31 @@ def test_json_times_must_be_real_integers(arrival, burst):
     assert "process #1" in str(exc.value)
 
 
+@pytest.mark.parametrize("pid", [None, 5, ["a"], True, {"p": 1}],
+                         ids=["null", "integer", "array", "bool", "object"])
+def test_json_pid_must_be_a_string(pid):
+    data = json.dumps({"processes": [
+        {"pid": "P1", "arrival_ms": 0, "burst_ms": 5},
+        {"pid": pid, "arrival_ms": 0, "burst_ms": 5}]})
+    with pytest.raises(ParseError) as exc:
+        parse_workload(data, JSON)
+    assert "process #2" in str(exc.value)
+
+
+@pytest.mark.parametrize("label", [None, 5, ["a"]], ids=["null", "integer", "array"])
+def test_json_label_must_be_a_string(label):
+    data = json.dumps({"label": label, "processes": [
+        {"pid": "P1", "arrival_ms": 0, "burst_ms": 5}]})
+    with pytest.raises(ParseError) as exc:
+        parse_workload(data, JSON)
+    assert "label" in str(exc.value)
+
+
+def test_json_label_may_be_omitted():
+    data = json.dumps({"processes": [{"pid": "P1", "arrival_ms": 0, "burst_ms": 5}]})
+    assert parse_workload(data, JSON, label="from caller").label == "from caller"
+
+
 def test_utf8_bom_is_accepted():
     bom = b"\xef\xbb\xbf"
     w = parse_workload(bom + CASE_I_CSV.encode(), CSV)
