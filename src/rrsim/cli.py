@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Subcommands: run, compare, reproduce-paper, generate, export-figures.
-Exit codes: 0 success, 1 reproduction mismatch, 2 usage or parse error.
+Exit codes: 0 success, 1 reproduction mismatch, 2 usage, parse or output error.
 All configuration is via flags; no environment variables.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -43,6 +44,10 @@ class CliError(Exception):
     """Fatal usage/parse problem; message goes to stderr, exit code 2."""
 
 
+def _file_format(path: str) -> str:
+    return JSON if Path(path).suffix.lower() == ".json" else CSV  # .JSON too
+
+
 def _load_workload(spec: str) -> Workload:
     if spec.startswith("case:"):
         case_id = spec.split(":", 1)[1]
@@ -55,9 +60,8 @@ def _load_workload(spec: str) -> Workload:
         data = path.read_bytes()
     except OSError as exc:
         raise CliError(f"cannot read workload file {spec!r}: {exc}") from None
-    fmt = JSON if path.suffix.lower() == ".json" else CSV
     try:
-        return parse_workload(data, fmt, label=path.stem)
+        return parse_workload(data, _file_format(spec), label=path.stem)
     except (ParseError, WorkloadError) as exc:
         raise CliError(f"{spec}: {exc}") from None
 
@@ -224,7 +228,7 @@ def _cmd_generate(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     workload = generate_workload(spec)
-    fmt = JSON if args.output and args.output.endswith(".json") else CSV
+    fmt = _file_format(args.output) if args.output else CSV
     _write_output(serialize_workload(workload, fmt), args.output)
     return 0
 
@@ -287,6 +291,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"rrsim: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except BrokenPipeError:  # stdout's reader has gone, as in `rrsim ... | head`
+        with open(os.devnull, "wb") as devnull:  # so the exit flush writes nothing
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("rrsim: output closed before it was fully written", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -1,10 +1,12 @@
 """Deterministic execution kernel for quantum-based scheduling policies.
 
-Every policy runs on one cycle loop.  At each cycle start the policy
-receives a snapshot of the ready queue and answers with a dispatch order
-and a quantum for the whole cycle.  Completed processes leave; survivors
-keep the order in which they were executed.  The policy's
-``arrival_mode`` decides when arrivals join the queue:
+Every policy runs on one cycle loop.  The loop stores one record per
+process and replaces it only when a slice preempts that process.  At each
+cycle start the policy receives a snapshot that lists the queued
+processes' records in queue order, and answers with a dispatch order and
+a quantum for the whole cycle.  Completed processes leave; survivors keep
+the order in which they were executed.  The policy's ``arrival_mode``
+decides when arrivals join the queue:
 
 * ``cycle_boundary``: new processes are appended once the cycle has
   finished.
@@ -44,7 +46,7 @@ class PolicyPlanInvalid(ValueError):
     """The policy returned a defective plan (bad order or quantum)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SnapshotEntry:
     pid: str
     remaining: int
@@ -57,19 +59,16 @@ class SnapshotEntry:
 class ReadySnapshot:
     """State of the ready queue handed to a policy at cycle start.
 
-    ``entries`` follow the current queue order (survivors of the previous
-    cycle in execution order, then newly admitted processes in arrival
-    order; in tail-rejoin mode a newcomer stands ahead of every survivor
-    preempted at or after its arrival).
+    ``entries`` are the engine's stored records, one per queued process,
+    in the current queue order (survivors of the previous cycle in
+    execution order, then newly admitted processes in arrival order; in
+    tail-rejoin mode a newcomer stands ahead of every survivor preempted
+    at or after its arrival).
     """
 
     entries: tuple[SnapshotEntry, ...]
     now: int
     cycle_index: int
-
-    @property
-    def contains_new_arrivals(self) -> bool:
-        return any(not e.dispatched_before for e in self.entries)
 
     def pids(self) -> tuple[str, ...]:
         return tuple(e.pid for e in self.entries)
@@ -123,12 +122,10 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
         raise ValueError(f"unknown arrival mode {mode!r}")
     # sorted() is stable, so equal arrivals keep their submission order
     incoming = sorted(workload.processes, key=lambda p: p.arrival)
-    remaining = {p.pid: p.burst for p in workload.processes}
-    arrival = {p.pid: p.arrival for p in workload.processes}
-    submission = {p.pid: i for i, p in enumerate(workload.processes)}
+    entry = {p.pid: SnapshotEntry(p.pid, p.burst, p.arrival, i, False)
+             for i, p in enumerate(workload.processes)}
 
     queue: list[str] = []
-    dispatched: set[str] = set()
     slices: list[Slice] = []
     idles: list[IdleGap] = []
     quantum_log: list[tuple[int, int]] = []
@@ -152,14 +149,7 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
             continue
 
         cycle += 1
-        snapshot = ReadySnapshot(
-            entries=tuple(
-                SnapshotEntry(pid, remaining[pid], arrival[pid],
-                              submission[pid], pid in dispatched)
-                for pid in queue),
-            now=clock,
-            cycle_index=cycle,
-        )
+        snapshot = ReadySnapshot(tuple(entry[pid] for pid in queue), clock, cycle)
         plan = _checked_plan(policy, snapshot)
         # A tail-rejoin cycle is one pass over a FIFO queue, not a quantum
         # decision, so only a change of quantum is logged: classic round
@@ -169,15 +159,17 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
 
         queue = []  # the next cycle's queue, filled in execution order
         for pos, pid in enumerate(plan.order):
-            run = min(plan.quantum, remaining[pid])
-            remaining[pid] -= run
-            dispatched.add(pid)
-            term = COMPLETED if remaining[pid] == 0 else QUANTUM_EXPIRED
+            record = entry[pid]
+            run = min(plan.quantum, record.remaining)
+            left = record.remaining - run
+            term = QUANTUM_EXPIRED if left else COMPLETED
             slices.append(Slice(pid, clock, clock + run, cycle, plan.quantum, term))
             clock += run
             if mode == TAIL_REJOIN:
                 admit(clock)  # same-ms arrivals enqueue before the preempted process
-            if remaining[pid] > 0:
+            if left:
+                entry[pid] = SnapshotEntry(pid, left, record.arrival,
+                                           record.submission_index, True)
                 queue.append(pid)
             if (mode == SLICE_BOUNDARY_RESTART and ptr < len(incoming)
                     and incoming[ptr].arrival <= clock):

@@ -132,12 +132,6 @@ class ComparisonReport:
     baseline: PolicyDescriptor
     entries: tuple[AlgorithmComparison, ...]
 
-    def entry(self, descriptor: PolicyDescriptor) -> AlgorithmComparison:
-        for e in self.entries:
-            if e.descriptor == descriptor:
-                return e
-        raise KeyError(descriptor)
-
 
 def compare_runs(runs: Mapping[PolicyDescriptor, Mapping[str, RunMetrics]],
                  baseline: PolicyDescriptor,

@@ -52,9 +52,14 @@ class ProcessSpec:
     burst: int
 
     def __post_init__(self):
-        if not self.pid:
-            raise EmptyPid((self.pid, self.arrival, self.burst))
         pid = self.pid
+        if not isinstance(pid, str):
+            raise WorkloadError(f"pid {pid!r} is not a string")
+        if type(self.arrival) is not int or type(self.burst) is not int:
+            raise WorkloadError(f"process {pid!r}: non-integer time in "
+                                f"({self.arrival!r}, {self.burst!r})")
+        if not pid:
+            raise EmptyPid((pid, self.arrival, self.burst))
         if pid != pid.strip() or "," in pid or "\r" in pid or "\n" in pid:
             raise WorkloadError(f"pid {pid!r} has a comma, a line break or "
                                 f"edge whitespace, so it cannot round-trip through CSV")
@@ -106,15 +111,15 @@ class Workload:
 def validate_workload(records, label: str = "") -> Workload:
     """Build a Workload from (pid, arrival, burst) records.
 
-    Input order is preserved exactly.
+    Input order is preserved exactly.  Nothing is converted: a pid must be
+    a ``str`` and times must be ``int`` (not ``bool``).
 
     Raises:
         EmptyWorkload: no records were given.
-        EmptyPid, NegativeArrival, NonPositiveBurst, DuplicatePid:
+        EmptyPid, NegativeArrival, NonPositiveBurst, DuplicatePid, WorkloadError:
             a record is invalid; the exception names the offender.
     """
-    procs = tuple(ProcessSpec(str(pid), int(arrival), int(burst))
-                  for pid, arrival, burst in records)
+    procs = tuple(ProcessSpec(pid, arrival, burst) for pid, arrival, burst in records)
     return Workload(processes=procs, label=label)
 
 

@@ -132,11 +132,11 @@ def make_dqrrr() -> PolicyBehavior:
 
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
         quantum = median_quantum(e.remaining for e in snapshot.entries)
-        if snapshot.contains_new_arrivals:
+        if all(e.dispatched_before for e in snapshot.entries):
+            order = snapshot.pids()
+        else:
             ordered = _ascending(snapshot.entries)
             order = alternating_min_max_order([(e.pid, e.remaining) for e in ordered])
-        else:
-            order = snapshot.pids()
         return CyclePlan(order, quantum)
 
     return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)

@@ -21,7 +21,6 @@ from fractions import Fraction
 from .model import PolicyDescriptor, Workload, validate_workload
 
 CASE_IDS = ("I", "II", "III", "IV", "V", "VI")
-ILLUSTRATION_ID = "ILL"
 ZERO_ARRIVAL_CASES = ("I", "II", "III")
 NONZERO_ARRIVAL_CASES = ("IV", "V", "VI")
 

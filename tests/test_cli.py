@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -175,3 +176,31 @@ def test_non_string_json_pid_exits_two(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and "process #2" in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["load.JSON", "load.Json", "load.CSV"])
+def test_generate_and_run_agree_on_suffix_case(tmp_path, name):
+    out = tmp_path / name
+    proc = rrsim("generate", "--n", "4", "--burst-min", "1", "--burst-max", "9",
+                 "--seed", "5", "-o", str(out))
+    assert proc.returncode == 0
+    assert out.read_text().startswith("{" if name.lower().endswith(".json") else "pid,")
+    proc = rrsim("run", "--algo", "rr", "--workload", str(out), "--format", "csv")
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 5
+
+
+@pytest.mark.parametrize("n", ["50000", "3"])
+def test_closed_stdout_pipe_exits_two(n):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rrsim", "generate", "--n", n,
+             "--burst-min", "1", "--burst-max", "9"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("rrsim: ")
+    assert len(proc.stderr.splitlines()) == 1

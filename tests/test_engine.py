@@ -12,9 +12,9 @@ from rrsim import (
     trace_violations,
     validate_workload,
 )
-from rrsim.engine import CyclePlan, PolicyBehavior
+from rrsim.engine import SLICE_BOUNDARY_RESTART, CyclePlan, PolicyBehavior
 from rrsim.model import COMPLETED, PolicyDescriptor, QUANTUM_EXPIRED
-from rrsim.policies import make_dabrr, make_round_robin, standard_policy
+from rrsim.policies import make_dabrr, make_dqrrr, make_round_robin, standard_policy
 from rrsim.workloads import benchmark_case
 
 
@@ -182,3 +182,41 @@ def test_every_policy_completes_single_process_at_arrival_plus_burst():
     for name in ("RR", "DQRRR", "IRRVQ", "SARR", "RP5", "MRR", "DABRR"):
         trace = simulate(w, standard_policy(name))
         assert trace.completion_times() == {"P1": 20}
+
+
+@pytest.mark.parametrize("policy, records", [
+    # P5 arrives during P3's preempted slice, so DABRR abandons cycle 1
+    # before P4 runs and replans over P3, P4 and P5
+    (make_dabrr(), [("P1", 0, 10), ("P2", 0, 20), ("P3", 0, 90), ("P4", 0, 100),
+                    ("P5", 70, 5)]),
+    # P3 arrives mid-cycle and joins DQRRR's next cycle beside the preempted P2
+    (make_dqrrr(), [("P1", 0, 50), ("P2", 0, 90), ("P3", 20, 40)]),
+    # P3 arrives just as P1 is preempted and joins the queue ahead of it
+    (make_round_robin(10), [("P1", 0, 30), ("P2", 0, 10), ("P3", 10, 20), ("P4", 90, 5)]),
+])
+def test_snapshot_records_match_the_trace(policy, records):
+    w = validate_workload(records)
+    snapshots = []
+
+    def plan(snapshot):
+        snapshots.append(snapshot)
+        return policy.plan(snapshot)
+
+    trace = simulate(w, dataclasses.replace(policy, plan=plan))
+    assert len(snapshots) == trace.slices[-1].cycle
+    for snapshot in snapshots:
+        done = [s for s in trace.slices if s.end <= snapshot.now]
+        executed = {p.pid: sum(s.duration for s in done if s.pid == p.pid) for p in w}
+        expected = {
+            p.pid: (p.burst - executed[p.pid], p.arrival, i, any(s.pid == p.pid for s in done))
+            for i, p in enumerate(w.processes)
+            if p.arrival <= snapshot.now and executed[p.pid] < p.burst}
+        actual = {e.pid: (e.remaining, e.arrival, e.submission_index, e.dispatched_before)
+                  for e in snapshot.entries}
+        assert len(snapshot.entries) == len(actual)
+        assert actual == expected, f"cycle {snapshot.cycle_index} at {snapshot.now}"
+    # each case reaches a snapshot that mixes dispatched and new processes
+    assert any(len({e.dispatched_before for e in s.entries}) == 2 for s in snapshots)
+    abandoned = any(sum(s.cycle == snap.cycle_index for s in trace.slices) < len(snap.entries)
+                    for snap in snapshots)
+    assert abandoned == (policy.arrival_mode == SLICE_BOUNDARY_RESTART)

@@ -8,6 +8,7 @@ from rrsim import (
     NegativeArrival,
     NonPositiveBurst,
     PolicyDescriptor,
+    ProcessSpec,
     WorkloadError,
     validate_workload,
 )
@@ -86,3 +87,25 @@ def test_package_exports_no_submodules():
         assert name not in rrsim.__all__
     assert all(hasattr(rrsim, name) for name in rrsim.__all__)
     assert "validate_workload" in rrsim.__all__
+
+
+@pytest.mark.parametrize("record", [
+    ("P1", 1.7, True),
+    ("P1", 0, True),
+    ("P1", False, 3),
+    ("P1", "3", 4),
+    ("P1", 0, 5.0),
+    ("P1", 0, None),
+    (None, 0, 3),
+    (5, 0, 1),
+    (b"P1", 0, 1),
+])
+def test_record_types_are_checked_not_coerced(record):
+    with pytest.raises(WorkloadError):
+        validate_workload([record])
+
+
+@pytest.mark.parametrize("args", [(5, 0, 1), ("P1", 1.5, 2.5)])
+def test_process_spec_checks_types(args):
+    with pytest.raises(WorkloadError):
+        ProcessSpec(*args)
