@@ -288,13 +288,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except CliError as exc:
         print(f"rrsim: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except BrokenPipeError:  # stdout's reader has gone, as in `rrsim ... | head`
-        with open(os.devnull, "wb") as devnull:  # so the exit flush writes nothing
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        # so that the interpreter's exit flush writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("rrsim: output closed before it was fully written", file=sys.stderr)
         return USAGE_ERROR
 

@@ -53,11 +53,9 @@ class ProcessSpec:
 
     def __post_init__(self):
         pid = self.pid
-        if not isinstance(pid, str):
-            raise WorkloadError(f"pid {pid!r} is not a string")
-        if type(self.arrival) is not int or type(self.burst) is not int:
-            raise WorkloadError(f"process {pid!r}: non-integer time in "
-                                f"({self.arrival!r}, {self.burst!r})")
+        if not isinstance(pid, str) or {type(self.arrival), type(self.burst)} != {int}:
+            raise WorkloadError(f"record {(pid, self.arrival, self.burst)!r} needs a "
+                                f"str pid and int times")
         if not pid:
             raise EmptyPid((pid, self.arrival, self.burst))
         if pid != pid.strip() or "," in pid or "\r" in pid or "\n" in pid:

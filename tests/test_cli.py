@@ -190,15 +190,19 @@ def test_generate_and_run_agree_on_suffix_case(tmp_path, name):
     assert len(proc.stdout.splitlines()) == 5
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("n", ["50000", "3"])
-def test_closed_stdout_pipe_exits_two(n):
+def test_closed_stdout_pipe_exits_two(n, buffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "rrsim", "generate", "--n", n,
              "--burst-min", "1", "--burst-max", "9"],
-            stdout=write_end, stderr=subprocess.PIPE, text=True)
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
     finally:
         os.close(write_end)
     assert proc.returncode == 2
