@@ -1,6 +1,9 @@
 import dataclasses
+import random
 
 import pytest
+
+from conftest import seeded_workload
 
 from rrsim import (
     ExecutionTrace,
@@ -14,7 +17,13 @@ from rrsim import (
 )
 from rrsim.engine import SLICE_BOUNDARY_RESTART, CyclePlan, PolicyBehavior
 from rrsim.model import COMPLETED, PolicyDescriptor, QUANTUM_EXPIRED
-from rrsim.policies import make_dabrr, make_dqrrr, make_round_robin, standard_policy
+from rrsim.policies import (
+    POLICY_NAMES,
+    make_dabrr,
+    make_dqrrr,
+    make_round_robin,
+    standard_policy,
+)
 from rrsim.workloads import benchmark_case
 
 
@@ -220,3 +229,117 @@ def test_snapshot_records_match_the_trace(policy, records):
     abandoned = any(sum(s.cycle == snap.cycle_index for s in trace.slices) < len(snap.entries)
                     for snap in snapshots)
     assert abandoned == (policy.arrival_mode == SLICE_BOUNDARY_RESTART)
+
+
+def _hand_trace(slices, idles=(), quantum_log=((1, 10),)):
+    return ExecutionTrace(PolicyDescriptor.of("RR", q=10), tuple(slices),
+                          tuple(idles), quantum_log)
+
+
+_ONE = [("P1", 0, 10)]
+_TWO = [("P1", 0, 10), ("P2", 0, 10)]
+
+
+def test_hand_built_trace_without_defects_passes():
+    w = validate_workload([("P1", 0, 10), ("P2", 15, 5)])
+    trace = _hand_trace([Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED),
+                         Slice("P1", 5, 10, 2, 5, COMPLETED),
+                         Slice("P2", 15, 20, 3, 5, COMPLETED)],
+                        idles=[IdleGap(10, 15)], quantum_log=((1, 5),))
+    assert trace_violations(trace, w) == []
+
+
+# One minimal trace per invariant; each is valid except for that defect.
+@pytest.mark.parametrize("records, slices, idles, quantum_log, message", [
+    pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P9", 10, 15, 2, 10, COMPLETED)],
+                 (), ((1, 10),), "unknown pid", id="unknown-pid"),
+    pytest.param(_ONE, [Slice("P1", 0, 0, 1, 10, QUANTUM_EXPIRED), Slice("P1", 0, 10, 1, 10, COMPLETED)],
+                 (), ((1, 10),), "empty or reversed slice", id="empty-slice"),
+    pytest.param(_ONE, [Slice("P1", 0, 10, 1, 5, COMPLETED)],
+                 (), ((1, 5),), "exceeds quantum", id="over-quantum"),
+    pytest.param([("P1", 5, 10)], [Slice("P1", 0, 10, 1, 10, COMPLETED)],
+                 (), ((1, 10),), "before arrival", id="before-arrival"),
+    pytest.param(_ONE, [Slice("P1", 0, 5, 1, 10, COMPLETED)],
+                 (), ((1, 10),), "burst", id="under-executed"),
+    pytest.param(_ONE, [Slice("P1", 0, 15, 1, 15, COMPLETED)],
+                 (), ((1, 15),), "burst", id="over-executed"),
+    pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, QUANTUM_EXPIRED)],
+                 (), ((1, 10),), "not marked completed", id="final-not-completed"),
+    pytest.param(_ONE, [Slice("P1", 0, 5, 1, 5, COMPLETED), Slice("P1", 5, 10, 2, 5, COMPLETED)],
+                 (), ((1, 5),), "non-final slice of P1 marked completed", id="non-final-completed"),
+    pytest.param([("P1", 0, 5), ("P2", 5, 5)],
+                 [Slice("P1", 0, 5, 1, 10, COMPLETED), Slice("P2", 5, 10, 2, 10, COMPLETED)],
+                 [IdleGap(5, 5)], ((1, 10),), "empty or reversed idle gap", id="empty-idle"),
+    pytest.param(_TWO, [Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P2", 5, 15, 1, 10, COMPLETED)],
+                 (), ((1, 10),), "overlaps", id="overlap"),
+    pytest.param(_TWO, [Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P2", 12, 22, 1, 10, COMPLETED)],
+                 (), ((1, 10),), "hole", id="hole"),
+    pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED)],
+                 [IdleGap(10, 20)], ((1, 10),), "does not end at the last slice", id="wrong-end"),
+    pytest.param([("P1", 0, 20)],
+                 [Slice("P1", 0, 10, 1, 10, QUANTUM_EXPIRED), Slice("P1", 15, 25, 2, 10, COMPLETED)],
+                 [IdleGap(10, 15)], ((1, 10),), "runnable", id="idle-while-runnable"),
+    pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED)],
+                 (), (), "empty quantum log", id="empty-quantum-log"),
+    pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED)],
+                 (), ((1, 10), (2, 0)), "< 1", id="quantum-below-one"),
+])
+def test_each_trace_invariant_is_flagged(records, slices, idles, quantum_log, message):
+    problems = trace_violations(_hand_trace(slices, idles, quantum_log),
+                                validate_workload(records))
+    assert any(message in p for p in problems), problems
+
+
+def _shorten_one_slice(trace, rng):
+    i = rng.randrange(len(trace.slices))
+    s = trace.slices[i]
+    return _with_slices(trace, i, dataclasses.replace(s, end=s.end - 1))
+
+
+def _flip_one_completion_mark(trace, rng):
+    i = rng.randrange(len(trace.slices))
+    s = trace.slices[i]
+    flipped = QUANTUM_EXPIRED if s.termination == COMPLETED else COMPLETED
+    return _with_slices(trace, i, dataclasses.replace(s, termination=flipped))
+
+
+def _insert_gap_after_abutting_pair(trace, rng):
+    pairs = [i for i in range(len(trace.slices) - 1)
+             if trace.slices[i].end == trace.slices[i + 1].start]
+    if not pairs:
+        return None
+    i = rng.choice(pairs)
+    at, delta = trace.slices[i].end, rng.randint(1, 5)
+    shifted = tuple(dataclasses.replace(s, start=s.start + delta, end=s.end + delta)
+                    for s in trace.slices[i + 1:])
+    idles = tuple(g if g.end <= at else IdleGap(g.start + delta, g.end + delta)
+                  for g in trace.idles)
+    idles = tuple(sorted(idles + (IdleGap(at, at + delta),), key=lambda g: g.start))
+    return dataclasses.replace(trace, slices=trace.slices[:i + 1] + shifted, idles=idles)
+
+
+def _with_slices(trace, i, replacement):
+    return dataclasses.replace(
+        trace, slices=trace.slices[:i] + (replacement,) + trace.slices[i + 1:])
+
+
+# Each mutation provably breaks an invariant: shortening breaks conservation,
+# a flipped mark breaks the completion rule, and a gap inserted between two
+# abutting slices idles while the second slice's process is runnable.
+CHECKER_MUTATIONS = [_shorten_one_slice, _flip_one_completion_mark,
+                     _insert_gap_after_abutting_pair]
+
+
+def test_seeded_mutated_traces_are_all_flagged():
+    applied = 0
+    for seed in range(1000):
+        rng = random.Random(seed)
+        workload = seeded_workload(seed)
+        trace = simulate(workload, standard_policy(POLICY_NAMES[seed % len(POLICY_NAMES)]))
+        for mutate in CHECKER_MUTATIONS:
+            bad = mutate(trace, rng)
+            if bad is None:
+                continue
+            applied += 1
+            assert trace_violations(bad, workload), f"seed {seed}: {mutate.__name__}"
+    assert applied >= 2500
