@@ -23,7 +23,9 @@ twice yields identical traces.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 from .model import (
@@ -186,71 +188,68 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
 
 
 def trace_violations(trace: ExecutionTrace, workload: Workload) -> list[str]:
-    """All ExecutionTrace invariants violated by ``trace``, as messages."""
+    """All ExecutionTrace invariants violated by ``trace``, as messages.
+
+    One walk over the slices and idle gaps in time order checks the tiling
+    and each slice against its process's remaining work; at an idle gap,
+    every process that has arrived must already be finished.
+    """
     problems: list[str] = []
     specs = workload.by_pid()
-
-    executed: dict[str, int] = {p: 0 for p in specs}
-    last_slice: dict[str, Slice] = {}
-    for s in trace.slices:
-        if s.pid not in specs:
-            problems.append(f"slice for unknown pid {s.pid!r}")
+    left = {pid: spec.burst for pid, spec in specs.items()}
+    arrivals = sorted(spec.arrival for spec in specs.values())
+    listed = iter(trace.slices)
+    in_order = True
+    finished = 0
+    cursor = arrivals[0]
+    for item in sorted(trace.slices + trace.idles, key=attrgetter("start", "end")):
+        start, end = item.start, item.end
+        if start != cursor:
+            problems.append(f"interval [{start},{end}) overlaps the previous one"
+                            if start < cursor else f"timeline hole [{cursor},{start})")
+        if end > cursor:
+            cursor = end
+        if item.__class__ is IdleGap:
+            if end <= start:
+                problems.append(f"empty or reversed idle gap [{start},{end})")
+            # finished processes ran before the gap, so they arrived before its end
+            if bisect_left(arrivals, end) != finished:
+                problems.extend(f"idle gap [{start},{end}) while {pid} is runnable"
+                                for pid, spec in specs.items()
+                                if spec.arrival < end and left[pid] > 0)
             continue
-        if s.end <= s.start:
-            problems.append(f"empty or reversed slice {s.pid} [{s.start},{s.end})")
-        if s.duration > s.quantum_in_effect:
+        if item is not next(listed) and in_order:
+            in_order = False
+            problems.append(f"slice {item.pid} [{start},{end}) listed out of time order")
+        pid = item.pid
+        spec = specs.get(pid)
+        if spec is None:
+            problems.append(f"slice for unknown pid {pid!r}")
+            continue
+        run = end - start
+        if run <= 0:
+            problems.append(f"empty or reversed slice {pid} [{start},{end})")
+        if run > item.quantum_in_effect:
             problems.append(
-                f"slice {s.pid} [{s.start},{s.end}) exceeds quantum {s.quantum_in_effect}")
-        if s.start < specs[s.pid].arrival:
-            problems.append(
-                f"slice {s.pid} starts at {s.start} before arrival {specs[s.pid].arrival}")
-        executed[s.pid] += s.duration
-        last_slice[s.pid] = s
+                f"slice {pid} [{start},{end}) exceeds quantum {item.quantum_in_effect}")
+        if start < spec.arrival:
+            problems.append(f"slice {pid} starts at {start} before arrival {spec.arrival}")
+        rest = left[pid] = left[pid] - run
+        done = rest <= 0
+        if done != (item.termination == COMPLETED):
+            problems.append(f"last slice of {pid} not marked completed" if done
+                            else f"non-final slice of {pid} marked completed")
+        if done and rest + run > 0:
+            finished += 1
 
-    for pid, spec in specs.items():
-        if executed[pid] != spec.burst:
-            problems.append(
-                f"pid {pid}: executed {executed[pid]} ms, burst is {spec.burst} ms")
-
-    for s in trace.slices:
-        is_last = last_slice.get(s.pid) is s
-        if is_last and s.termination != COMPLETED:
-            problems.append(f"last slice of {s.pid} not marked completed")
-        if not is_last and s.termination == COMPLETED:
-            problems.append(f"non-final slice of {s.pid} marked completed")
-
-    for gap in trace.idles:
-        if gap.end <= gap.start:
-            problems.append(f"empty or reversed idle gap [{gap.start},{gap.end})")
-
-    # Timeline: slices and idles must tile [min arrival, end) without overlap.
-    timeline = sorted(
-        [(s.start, s.end, "slice") for s in trace.slices]
-        + [(g.start, g.end, "idle") for g in trace.idles])
-    cursor = workload.min_arrival()
-    for start, end, kind in timeline:
-        if start < cursor:
-            problems.append(f"{kind} [{start},{end}) overlaps the previous interval")
-        elif start > cursor:
-            problems.append(f"timeline hole [{cursor},{start})")
-        cursor = max(cursor, end)
     if trace.slices and trace.slices[-1].end != cursor:
         problems.append("timeline does not end at the last slice")
-
-    # Work conservation: nobody admitted may be runnable inside an idle gap.
-    completion = trace.completion_times()
-    for gap in trace.idles:
-        for pid, spec in specs.items():
-            done_at = completion.get(pid)
-            if spec.arrival < gap.end and (done_at is None or done_at > gap.start):
-                problems.append(
-                    f"idle gap [{gap.start},{gap.end}) while {pid} is runnable")
-
+    problems.extend(f"pid {pid}: executed {specs[pid].burst - rest} ms, "
+                    f"burst is {specs[pid].burst} ms" for pid, rest in left.items() if rest)
     if not trace.quantum_log:
         problems.append("empty quantum log")
-    for cyc, q in trace.quantum_log:
-        if q < 1:
-            problems.append(f"cycle {cyc} logged quantum {q} < 1")
+    problems.extend(f"cycle {cyc} logged quantum {q} < 1"
+                    for cyc, q in trace.quantum_log if q < 1)
 
     return problems
 

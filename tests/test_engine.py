@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -318,16 +319,26 @@ def _insert_gap_after_abutting_pair(trace, rng):
     return dataclasses.replace(trace, slices=trace.slices[:i + 1] + shifted, idles=idles)
 
 
+def _swap_adjacent_slices(trace, rng):
+    if len(trace.slices) < 2:
+        return None
+    i = rng.randrange(len(trace.slices) - 1)
+    first, second = trace.slices[i:i + 2]
+    return dataclasses.replace(
+        trace, slices=trace.slices[:i] + (second, first) + trace.slices[i + 2:])
+
+
 def _with_slices(trace, i, replacement):
     return dataclasses.replace(
         trace, slices=trace.slices[:i] + (replacement,) + trace.slices[i + 1:])
 
 
 # Each mutation provably breaks an invariant: shortening breaks conservation,
-# a flipped mark breaks the completion rule, and a gap inserted between two
-# abutting slices idles while the second slice's process is runnable.
+# a flipped mark breaks the completion rule, a swap lists two non-empty
+# slices out of time order, and a gap inserted between two abutting slices
+# idles while the second slice's process is runnable.
 CHECKER_MUTATIONS = [_shorten_one_slice, _flip_one_completion_mark,
-                     _insert_gap_after_abutting_pair]
+                     _swap_adjacent_slices, _insert_gap_after_abutting_pair]
 
 
 def test_seeded_mutated_traces_are_all_flagged():
@@ -342,4 +353,22 @@ def test_seeded_mutated_traces_are_all_flagged():
                 continue
             applied += 1
             assert trace_violations(bad, workload), f"seed {seed}: {mutate.__name__}"
-    assert applied >= 2500
+    assert applied >= 3000
+
+
+def test_slices_listed_out_of_time_order_are_flagged():
+    w = benchmark_case("I")
+    good = simulate(w, make_round_robin(25))
+    swapped = dataclasses.replace(good, slices=good.slices[1::-1] + good.slices[2:])
+    problems = trace_violations(swapped, w)
+    assert any("out of time order" in p for p in problems), problems
+
+
+def test_checker_runs_in_linear_time_over_many_idle_gaps():
+    # each process arrives after the previous one has finished: 9,999 gaps
+    w = validate_workload([(f"P{i}", 2 * i, 1) for i in range(10_000)])
+    trace = simulate(w, make_round_robin(1))
+    assert len(trace.idles) == 9_999
+    started = time.perf_counter()
+    assert trace_violations(trace, w) == []
+    assert time.perf_counter() - started < 1.0
