@@ -60,6 +60,8 @@ def _parse_json(text: str, label: str) -> Workload:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, or too deep
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict) or "processes" not in payload:
         raise ParseError("expected an object with a 'processes' array")
     procs = payload["processes"]

@@ -72,14 +72,18 @@ class Workload:
     """An ordered, validated collection of processes.
 
     The sequence order is the submission order and is authoritative for
-    FCFS/arrival tie-breaking; construction never re-sorts it.
+    FCFS/arrival tie-breaking; construction never re-sorts or converts it.
     """
 
     processes: tuple[ProcessSpec, ...]
     label: str = ""
 
     def __post_init__(self):
-        if not self.processes:
+        procs = self.processes
+        if (not isinstance(procs, tuple) or not isinstance(self.label, str)
+                or not all(isinstance(p, ProcessSpec) for p in procs)):
+            raise WorkloadError("a Workload needs a tuple of ProcessSpec and a str label")
+        if not procs:
             raise EmptyWorkload()
         seen = set()
         for proc in self.processes:

@@ -47,20 +47,10 @@ def benchmark_case(case_id: str) -> Workload:
 
 
 @dataclass(frozen=True)
-class DerivedValues:
-    """Rule-derived replacement values attached to an erratum."""
-
-    quanta: tuple[int, ...]
-    context_switches: int
-    avg_waiting: Fraction
-    avg_turnaround: Fraction
-
-
-@dataclass(frozen=True)
 class Erratum:
     id: str
     explanation: str
-    derived: DerivedValues
+    derived: ExpectedRow  # the rule-derived row that replaces the published one
 
 
 @dataclass(frozen=True)
@@ -86,7 +76,7 @@ _E1 = Erratum(
     explanation=("published SARR row for case III uses quantum 120, which is "
                  "not the median of the remaining bursts (75); values below "
                  "are derived from the median rule"),
-    derived=DerivedValues((75, 37, 8), 7, Fraction("217.8"), Fraction("299.4")),
+    derived=_row("III", "SARR", (75, 37, 8), 7, "217.8", "299.4"),
 )
 
 _E2 = Erratum(
@@ -94,7 +84,7 @@ _E2 = Erratum(
     explanation=("published SARR row for case VI uses quanta 45,54,16,20; the "
                  "median of the second cycle's remaining bursts is 62, not 54; "
                  "values below are derived from the median rule"),
-    derived=DerivedValues((45, 62, 18, 10), 7, Fraction("150.8"), Fraction("210.4")),
+    derived=_row("VI", "SARR", (45, 62, 18, 10), 7, "150.8", "210.4"),
 )
 
 _EXPECTED = {(r.case_id, r.algorithm): r for r in [

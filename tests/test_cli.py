@@ -111,6 +111,18 @@ def test_parse_error_in_workload_file_exits_two(tmp_path):
     assert "line 2" in proc.stderr
 
 
+@pytest.mark.parametrize("data", [
+    '{"processes": [{"pid": "P1", "arrival_ms": 0, "burst_ms": ' + "9" * 5000 + "}]}",
+    "[" * 200_000,
+], ids=["5000-digit-integer", "deep-nesting"])
+def test_undecodable_json_workload_exits_two(tmp_path, data):
+    path = tmp_path / "broken.json"
+    path.write_text(data)
+    proc = rrsim("run", "--algo", "rr:q=25", "--workload", str(path))
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 def test_generate_round_trip_is_byte_stable(tmp_path):
     out = tmp_path / "load.csv"
     proc = rrsim("generate", "--n", "8", "--burst-min", "5", "--burst-max", "90",

@@ -126,3 +126,12 @@ def test_utf8_bom_is_accepted():
     assert w.processes == benchmark_case("I").processes
     data = serialize_workload(benchmark_case("IV"), JSON)
     assert parse_workload(bom + data, JSON) == benchmark_case("IV")
+
+
+@pytest.mark.parametrize("data", [
+    b'{"processes": [{"pid": "P1", "arrival_ms": 0, "burst_ms": ' + b"9" * 5000 + b"}]}",
+    b"[" * 200_000,
+], ids=["5000-digit-integer", "deep-nesting"])
+def test_undecodable_json_is_a_parse_error(data):
+    with pytest.raises(ParseError, match="invalid JSON"):
+        parse_workload(data, JSON)

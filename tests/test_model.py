@@ -9,6 +9,7 @@ from rrsim import (
     NonPositiveBurst,
     PolicyDescriptor,
     ProcessSpec,
+    Workload,
     WorkloadError,
     validate_workload,
 )
@@ -109,3 +110,19 @@ def test_record_types_are_checked_not_coerced(record):
 def test_process_spec_checks_types(args):
     with pytest.raises(WorkloadError):
         ProcessSpec(*args)
+
+
+@pytest.mark.parametrize("processes, label", [
+    ([ProcessSpec("P1", 0, 5)], ""),
+    ((("P1", 0, 5),), ""),
+    ((ProcessSpec("P1", 0, 5),), 5),
+    ((ProcessSpec("P1", 0, 5),), None),
+], ids=["list-of-specs", "tuple-of-records", "int-label", "none-label"])
+def test_workload_checks_its_fields_and_converts_nothing(processes, label):
+    with pytest.raises(WorkloadError):
+        Workload(processes, label)
+
+
+def test_validate_workload_rejects_a_non_string_label():
+    with pytest.raises(WorkloadError):
+        validate_workload([("P1", 0, 5)], label=5)
