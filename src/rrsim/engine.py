@@ -239,7 +239,7 @@ def trace_violations(trace: ExecutionTrace, workload: Workload) -> list[str]:
         if done != (item.termination == COMPLETED):
             problems.append(f"last slice of {pid} not marked completed" if done
                             else f"non-final slice of {pid} marked completed")
-        if done and rest + run > 0:
+        if done and rest + run > 0:  # this slice used up the last of the burst
             finished += 1
 
     if trace.slices and trace.slices[-1].end != cursor:

@@ -86,7 +86,7 @@ class Workload:
         if not procs:
             raise EmptyWorkload()
         seen = set()
-        for proc in self.processes:
+        for proc in procs:
             if proc.pid in seen:
                 raise DuplicatePid(proc.pid)
             seen.add(proc.pid)
