@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .model import (
     COMPLETED,
@@ -48,8 +48,7 @@ class PolicyPlanInvalid(ValueError):
     """The policy returned a defective plan (bad order or quantum)."""
 
 
-@dataclass(frozen=True, slots=True)
-class SnapshotEntry:
+class SnapshotEntry(NamedTuple):
     pid: str
     remaining: int
     arrival: int
@@ -126,6 +125,7 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     incoming = sorted(workload.processes, key=lambda p: p.arrival)
     entry = {p.pid: SnapshotEntry(p.pid, p.burst, p.arrival, i, False)
              for i, p in enumerate(workload.processes)}
+    never = incoming[-1].arrival + workload.total_burst() + 1  # beyond every slice's end
 
     queue: list[str] = []
     slices: list[Slice] = []
@@ -135,49 +135,49 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     cycle = 0
     ptr = 0
 
-    def admit(upto: int):
+    def admit(upto: int) -> int:  # enqueue arrivals up to ``upto``; return the next one's time
         nonlocal ptr
         while ptr < len(incoming) and incoming[ptr].arrival <= upto:
             queue.append(incoming[ptr].pid)
             ptr += 1
+        return incoming[ptr].arrival if ptr < len(incoming) else never
 
-    admit(clock)
-    while queue or ptr < len(incoming):
+    due = admit(clock)
+    while queue or due != never:
         if not queue:
-            next_arrival = incoming[ptr].arrival
-            idles.append(IdleGap(clock, next_arrival))
-            clock = next_arrival
-            admit(clock)
+            idles.append(IdleGap(clock, due))
+            clock = due
+            due = admit(clock)
             continue
 
         cycle += 1
-        snapshot = ReadySnapshot(tuple(entry[pid] for pid in queue), clock, cycle)
+        snapshot = ReadySnapshot(tuple(map(entry.__getitem__, queue)), clock, cycle)
         plan = _checked_plan(policy, snapshot)
+        order, quantum = plan.order, plan.quantum
         # A tail-rejoin cycle is one pass over a FIFO queue, not a quantum
         # decision, so only a change of quantum is logged: classic round
         # robin reports its one constant quantum, ((1, q),).
-        if mode != TAIL_REJOIN or not quantum_log or quantum_log[-1][1] != plan.quantum:
-            quantum_log.append((cycle, plan.quantum))
+        if mode != TAIL_REJOIN or not quantum_log or quantum_log[-1][1] != quantum:
+            quantum_log.append((cycle, quantum))
 
         queue = []  # the next cycle's queue, filled in execution order
-        for pos, pid in enumerate(plan.order):
-            record = entry[pid]
-            run = min(plan.quantum, record.remaining)
-            left = record.remaining - run
-            term = QUANTUM_EXPIRED if left else COMPLETED
-            slices.append(Slice(pid, clock, clock + run, cycle, plan.quantum, term))
+        watch = due if mode != CYCLE_BOUNDARY else never  # an arrival that acts mid-cycle
+        for pos, pid in enumerate(order):
+            _, remaining, arrival, index, _ = entry[pid]
+            left = remaining - quantum
+            run = quantum if left > 0 else remaining
+            slices.append(Slice(pid, clock, clock + run, cycle, quantum,
+                                QUANTUM_EXPIRED if left > 0 else COMPLETED))
             clock += run
-            if mode == TAIL_REJOIN:
-                admit(clock)  # same-ms arrivals enqueue before the preempted process
-            if left:
-                entry[pid] = SnapshotEntry(pid, left, record.arrival,
-                                           record.submission_index, True)
+            if clock >= watch and mode == TAIL_REJOIN:
+                watch = due = admit(clock)  # same-ms arrivals enqueue before the preempted one
+            if left > 0:
+                entry[pid] = SnapshotEntry(pid, left, arrival, index, True)
                 queue.append(pid)
-            if (mode == SLICE_BOUNDARY_RESTART and ptr < len(incoming)
-                    and incoming[ptr].arrival <= clock):
-                queue.extend(plan.order[pos + 1:])
-                break  # abandon the cycle, replan over everyone
-        admit(clock)
+            if clock >= watch:  # slice-boundary restart: abandon the cycle, replan over all
+                queue.extend(order[pos + 1:])
+                break
+        due = admit(clock)
 
     return ExecutionTrace(
         algorithm=policy.descriptor,
@@ -194,9 +194,16 @@ def trace_violations(trace: ExecutionTrace, workload: Workload) -> list[str]:
     and each slice against its process's remaining work; at an idle gap,
     every process that has arrived must already be finished.
     """
+    return _walk_trace(trace, workload)[0]
+
+
+def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], dict, dict]:
+    """:func:`trace_violations`' messages, plus each pid's completion time and
+    first dispatch; the two maps are complete only when there are no messages."""
     problems: list[str] = []
     specs = workload.by_pid()
     left = {pid: spec.burst for pid, spec in specs.items()}
+    completion, first_dispatch = {}, {}
     arrivals = sorted(spec.arrival for spec in specs.values())
     listed = iter(trace.slices)
     in_order = True
@@ -235,12 +242,15 @@ def trace_violations(trace: ExecutionTrace, workload: Workload) -> list[str]:
         if start < spec.arrival:
             problems.append(f"slice {pid} starts at {start} before arrival {spec.arrival}")
         rest = left[pid] = left[pid] - run
+        if rest + run == spec.burst:
+            first_dispatch[pid] = start
         done = rest <= 0
         if done != (item.termination == COMPLETED):
             problems.append(f"last slice of {pid} not marked completed" if done
                             else f"non-final slice of {pid} marked completed")
         if done and rest + run > 0:  # this slice used up the last of the burst
             finished += 1
+            completion[pid] = end
 
     if trace.slices and trace.slices[-1].end != cursor:
         problems.append("timeline does not end at the last slice")
@@ -251,7 +261,7 @@ def trace_violations(trace: ExecutionTrace, workload: Workload) -> list[str]:
     problems.extend(f"cycle {cyc} logged quantum {q} < 1"
                     for cyc, q in trace.quantum_log if q < 1)
 
-    return problems
+    return problems, completion, first_dispatch
 
 
 def replay_check(trace: ExecutionTrace, workload: Workload) -> bool:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .engine import trace_violations
+from .engine import _walk_trace, trace_violations  # noqa: F401 (bench/tracing.py wraps it)
 from .model import ExecutionTrace, PolicyDescriptor, Workload
 
 
@@ -66,27 +66,16 @@ def compute_metrics(trace: ExecutionTrace, workload: Workload) -> RunMetrics:
         InconsistentTrace: the trace violates an invariant (the message
             lists every violation found).
     """
-    problems = trace_violations(trace, workload)
+    problems, completion, first_dispatch = _walk_trace(trace, workload)
     if problems:
         raise InconsistentTrace("; ".join(problems))
-
-    completion = trace.completion_times()
-    first_dispatch: dict[str, int] = {}
-    for s in trace.slices:
-        first_dispatch.setdefault(s.pid, s.start)
 
     rows = []
     for p in workload.processes:
         turnaround = completion[p.pid] - p.arrival
-        rows.append(ProcessMetrics(
-            pid=p.pid,
-            arrival=p.arrival,
-            burst=p.burst,
-            completion=completion[p.pid],
-            turnaround=turnaround,
-            waiting=turnaround - p.burst,
-            response=first_dispatch[p.pid] - p.arrival,
-        ))
+        rows.append(ProcessMetrics(p.pid, p.arrival, p.burst, completion[p.pid], turnaround,
+                                   waiting=turnaround - p.burst,
+                                   response=first_dispatch[p.pid] - p.arrival))
 
     n = len(rows)
     makespan = trace.end_time() - workload.min_arrival()

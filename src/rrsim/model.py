@@ -5,7 +5,8 @@ so they can be shared freely between concurrent simulations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class WorkloadError(ValueError):
@@ -129,8 +130,7 @@ COMPLETED = "completed"
 QUANTUM_EXPIRED = "quantum_expired"
 
 
-@dataclass(frozen=True)
-class Slice:
+class Slice(NamedTuple):
     """One contiguous dispatch of a process."""
 
     pid: str
@@ -145,8 +145,7 @@ class Slice:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class IdleGap:
+class IdleGap(NamedTuple):
     """An interval during which no admitted process had remaining work."""
 
     start: int
@@ -191,10 +190,7 @@ class ExecutionTrace:
         return tuple(q for _, q in self.quantum_log)
 
     def completion_times(self) -> dict[str, int]:
-        done = {}
-        for s in self.slices:
-            done[s.pid] = s.end
-        return done
+        return {s.pid: s.end for s in self.slices}  # each pid's last listed slice
 
     def end_time(self) -> int:
         return self.slices[-1].end if self.slices else 0

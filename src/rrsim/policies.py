@@ -7,6 +7,7 @@ a total order, so planning is deterministic.
 """
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .engine import (
@@ -79,7 +80,7 @@ def alternating_min_max_order(entries: Sequence[tuple[str, int]]) -> tuple[str, 
 
 
 def _ascending(entries: Iterable[SnapshotEntry]) -> list[SnapshotEntry]:
-    return sorted(entries, key=lambda e: (e.remaining, e.arrival, e.submission_index))
+    return sorted(entries, key=attrgetter("remaining", "arrival", "submission_index"))
 
 
 def make_round_robin(q: int) -> PolicyBehavior:

@@ -166,7 +166,7 @@ def test_replay_check_flags_slice_before_arrival():
 def test_replay_check_flags_conservation_violation():
     w = benchmark_case("I")
     good = simulate(w, make_dabrr())
-    short = dataclasses.replace(good.slices[0], end=good.slices[0].end - 1)
+    short = good.slices[0]._replace(end=good.slices[0].end - 1)
     # shift is deliberately not propagated: both conservation and
     # contiguity must be reported
     bad = dataclasses.replace(good, slices=(short,) + good.slices[1:])
@@ -294,14 +294,14 @@ def test_each_trace_invariant_is_flagged(records, slices, idles, quantum_log, me
 def _shorten_one_slice(trace, rng):
     i = rng.randrange(len(trace.slices))
     s = trace.slices[i]
-    return _with_slices(trace, i, dataclasses.replace(s, end=s.end - 1))
+    return _with_slices(trace, i, s._replace(end=s.end - 1))
 
 
 def _flip_one_completion_mark(trace, rng):
     i = rng.randrange(len(trace.slices))
     s = trace.slices[i]
     flipped = QUANTUM_EXPIRED if s.termination == COMPLETED else COMPLETED
-    return _with_slices(trace, i, dataclasses.replace(s, termination=flipped))
+    return _with_slices(trace, i, s._replace(termination=flipped))
 
 
 def _insert_gap_after_abutting_pair(trace, rng):
@@ -311,7 +311,7 @@ def _insert_gap_after_abutting_pair(trace, rng):
         return None
     i = rng.choice(pairs)
     at, delta = trace.slices[i].end, rng.randint(1, 5)
-    shifted = tuple(dataclasses.replace(s, start=s.start + delta, end=s.end + delta)
+    shifted = tuple(s._replace(start=s.start + delta, end=s.end + delta)
                     for s in trace.slices[i + 1:])
     idles = tuple(g if g.end <= at else IdleGap(g.start + delta, g.end + delta)
                   for g in trace.idles)

@@ -1,7 +1,11 @@
 import dataclasses
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from conftest import seeded_workload
+from test_engine import CHECKER_MUTATIONS
 
 from rrsim import (
     InconsistentTrace,
@@ -13,8 +17,8 @@ from rrsim import (
     validate_workload,
 )
 from rrsim.metrics import format_average, format_percent, round_half_up
-from rrsim.policies import make_dabrr, make_round_robin, standard_policy
-from rrsim.workloads import benchmark_case
+from rrsim.policies import POLICY_NAMES, make_dabrr, make_round_robin, standard_policy
+from rrsim.workloads import CASE_IDS, benchmark_case
 
 
 def _run(case_id, name):
@@ -63,6 +67,41 @@ def test_compute_metrics_rejects_inconsistent_trace():
         trace, slices=trace.slices[:-1])
     with pytest.raises(InconsistentTrace):
         compute_metrics(tampered, w)
+
+
+def test_metrics_agree_with_the_listed_slices():
+    # compute_metrics reads completion and first dispatch off the checker's
+    # time-ordered walk; both must match what the listed slices say
+    workloads = ([benchmark_case(c) for c in CASE_IDS + ("ILL",)]
+                 + [seeded_workload(seed) for seed in range(200)])
+    for w in workloads:
+        for name in POLICY_NAMES:
+            trace = simulate(w, standard_policy(name))
+            m = compute_metrics(trace, w)
+            first_start = {}
+            for s in trace.slices:
+                first_start.setdefault(s.pid, s.start)
+            assert {p.pid: p.completion for p in m.per_process} == trace.completion_times()
+            assert [p.response for p in m.per_process] == [
+                first_start[p.pid] - p.arrival for p in w], (w.label, name)
+
+
+def test_compute_metrics_rejects_every_checker_mutation():
+    # the same seeds and mutations as the checker's seeded sweep in test_engine
+    applied = Counter()
+    for seed in range(1000):
+        rng = random.Random(seed)
+        workload = seeded_workload(seed)
+        trace = simulate(workload, standard_policy(POLICY_NAMES[seed % len(POLICY_NAMES)]))
+        for mutate in CHECKER_MUTATIONS:
+            bad = mutate(trace, rng)
+            if bad is None:
+                continue
+            applied[mutate] += 1
+            with pytest.raises(InconsistentTrace):
+                compute_metrics(bad, workload)
+    assert set(applied) == set(CHECKER_MUTATIONS)
+    assert sum(applied.values()) >= 3000
 
 
 def test_waiting_is_turnaround_minus_burst_everywhere():

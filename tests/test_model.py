@@ -13,6 +13,8 @@ from rrsim import (
     WorkloadError,
     validate_workload,
 )
+from rrsim.engine import SnapshotEntry
+from rrsim.model import COMPLETED, IdleGap, Slice
 
 CASE_I_RECORDS = [("P1", 0, 40), ("P2", 0, 55), ("P3", 0, 60),
                   ("P4", 0, 90), ("P5", 0, 102)]
@@ -65,6 +67,19 @@ def test_process_spec_is_immutable():
     w = validate_workload(CASE_I_RECORDS)
     with pytest.raises(dataclasses.FrozenInstanceError):
         w.processes[0].burst = 1
+
+
+@pytest.mark.parametrize("record, field", [
+    (Slice("P1", 0, 10, 1, 10, COMPLETED), "end"),
+    (IdleGap(10, 20), "start"),
+    (SnapshotEntry("P1", 10, 0, 0, False), "remaining"),
+], ids=["Slice", "IdleGap", "SnapshotEntry"])
+def test_trace_records_are_immutable_named_tuples(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 1)
+    assert record == tuple(record)
+    assert record._replace(**{field: 1}) == tuple(
+        1 if name == field else value for name, value in zip(record._fields, record))
 
 
 def test_policy_descriptor_spec_string():
