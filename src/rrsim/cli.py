@@ -44,17 +44,21 @@ class CliError(Exception):
     """Fatal usage/parse problem; message goes to stderr, exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line, like every other error, not the usage block
+        self.exit(USAGE_ERROR, f"rrsim: {message}\n")
+
+
 def _file_format(path: str) -> str:
     return JSON if Path(path).suffix.lower() == ".json" else CSV  # .JSON too
 
 
 def _load_workload(spec: str) -> Workload:
     if spec.startswith("case:"):
-        case_id = spec.split(":", 1)[1]
         try:
-            return benchmark_case(case_id)
+            return benchmark_case(spec[len("case:"):])
         except KeyError as exc:
-            raise CliError(str(exc)) from None
+            raise CliError(exc.args[0]) from None  # str(exc) would quote the message
     path = Path(spec)
     try:
         data = path.read_bytes()
@@ -239,7 +243,7 @@ def _cmd_export_figures(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rrsim",
         description="Round-robin scheduling simulator with dynamic time quanta.")
     sub = parser.add_subparsers(dest="command", required=True)

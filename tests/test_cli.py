@@ -98,6 +98,32 @@ def test_usage_errors_exit_two(args):
     assert proc.stderr
 
 
+def test_unknown_case_is_one_unquoted_line():
+    proc = rrsim("run", "--algo", "rr", "--workload", "case:ZZ")
+    assert proc.returncode == 2
+    assert proc.stderr == "rrsim: unknown case 'ZZ'; expected one of I, II, III, IV, V, VI, ILL\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("run", "--algo", "rr"), "the following arguments are required: --workload"),
+    (("run", "--algo", "rr", "--workload", "case:I", "--format", "xml"),
+     "argument --format: invalid choice: 'xml'"),
+], ids=["missing-workload", "bad-format"])
+def test_argparse_usage_error_is_one_line(args, message):
+    proc = rrsim(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"rrsim: {message}")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_help_prints_usage_and_exits_zero():
+    proc = rrsim("run", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: rrsim run [-h] --algo ALGO --workload WORKLOAD")
+    assert proc.stderr == ""
+
+
 def test_bad_subcommand_exits_two():
     proc = rrsim("frobnicate")
     assert proc.returncode == 2
