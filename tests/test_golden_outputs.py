@@ -1,9 +1,10 @@
 """Byte-identity guard for the golden outputs.
 
 Each command's stdout is hashed with SHA-256 and compared with the digest
-recorded before the aggregation refactor, so any change to a byte of the
-reproduction report, the figure CSV or a ``run --format json`` payload
-fails here and names the command.
+recorded before the refactors that touched them, so any change to a byte of the
+reproduction report, the figure CSV, a ``run`` output in any format (with
+or without the gantt chart) or a ``compare`` table fails here and names
+the command.
 """
 import contextlib
 import hashlib
@@ -129,6 +130,325 @@ RUN_DIGESTS = {
 }
 
 
+# run --algo <policy> --workload case:<case> <options>
+RUN_OUTPUT_DIGESTS = {
+    ("I", "rr", "--format text"):
+        "14a633429707a347fcb87d7436092e9634aa5fa01df2b2b6857f5cda17188230",
+    ("I", "rr", "--format csv"):
+        "6679117e9a8fdfb6f04fbbfcee4c7abe6ad2bcff9d599a51d7abb8a07c55278d",
+    ("I", "rr", "--gantt"):
+        "a51cd836a8f44b7c60d1eb814de33b8f78736e114347c597c455ff9864bb439c",
+    ("I", "dqrrr", "--format text"):
+        "919bfe97ffd52515b9c486ecfecb58053b7c36726133661629c9d6f0d2a5af8a",
+    ("I", "dqrrr", "--format csv"):
+        "d07527ef2a8b6a2601905c0116d7039dd5ab58ec517379aafeff174007b28438",
+    ("I", "dqrrr", "--gantt"):
+        "c98bced76647d4b1763ddca2089db1d500eefc157e10112684535a8caa9c7fab",
+    ("I", "irrvq", "--format text"):
+        "5888483a3c645d1601c719c3d94e5cee7a5ff3ee55edec566bd6efa9394a202b",
+    ("I", "irrvq", "--format csv"):
+        "4ab98f158bd19f90317395dbb466cdc4a515733547c2aba3d9cc2adecbe01d89",
+    ("I", "irrvq", "--gantt"):
+        "be6a94f63d8a1a04ac22f5b2b1e22c8846a8b1ed648db79d10f932bc1a124a21",
+    ("I", "sarr", "--format text"):
+        "bf6d796223356ef2462a2caa19d20ace32a34160046be19a2c0f37533436318f",
+    ("I", "sarr", "--format csv"):
+        "0d952babe1e454281c69ba92f66ba317efdd29f77978f7ec61afde0a559f0ad4",
+    ("I", "sarr", "--gantt"):
+        "e0b2641985dbb36bcf78aa7b58246e8e147cc95e9f87872c80ea0d64e8691d33",
+    ("I", "rp5", "--format text"):
+        "a5b487bfc89573bad2c9c2930a32be74f20241a2368da464fc257ad3ca584ffa",
+    ("I", "rp5", "--format csv"):
+        "6cfc04baee7074de3df864fb39cf6337b5248ccb4ef6fffdbd201b80e2cf1743",
+    ("I", "rp5", "--gantt"):
+        "1ad3a0cf924379f0881b176a0c95c397f19e44e0010efa0261ad5fb4d752ca07",
+    ("I", "mrr", "--format text"):
+        "f0aaaf0bcfa8c21d6d2baf78e98bc612bc0d2955641699fa1522756dd421c7f3",
+    ("I", "mrr", "--format csv"):
+        "e78fde25d43ab8fe0d7e4c64bfeb045849cc33f391c07457fd236f97c7f46aa7",
+    ("I", "mrr", "--gantt"):
+        "d7f9fa57299b1ab4a94608acce4cdf3d2b0be978f7cf9bf95ebcc6147e624849",
+    ("I", "dabrr", "--format text"):
+        "a96d8c86a0f17b92fda0d7f7e9109eafaa0a4e30fa1cb0d3a7e92b64917f85ad",
+    ("I", "dabrr", "--format csv"):
+        "bd10cc0a7a9721619e1bec0e9d3c38902696020d8ed34e493e8662348037f1dd",
+    ("I", "dabrr", "--gantt"):
+        "7530dfcaa32817a475a0033bd3f7fb081307e12aec9bcef0a01bcdea65e55714",
+    ("II", "rr", "--format text"):
+        "a6597b9ea07b1666ddc51ebb90673ce98cf3d20ac501cbe0524856fe8d8cc89c",
+    ("II", "rr", "--format csv"):
+        "f14118d200bbb0ee0f396d8c551e3728eb8f6d729a4afa7ab3b6c51cd9ea752e",
+    ("II", "rr", "--gantt"):
+        "729339c1dd034ff6f4e7ff45570408724ddefba3c82b67977abbcf477d19c5e8",
+    ("II", "dqrrr", "--format text"):
+        "75387cda1193d4246b4cfff6a424c48009525de30ca9fe6dea805dd5b1f7fb66",
+    ("II", "dqrrr", "--format csv"):
+        "91159f25f70568e94a22399b0b5080d104608763beb427b3fda74a9973027a70",
+    ("II", "dqrrr", "--gantt"):
+        "cacac98ab9111a61bbfb14a551403fbd270d4e2fa4b67e02be8944a8cf3fdd01",
+    ("II", "irrvq", "--format text"):
+        "56e991246a5180c0ef838285cbe4fea4d4d93ebd0b45f570d079fa8f5154cb91",
+    ("II", "irrvq", "--format csv"):
+        "e1b5b62abe656009774278efde5d6923f741c797f208630ac2e92929b414f46f",
+    ("II", "irrvq", "--gantt"):
+        "e7e2773f09b10fbd935b680df642baf0ebf91650aa3a010279cf6178674d072a",
+    ("II", "sarr", "--format text"):
+        "a7c6e684a9e3ab20387f8b2918ba21217ce750eb84b8609eda73b7b5775f4c99",
+    ("II", "sarr", "--format csv"):
+        "a809af008200b584455eca45c31edd96d6db88337247f79c01dbb4379b0164ba",
+    ("II", "sarr", "--gantt"):
+        "5661395de06113c823c7c256d49e937a76269f59d1b24f897e10c986b86579eb",
+    ("II", "rp5", "--format text"):
+        "06b6e4c9ed0bd5578f278a71527dffa97be204ca800dbfea616b829fc6cc03a7",
+    ("II", "rp5", "--format csv"):
+        "5f035481258a96b0c8448b15c0ed5dfffc499fbf8c442dbf06b12f9999729e62",
+    ("II", "rp5", "--gantt"):
+        "fefd2a1450ae6bb211831bd4f6cddb63ffb78aa14493d29afeca4913a0a7174b",
+    ("II", "mrr", "--format text"):
+        "17fb8c6c6eae00f579ce90ed3fcfaf900deae13f64fd8d7239ac8171c71c7cc5",
+    ("II", "mrr", "--format csv"):
+        "48a888a2b71f3430abfda4af2ac7854334431e0bc63d99fc235726060e7d4f29",
+    ("II", "mrr", "--gantt"):
+        "3c1293eb00ef85460ee959e3bf83715be24825c07cb6cf37d832cdf2f2d8db37",
+    ("II", "dabrr", "--format text"):
+        "5ace72633829f08ac50f199725d61bc2d2ebe68b79176bf29cdcb6b927813e16",
+    ("II", "dabrr", "--format csv"):
+        "8ae85f46f6b03dba194f936cedceb2db02b57405406c7efc0bd06e015c8dd439",
+    ("II", "dabrr", "--gantt"):
+        "ed2468ee91d6a047b2139cdfae99d3ab365b6abac260c267d08b7af5fe0a5f52",
+    ("III", "rr", "--format text"):
+        "1b129d9e6ea34b03e87c3ac87305b9bfbf62d5f38ed35ef171b7bdc385f9badb",
+    ("III", "rr", "--format csv"):
+        "4aa679e44ac6336a9cc31e46800999231f38c14da1893802d813f957c14d8a26",
+    ("III", "rr", "--gantt"):
+        "67b9536d0efa10ef2972a3a280418b3721045d503413d179a683bdb3c724e7e5",
+    ("III", "dqrrr", "--format text"):
+        "3a103d776defbb2f13c222e69f29c277fc8861bf132fe362fd89ac5c3c5970dd",
+    ("III", "dqrrr", "--format csv"):
+        "d3ea7ac53891d1fa30efc2b97cd1b13acb687cbeb3aae7e32d87a4dff1e4b6c0",
+    ("III", "dqrrr", "--gantt"):
+        "9b3a12822f22a9c483e0862b34166cd78e84adb430e5314d13e940d6063bc44a",
+    ("III", "irrvq", "--format text"):
+        "37eb60d4297ba66eec25a07c2f9e662c00eabe6282020eb87a947dc3bc1e2e74",
+    ("III", "irrvq", "--format csv"):
+        "636d670458cb6b804ba2f8c00c2f64cd514a9ed535ab736b77237e939345b38f",
+    ("III", "irrvq", "--gantt"):
+        "28169faf941964985123e4c1d552382589c8df3d944eccafe72d4fab087a7902",
+    ("III", "sarr", "--format text"):
+        "54872dfdf28f64c2d8eb150d83f368c3ff21a997f61bee0ec5af4a2afd6a7eb6",
+    ("III", "sarr", "--format csv"):
+        "806de64ea4d758f76a879e38e12b868e6ca9aa32cab448332334fda9d292a589",
+    ("III", "sarr", "--gantt"):
+        "f7134fa540191eebfa6c46ed5c57fc542f083b878b1c396d2aca2fb60795852f",
+    ("III", "rp5", "--format text"):
+        "9d2a1819aa58045ac530f04c559b20302befa1e67650fe833a1cc90f8a3733c7",
+    ("III", "rp5", "--format csv"):
+        "9fde4a9ea4cffd7303cec76bc54114f6b1ac93079a30058bf21833834a2d50a4",
+    ("III", "rp5", "--gantt"):
+        "351073f9858170daad4e87e922a8bf2f2d1f88dd3167104ad1032bdc3339f8c4",
+    ("III", "mrr", "--format text"):
+        "05546651b12aa0b6c52929e61c66b1dfe68ef9c766a9322e72439e65623a7140",
+    ("III", "mrr", "--format csv"):
+        "547659451035125da461fa84fc70be6c305327c974416db8e341e049b7c00220",
+    ("III", "mrr", "--gantt"):
+        "d19f90a2090d2cdbd5a9fa7003a4f8f64144036ece29151fac078b0a1cff2ad5",
+    ("III", "dabrr", "--format text"):
+        "4f33b2d2a38146d20f253b7d706594616d6213af99c02798742038f7d52e410e",
+    ("III", "dabrr", "--format csv"):
+        "426923a06188caf9b8a49d424c19c19d8c4b196ff06bf96b7793874b9d959c33",
+    ("III", "dabrr", "--gantt"):
+        "a519de939b33e4a6a2cae03c992a1317c666edf8bdd15274446e1612afd619de",
+    ("IV", "rr", "--format text"):
+        "8da71d8ee3b5afd24911f0039ced1d823ca1895de2222a7fee44163b021aa77b",
+    ("IV", "rr", "--format csv"):
+        "1a82c450f78649f050024fc372801893550578e65e71af3a9916a32f08839561",
+    ("IV", "rr", "--gantt"):
+        "799b609b2d1add4f1d3df798ce9c5152444eda996bce2961ccf61ccd0c1d32b9",
+    ("IV", "dqrrr", "--format text"):
+        "2563c0ca43cbe91e506d6a286e863cf1ec7dd218ec3f15f2ed1b11d74dc85b3f",
+    ("IV", "dqrrr", "--format csv"):
+        "ab7f1e9cf204170907973eca0184017c12f17d705b3d10c18b5fdc4b61d1a766",
+    ("IV", "dqrrr", "--gantt"):
+        "30ba9b45bdadad07543a56a3e856d2cd5f7c6c289c99f6317407ec296649a61d",
+    ("IV", "irrvq", "--format text"):
+        "924c91072f0ac0953854e2014cd64a36ba398697706f73ccd836647a86f5abf2",
+    ("IV", "irrvq", "--format csv"):
+        "3bd0f3992e1daa8831dfaa9eb6d96576e80d7a054f320767f7f46c5a0bd7a9de",
+    ("IV", "irrvq", "--gantt"):
+        "dc8551f63a0384aa1293d3df102d71353cac5df032872b1a912eb39bd5b9022b",
+    ("IV", "sarr", "--format text"):
+        "9256dd319796bfa29d2fd09f0c90b73d3cdd7af9040157c4cb3b08cd3a79920f",
+    ("IV", "sarr", "--format csv"):
+        "4dca81c00d09277ec37a0775811f5b7bdc172f7842193cb2af9371de57496460",
+    ("IV", "sarr", "--gantt"):
+        "5fb05dab4418ac6338d3a8789be27f4596fc9ace79a088ff8ef3dd3582ff3a71",
+    ("IV", "rp5", "--format text"):
+        "1694df6a56bd3d1bfba418812941f16ae3ee586aa205786ad235c9796425bfb4",
+    ("IV", "rp5", "--format csv"):
+        "d53332461af2f54ff47e46698cb7e9d999f643c19151cea4079ce4b0d5abc86b",
+    ("IV", "rp5", "--gantt"):
+        "c2cccbbdbef7486a73558c10056d8b5293311d67bff46c30d7e24fce31545eb0",
+    ("IV", "mrr", "--format text"):
+        "4c6bc25cdbacf153a0c0443138bfd1f3d532ffdd650d62c6d14b750531beaee0",
+    ("IV", "mrr", "--format csv"):
+        "bdb1c1c80f6ca3a969798b45e15871247523379b6da1e98963d6c15a4a61338c",
+    ("IV", "mrr", "--gantt"):
+        "a5687ef540262489d2ff2f30803d211a61a1cf49e244d9152b68ca84eb1de88d",
+    ("IV", "dabrr", "--format text"):
+        "5a20a90e69fd6dc166be7e2cd721d63e1c6290329e8b2a729d07f3c6c6ef6ffb",
+    ("IV", "dabrr", "--format csv"):
+        "07eea86733dda3f53cf39bc77b841a16d78ff43fb50f2c635d2c836500f8821d",
+    ("IV", "dabrr", "--gantt"):
+        "dd4f7574a3e5b52ac9a0e4ce84df29756d29043d0fee4c0aeb206e13966a65fa",
+    ("V", "rr", "--format text"):
+        "9b71c32f1be564c87e8fa74f19d33fc7df043bee6b3b392ad706de8c5c52f7b9",
+    ("V", "rr", "--format csv"):
+        "22eb74db78fbe6aa4fea006949b80939fdc9cccd09a47aa99e3546dca843941d",
+    ("V", "rr", "--gantt"):
+        "d457cac68b3b7799cbd898c58db0f04a3aa4ea77a40dce661a75a3968bdb2a2b",
+    ("V", "dqrrr", "--format text"):
+        "d6863dff2db1d6e45a3a783ec52e3337f6d5264c6797e33cea106aa07bb79b32",
+    ("V", "dqrrr", "--format csv"):
+        "f1d571f07d4c6c7d3afa8fbea368f0ccf635ab80a6c33c5b1db75e7344f8c0c5",
+    ("V", "dqrrr", "--gantt"):
+        "ccc624fc04b7431085e07ebefb579a5f6ab24fece99669e286c0cae7c388d446",
+    ("V", "irrvq", "--format text"):
+        "917d8b02f1068a5ff140eb053ca67f3dc64c2bd5cfcf6972e41b9f25d4022875",
+    ("V", "irrvq", "--format csv"):
+        "862072e00f6117cb1e4530fec1af3f041e0ba259bea8578d276d5dc306bd9383",
+    ("V", "irrvq", "--gantt"):
+        "dbc38e70ab33877e87ccea6bc488559b681e5d3ac73bed0be84f9c2b009569b9",
+    ("V", "sarr", "--format text"):
+        "a2abcae5f28d258596c9d8ebdd19defb47c5b20d60636d1249921b1fddb1240b",
+    ("V", "sarr", "--format csv"):
+        "340419d73da7dc9df9627054fd4f003f70c2ead21e62b9ea7f8d4b92dfa61188",
+    ("V", "sarr", "--gantt"):
+        "62309f80d4af750eb6b3af1c76d40fd9e4285cf1ce8c7d0731c5bf5dcdd1e644",
+    ("V", "rp5", "--format text"):
+        "8197d31bbeefe87b1c471af1d8c0e95a770268554e41f6e414174efced016c56",
+    ("V", "rp5", "--format csv"):
+        "54e20ec4bb64d07f1489ad90313ac0e351f52a71cf3c92a10de7df6509e97936",
+    ("V", "rp5", "--gantt"):
+        "89f1e5db091a6ca1b0ac587194091e97f1949065c5824313f272ba1e4dcbde32",
+    ("V", "mrr", "--format text"):
+        "eb3ea8d636d9cdf3776d0604e88896c70c0732f1d6f30cb1d15766ed32c19344",
+    ("V", "mrr", "--format csv"):
+        "4513100a05af17139c4fca2ded5f7c637945653bfcf25da67e5b329d871aa978",
+    ("V", "mrr", "--gantt"):
+        "71188840a5807cb42d7c90890490c3c8fba22b30ca48293fdd098c842ddfb437",
+    ("V", "dabrr", "--format text"):
+        "53b5937d2d995539919fcc1de635ae4704eb5104803f88b78bd66fa8dd7141a8",
+    ("V", "dabrr", "--format csv"):
+        "6e48955bbe744302d30d21ce41a6fdabbd083051882ab81dba9f311aa4b088e0",
+    ("V", "dabrr", "--gantt"):
+        "0b6c2020e34a448a3ab49ddfa0c46ea769df10a35c38a1900863c2b063469a75",
+    ("VI", "rr", "--format text"):
+        "8a6edf834d6e6ce7e47dc0548039b4fd01df2ff01c0221f67452af4094dccbc6",
+    ("VI", "rr", "--format csv"):
+        "b8c3d555a2a8fdafbb5119c9e8d062e03ea65358d179426e17c9490f0ac9adfa",
+    ("VI", "rr", "--gantt"):
+        "19399e03584b2c1209a5a6affedfd56ca3cb74d65add0cf8af669966254172a6",
+    ("VI", "dqrrr", "--format text"):
+        "2712fc7a62f1419e279e76099547ac36cff9df40a42c61147fba25c061b4f780",
+    ("VI", "dqrrr", "--format csv"):
+        "2bc39494371225d14606e4712f4b3695afabd2660d9ea3c36d19da85c826c592",
+    ("VI", "dqrrr", "--gantt"):
+        "12460e9ee99bbaeb734cce01980dedcffa8ec0ea274ed65e2ec952f59945230c",
+    ("VI", "irrvq", "--format text"):
+        "4902020deb96ce8a3a3da0c00fd357055435757cdaf5408347732985c06a7697",
+    ("VI", "irrvq", "--format csv"):
+        "2ddc5e92c5b0314957dbe3e2bb899232a4e31e016d0ddda3b7a5b37dec67e7c1",
+    ("VI", "irrvq", "--gantt"):
+        "078423c9c4ae7f3093170c040efb07d6c2d2d6df4b82dd526167c789c6fbfd3a",
+    ("VI", "sarr", "--format text"):
+        "683c471cf82e7f3ebf9ebdc495e4618ae5dc3a564042705d0fd93b9b940b6062",
+    ("VI", "sarr", "--format csv"):
+        "2fea2225407a4134d034d8b1c3542bd60951109c0dd795313176750368173950",
+    ("VI", "sarr", "--gantt"):
+        "047bcd5e25211f70c4e0089deceb601ee10deab9ab178e13141e8dbcfb389e43",
+    ("VI", "rp5", "--format text"):
+        "19a9f6f5cddfc5c7cbbc9d4fa92cb15c02768d5644068c7e55a821f77d4baa87",
+    ("VI", "rp5", "--format csv"):
+        "79d191482e0b2c9440bd343471aee156fff458f3c3bd33ac1e85c8c4b2b770ba",
+    ("VI", "rp5", "--gantt"):
+        "da9d7f092bfb3460f4d48b92dccffc823554853f6382e2a2ba94abf0cc6b9091",
+    ("VI", "mrr", "--format text"):
+        "fa13e376db8a3ff2a52244e61b69e81d06c00b510d5ae3ff0dd25bb91ab8910f",
+    ("VI", "mrr", "--format csv"):
+        "9b519ad751898168ae13afc5137d2b7a5de7cafc47c97f201f4d3f0eaeeb75e4",
+    ("VI", "mrr", "--gantt"):
+        "ae4862b1f347e48754a040f2e168f3a8af3bb625502948b9be0f36d12001a492",
+    ("VI", "dabrr", "--format text"):
+        "a3a8177084c44a479c835e14c97b6ccd3c4851afe173d65dc372889c93a58d7c",
+    ("VI", "dabrr", "--format csv"):
+        "d3a89cf306cecd622937c731280e2b60fffc9548a98b672726f51197627550a0",
+    ("VI", "dabrr", "--gantt"):
+        "4433785aa58c733475ce39006af7181bc799e8a5b74202cd6c161c0c18a82f07",
+    ("ILL", "rr", "--format text"):
+        "af8b09aef1cea75c68ea43749ff97c553e43177a61770d987956d0e92c2992b4",
+    ("ILL", "rr", "--format csv"):
+        "336585a49c447a4e3712e30f13c1bf5e0ea8378ca51b66b6d37dca3bb1a0f2ad",
+    ("ILL", "rr", "--gantt"):
+        "8d6212160de6f4cbe18a6cfbb3bf7aefb122480f94465a9bc4daab6478d7a247",
+    ("ILL", "dqrrr", "--format text"):
+        "b15b484c2ec6616031a5195ec5b2f9324d65a5fbe5f70a2ffe31737eb7efb2c4",
+    ("ILL", "dqrrr", "--format csv"):
+        "e2fbdb4beafbeff08a474d7baad859d6d751cd30e354e99e3b0ffdebf047e89d",
+    ("ILL", "dqrrr", "--gantt"):
+        "86843da27fc2f812bda3433184b887291f33783440d40bc816115180c1515861",
+    ("ILL", "irrvq", "--format text"):
+        "27de0b61f03bce6784d3a3a907a826682a7aa0207581410b7bf97cc90f6c02a0",
+    ("ILL", "irrvq", "--format csv"):
+        "9bb2a203deaec38bae4f6e0c9626f41932102254f6afd7de661db97ea54c0f8c",
+    ("ILL", "irrvq", "--gantt"):
+        "95964b7cc5ded5df730f01e521dd85ce41e4b718238d2af0745b0d92ce5f8cb1",
+    ("ILL", "sarr", "--format text"):
+        "70a62b0221ee31e0193efbc4d3319b0d1f68ea3265334ddd92032ad65d574163",
+    ("ILL", "sarr", "--format csv"):
+        "1a600d03ec9b725e84580f512e2b0f16379a8853c5c92f86f65651c6790d6b7e",
+    ("ILL", "sarr", "--gantt"):
+        "c876fe0a4d0897dd9a20a6cf811016c6a89a16dd0d2249721fd1ca466a073c96",
+    ("ILL", "rp5", "--format text"):
+        "ca16f634c98bf3c1e338243ebd23c7ddb4086fd46d039158a80a12200337d31c",
+    ("ILL", "rp5", "--format csv"):
+        "c9b6dcfad4dc69bc32c60af767ab7cd392e7f74888ec095fc4e3af84ff5a2c44",
+    ("ILL", "rp5", "--gantt"):
+        "fb15c4b0176abf311938d2c23223e8b3feab4154c1b1fb100c303d530867f5e2",
+    ("ILL", "mrr", "--format text"):
+        "7ee0071bcc30f4db00447603b4e38fbbab1312cfc778660a7b8b3dfe90a86c36",
+    ("ILL", "mrr", "--format csv"):
+        "527e4d2b2841a205522347b690175d60a96154b0a5671f59f15dedf02ce5b8d0",
+    ("ILL", "mrr", "--gantt"):
+        "8a5d772718d2e417d534d74906fa61bf8081972458788bd6ce14770af3bbe00f",
+    ("ILL", "dabrr", "--format text"):
+        "4a2c9affaf6cec9583cb6ea0f03dbb02e8eb4c329e2b1f2fc5f87ac5039c9dcd",
+    ("ILL", "dabrr", "--format csv"):
+        "1f137682925c2ba3084f73f729b156f377a77b99e03c2d451bb2361402565b35",
+    ("ILL", "dabrr", "--gantt"):
+        "d2e735ce3f2a0e1ee26dfaec5959f46bbb7b1f4269c471f51dee695c4f0610d0",
+}
+
+COMPARE_DIGESTS = {
+    "compare --workload case:I --algos rr,dqrrr,irrvq,sarr,rp5,mrr,dabrr":
+        "60d6076c570350dd24636ae0f55e933df8805c1f28023b11c16e3991bf226cfb",
+    "compare --workload case:II --algos rr,dqrrr,irrvq,sarr,rp5,mrr,dabrr":
+        "9cf0961fb0aefef9d95144b54e44fa919eef29180db5cd6a3220531959722b59",
+    "compare --workload case:III --algos rr,dqrrr,irrvq,sarr,rp5,mrr,dabrr":
+        "a453d41fbf474d19b6b099b0724a085f5d2bbdef7fef84406bf1bf3344cfb7b0",
+    "compare --workload case:IV --algos rr,dqrrr,irrvq,sarr,rp5,mrr,dabrr":
+        "53e688d3b0c0e8d08e09c58da67d84104281c9eada98e61472e983083843abdc",
+    "compare --workload case:V --algos rr,dqrrr,irrvq,sarr,rp5,mrr,dabrr":
+        "77d455d75a24c2c1bf857fe53f8629339c0dba58e200d9898f5be1aa9af4fbb4",
+    "compare --workload case:VI --algos rr,dqrrr,irrvq,sarr,rp5,mrr,dabrr":
+        "ac3d3ffaa51f8c32b23610aa78d9e0c3c79db6282ade85ec314556085cefb4dc",
+    "compare --workload case:ILL --algos rr,dqrrr,irrvq,sarr,rp5,mrr,dabrr":
+        "22923cd10907e90f45afb31b8e9e58e3f95db842b65005a90592e907c67f4d30",
+    "compare --workload case:III --algos rr,dqrrr,irrvq,sarr,rp5,mrr,dabrr --baseline dabrr":
+        "000164cd4fa7efff2208abbe1cadb25bb9e55199f8cdbf6a2c8e39560e6f2540",
+    "compare --workload case:ILL --algos rr,sarr --baseline irrvq":
+        "6ca70b364df55f4258ad6cb0377e4d9a44a312ff422d2c4b5a9c77b0878ad547",
+}
+
 def _stdout_digest(argv):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
@@ -146,3 +466,14 @@ def test_command_output_is_byte_identical(command):
 def test_run_json_is_byte_identical(case_id, policy):
     argv = ["run", "--algo", policy, "--workload", f"case:{case_id}", "--format", "json"]
     assert _stdout_digest(argv) == RUN_DIGESTS[case_id, policy]
+
+
+@pytest.mark.parametrize("case_id,policy,options", sorted(RUN_OUTPUT_DIGESTS))
+def test_run_output_is_byte_identical(case_id, policy, options):
+    argv = ["run", "--algo", policy, "--workload", f"case:{case_id}", *options.split()]
+    assert _stdout_digest(argv) == RUN_OUTPUT_DIGESTS[case_id, policy, options]
+
+
+@pytest.mark.parametrize("command", sorted(COMPARE_DIGESTS))
+def test_compare_table_is_byte_identical(command):
+    assert _stdout_digest(command.split()) == COMPARE_DIGESTS[command]
