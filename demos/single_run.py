@@ -20,12 +20,12 @@ workload = validate_workload(
 # DABRR recomputes its quantum each cycle as the floored mean of the
 # remaining bursts and dispatches in ascending burst order.
 trace = simulate(workload, make_dabrr())
+metrics = compute_metrics(trace, workload)
 
-print("quantum per cycle:", trace.quanta())
+print("quantum per cycle:", metrics.quanta())
 for s in trace.slices:
     print(f"  cycle {s.cycle}: {s.pid} runs [{s.start:>3}, {s.end:>3})  ({s.termination})")
 
-metrics = compute_metrics(trace, workload)
 print("average waiting time:   ", format_average(metrics.avg_waiting))
 print("average turnaround time:", format_average(metrics.avg_turnaround))
 print("context switches:       ", metrics.context_switches)

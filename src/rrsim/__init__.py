@@ -9,7 +9,6 @@ from .engine import (
     PolicyPlanInvalid,
     ReadySnapshot,
     SnapshotEntry,
-    replay_check,
     simulate,
     trace_violations,
 )

@@ -7,7 +7,6 @@ All configuration is via flags; no environment variables.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -15,13 +14,7 @@ from pathlib import Path
 from .engine import simulate
 from .fileio import CSV, JSON, ParseError, parse_workload, serialize_workload
 from .gantt import render_gantt
-from .metrics import (
-    RunMetrics,
-    compare_runs,
-    compute_metrics,
-    format_average,
-    format_percent,
-)
+from .metrics import compare_runs, compute_metrics
 from .model import Workload, WorkloadError
 from .policies import PolicySpecError, parse_policy_spec
 from .reproduce import comparison_reports, export_figure_data, reproduce_paper
@@ -88,74 +81,13 @@ def _write_output(data: bytes, path: str | None) -> None:
         raise CliError(f"cannot write output file {path!r}: {exc.strerror or exc}") from None
 
 
-def _percent(value) -> str:
-    return format_percent(value) + "%"
-
-
-def _run_text(run: RunMetrics, workload: Workload) -> str:
-    lines = [
-        f"algorithm: {run.descriptor.spec_string()}",
-        f"workload:  {workload.label or '(unlabeled)'}",
-        f"quanta:    {','.join(str(q) for q in run.quanta())}",
-        "",
-        f"{'pid':<8}{'arrival':>8}{'burst':>7}{'completion':>11}"
-        f"{'turnaround':>11}{'waiting':>8}{'response':>9}",
-    ]
-    for p in run.per_process:
-        lines.append(f"{p.pid:<8}{p.arrival:>8}{p.burst:>7}{p.completion:>11}"
-                     f"{p.turnaround:>11}{p.waiting:>8}{p.response:>9}")
-    lines += [
-        "",
-        f"average waiting time:    {format_average(run.avg_waiting)}",
-        f"average turnaround time: {format_average(run.avg_turnaround)}",
-        f"average response time:   {format_average(run.avg_response)}",
-        f"context switches:        {run.context_switches}",
-        f"makespan:                {run.makespan}",
-        f"cpu utilization:         {_percent(run.cpu_utilization)}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _run_json(run: RunMetrics, workload: Workload) -> str:
-    payload = {
-        "algorithm": run.descriptor.spec_string(),
-        "workload": workload.label,
-        "quanta": list(run.quanta()),
-        "per_process": [
-            {"pid": p.pid, "arrival_ms": p.arrival, "burst_ms": p.burst,
-             "completion_ms": p.completion, "turnaround_ms": p.turnaround,
-             "waiting_ms": p.waiting, "response_ms": p.response}
-            for p in run.per_process
-        ],
-        "avg_waiting": float(format_average(run.avg_waiting)),
-        "avg_turnaround": float(format_average(run.avg_turnaround)),
-        "avg_response": float(format_average(run.avg_response)),
-        "context_switches": run.context_switches,
-        "makespan_ms": run.makespan,
-        "cpu_utilization_pct": float(format_percent(run.cpu_utilization)),
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _run_csv(run: RunMetrics) -> str:
-    lines = ["pid,arrival_ms,burst_ms,completion_ms,turnaround_ms,waiting_ms,response_ms"]
-    for p in run.per_process:
-        lines.append(f"{p.pid},{p.arrival},{p.burst},{p.completion},"
-                     f"{p.turnaround},{p.waiting},{p.response}")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_run(args) -> int:
     workload = _load_workload(args.workload)
     policy = _policy(args.algo)
     trace = simulate(workload, policy)
     run = compute_metrics(trace, workload)
-    if args.format == "json":
-        sys.stdout.write(_run_json(run, workload))
-    elif args.format == "csv":
-        sys.stdout.write(_run_csv(run))
-    else:
-        sys.stdout.write(_run_text(run, workload))
+    render = {"text": run.render_text, "json": run.render_json, "csv": run.render_csv}
+    sys.stdout.write(render[args.format]())
     if args.gantt:
         sys.stdout.write("\n" + render_gantt(trace))
     return 0
@@ -179,19 +111,7 @@ def _cmd_compare(args) -> int:
         trace = simulate(workload, policy)
         runs[policy.descriptor] = {case_id: compute_metrics(trace, workload)}
     report = compare_runs(runs, baseline_policy.descriptor, label=case_id)
-
-    lines = [f"workload: {case_id}  (baseline {baseline_policy.descriptor.spec_string()})",
-             f"{'algorithm':<14}{'waiting':>10}{'turnaround':>12}{'switches':>10}"
-             f"{'wait gain':>11}{'tat gain':>10}"]
-    for entry in report.entries:
-        lines.append(
-            f"{entry.descriptor.spec_string():<14}"
-            f"{format_average(entry.waiting_total):>10}"
-            f"{format_average(entry.turnaround_total):>12}"
-            f"{entry.context_switch_total:>10}"
-            f"{_percent(entry.waiting_gain_pct):>11}"
-            f"{_percent(entry.turnaround_gain_pct):>10}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(report.render_text())
     return 0
 
 
@@ -206,10 +126,7 @@ def _cmd_reproduce(args) -> int:
             raise CliError(f"--cases must be 'all' or a comma list from "
                            f"{','.join(CASE_IDS)}; got {args.cases!r}")
     report = reproduce_paper(selected)
-    if args.format == "json":
-        sys.stdout.write(report.render_json())
-    else:
-        sys.stdout.write(report.render_text())
+    sys.stdout.write(report.render_json() if args.format == "json" else report.render_text())
     return report.exit_status
 
 

@@ -262,8 +262,3 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], d
                     for cyc, q in trace.quantum_log if q < 1)
 
     return problems, completion, first_dispatch
-
-
-def replay_check(trace: ExecutionTrace, workload: Workload) -> bool:
-    """True iff every trace invariant holds against the workload."""
-    return not trace_violations(trace, workload)

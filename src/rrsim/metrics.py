@@ -1,4 +1,4 @@
-"""Per-process and aggregate scheduling metrics, plus cross-run comparison.
+"""Run metrics, cross-run comparison, and their text, JSON and CSV renderers.
 
 Averages and percentages are carried as exact ``Fraction`` values and only
 rounded when rendered (one decimal for averages, two for percentages), so
@@ -6,9 +6,10 @@ golden comparisons never drift.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple
 
 from .engine import _walk_trace, trace_violations  # noqa: F401 (bench/tracing.py wraps it)
 from .model import ExecutionTrace, PolicyDescriptor, Workload
@@ -22,8 +23,9 @@ class MismatchedCaseSets(ValueError):
     """compare_runs received algorithms covering different case sets."""
 
 
-@dataclass(frozen=True)
-class ProcessMetrics:
+class ProcessMetrics(NamedTuple):
+    """One process's row, its fields in the order of ``PROCESS_COLUMNS``."""
+
     pid: str
     arrival: int
     burst: int
@@ -33,21 +35,74 @@ class ProcessMetrics:
     response: int    # first dispatch - arrival
 
 
+# The per-process columns of `run`: its JSON keys and its CSV header.  The
+# text table drops the "_ms" and sets each column in its width.
+PROCESS_COLUMNS = ("pid", "arrival_ms", "burst_ms", "completion_ms",
+                   "turnaround_ms", "waiting_ms", "response_ms")
+_PROCESS_WIDTHS = (8, 8, 7, 11, 11, 8, 9)
+_COMPARISON_COLUMNS = ("algorithm", "waiting", "turnaround", "switches",
+                       "wait gain", "tat gain")
+_COMPARISON_WIDTHS = (14, 10, 12, 10, 11, 10)
+
+
+def _table_row(cells, widths) -> str:
+    """The first cell left-aligned, the others right-aligned, each in its width."""
+    first, *rest = cells
+    return f"{first:<{widths[0]}}" + "".join(f"{c:>{w}}" for c, w in zip(rest, widths[1:]))
+
+
 @dataclass(frozen=True)
 class RunMetrics:
     descriptor: PolicyDescriptor
+    workload_label: str
     per_process: tuple[ProcessMetrics, ...]
     avg_waiting: Fraction
     avg_turnaround: Fraction
     avg_response: Fraction
     context_switches: int
     makespan: int
-    throughput: Fraction       # processes per ms
     cpu_utilization: Fraction  # percent
     quantum_log: tuple[tuple[int, int], ...]
 
     def quanta(self) -> tuple[int, ...]:
         return tuple(q for _, q in self.quantum_log)
+
+    def render_text(self) -> str:
+        lines = [
+            f"algorithm: {self.descriptor.spec_string()}",
+            f"workload:  {self.workload_label or '(unlabeled)'}",
+            f"quanta:    {format_quanta(self.quanta())}",
+            "",
+            _table_row([c.removesuffix("_ms") for c in PROCESS_COLUMNS], _PROCESS_WIDTHS),
+            *(_table_row(p, _PROCESS_WIDTHS) for p in self.per_process),
+            "",
+            f"average waiting time:    {format_average(self.avg_waiting)}",
+            f"average turnaround time: {format_average(self.avg_turnaround)}",
+            f"average response time:   {format_average(self.avg_response)}",
+            f"context switches:        {self.context_switches}",
+            f"makespan:                {self.makespan}",
+            f"cpu utilization:         {format_percent(self.cpu_utilization)}%",
+        ]
+        return "\n".join(lines) + "\n"
+
+    def render_json(self) -> str:
+        payload = {
+            "algorithm": self.descriptor.spec_string(),
+            "workload": self.workload_label,
+            "quanta": list(self.quanta()),
+            "per_process": [dict(zip(PROCESS_COLUMNS, p)) for p in self.per_process],
+            "avg_waiting": float(format_average(self.avg_waiting)),
+            "avg_turnaround": float(format_average(self.avg_turnaround)),
+            "avg_response": float(format_average(self.avg_response)),
+            "context_switches": self.context_switches,
+            "makespan_ms": self.makespan,
+            "cpu_utilization_pct": float(format_percent(self.cpu_utilization)),
+        }
+        return json.dumps(payload, indent=2) + "\n"
+
+    def render_csv(self) -> str:
+        return "".join(",".join(map(str, row)) + "\n"
+                       for row in (PROCESS_COLUMNS, *self.per_process))
 
 
 def context_switches(trace: ExecutionTrace) -> int:
@@ -81,13 +136,13 @@ def compute_metrics(trace: ExecutionTrace, workload: Workload) -> RunMetrics:
     makespan = trace.end_time() - workload.min_arrival()
     return RunMetrics(
         descriptor=trace.algorithm,
+        workload_label=workload.label,
         per_process=tuple(rows),
         avg_waiting=Fraction(sum(r.waiting for r in rows), n),
         avg_turnaround=Fraction(sum(r.turnaround for r in rows), n),
         avg_response=Fraction(sum(r.response for r in rows), n),
         context_switches=context_switches(trace),
         makespan=makespan,
-        throughput=Fraction(n, makespan),
         cpu_utilization=Fraction(workload.total_burst() * 100, makespan),
         quantum_log=trace.quantum_log,
     )
@@ -121,6 +176,16 @@ class ComparisonReport:
     baseline: PolicyDescriptor
     entries: tuple[AlgorithmComparison, ...]
 
+    def render_text(self) -> str:
+        lines = [f"workload: {self.label}  (baseline {self.baseline.spec_string()})",
+                 _table_row(_COMPARISON_COLUMNS, _COMPARISON_WIDTHS)]
+        lines += [_table_row((e.descriptor.spec_string(), format_average(e.waiting_total),
+                              format_average(e.turnaround_total), e.context_switch_total,
+                              f"{format_percent(e.waiting_gain_pct)}%",
+                              f"{format_percent(e.turnaround_gain_pct)}%"), _COMPARISON_WIDTHS)
+                  for e in self.entries]
+        return "\n".join(lines) + "\n"
+
 
 def compare_runs(runs: Mapping[PolicyDescriptor, Mapping[str, RunMetrics]],
                  baseline: PolicyDescriptor,
@@ -148,6 +213,11 @@ def compare_runs(runs: Mapping[PolicyDescriptor, Mapping[str, RunMetrics]],
 
     base_waiting, base_turnaround, _ = totals(runs[baseline])
 
+    def gain(base: Fraction, total: Fraction) -> Fraction:
+        # A baseline that never waits ran no two processes ready together,
+        # so no work-conserving policy waits either: no gain to report.
+        return (base - total) / base * 100 if base else Fraction(0)
+
     entries = []
     for descriptor, per_case in runs.items():
         waiting, turnaround, switches = totals(per_case)
@@ -160,8 +230,8 @@ def compare_runs(runs: Mapping[PolicyDescriptor, Mapping[str, RunMetrics]],
             waiting_total=waiting,
             turnaround_total=turnaround,
             context_switch_total=switches,
-            waiting_gain_pct=(base_waiting - waiting) / base_waiting * 100,
-            turnaround_gain_pct=(base_turnaround - turnaround) / base_turnaround * 100,
+            waiting_gain_pct=gain(base_waiting, waiting),
+            turnaround_gain_pct=gain(base_turnaround, turnaround),
         ))
     return ComparisonReport(label, case_ids, baseline, tuple(entries))
 
@@ -193,3 +263,8 @@ def format_average(value: Fraction) -> str:
 def format_percent(value: Fraction) -> str:
     """Two-decimal rendering used for percentage gains."""
     return _format(value, 2)
+
+
+def format_quanta(quanta) -> str:
+    """The quantum of each cycle, comma-separated."""
+    return ",".join(map(str, quanta))

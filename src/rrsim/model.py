@@ -163,12 +163,6 @@ class PolicyDescriptor:
     def of(cls, name: str, **params: int) -> "PolicyDescriptor":
         return cls(name, tuple(sorted(params.items())))
 
-    def parameter(self, key: str) -> int:
-        for k, v in self.parameters:
-            if k == key:
-                return v
-        raise KeyError(f"policy {self.name} has no parameter {key!r}")
-
     def spec_string(self) -> str:
         """Render the CLI form, e.g. ``rr:q=25`` or ``dabrr``."""
         head = self.name.lower()
@@ -185,9 +179,6 @@ class ExecutionTrace:
     slices: tuple[Slice, ...]
     idles: tuple[IdleGap, ...] = ()
     quantum_log: tuple[tuple[int, int], ...] = ()  # (cycle index, quantum ms)
-
-    def quanta(self) -> tuple[int, ...]:
-        return tuple(q for _, q in self.quantum_log)
 
     def completion_times(self) -> dict[str, int]:
         return {s.pid: s.end for s in self.slices}  # each pid's last listed slice

@@ -21,6 +21,7 @@ from .metrics import (
     compute_metrics,
     format_average,
     format_percent,
+    format_quanta,
 )
 from .policies import POLICY_NAMES, standard_policy
 from .workloads import (
@@ -112,10 +113,6 @@ def run_case(case_id: str, algorithm: str) -> RunMetrics:
     return compute_metrics(trace, workload)
 
 
-def _fmt_quanta(quanta) -> str:
-    return ",".join(str(q) for q in quanta)
-
-
 def _check(table, algorithm, cell, fmt, actual, published, derived, erratum_id):
     """Compare one cell as rendered by ``fmt``.
 
@@ -144,7 +141,7 @@ def _row_cells(case_id: str, algorithm: str, run: RunMetrics) -> list[CellCheck]
     return [_check(table, algorithm, cell, fmt, actual,
                    getattr(row, cell), getattr(derived, cell), eid)
             for cell, actual, fmt in (
-                ("quanta", run.quanta(), _fmt_quanta),
+                ("quanta", run.quanta(), format_quanta),
                 ("context_switches", run.context_switches, str),
                 ("avg_waiting", run.avg_waiting, format_average),
                 ("avg_turnaround", run.avg_turnaround, format_average))]

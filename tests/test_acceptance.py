@@ -11,7 +11,6 @@ from conftest import seeded_workload
 from reference_executor import unit_step_completions
 
 from rrsim import simulate, trace_violations, validate_workload
-from rrsim.engine import replay_check
 from rrsim.fileio import CSV, JSON, parse_workload, serialize_workload
 from rrsim.metrics import compute_metrics, context_switches, format_percent
 from rrsim.model import COMPLETED
@@ -279,4 +278,4 @@ def test_every_benchmark_trace_passes_replay_check():
     for case_id in CASE_IDS + ("ILL",):
         workload = benchmark_case(case_id)
         for name in POLICY_NAMES:
-            assert replay_check(simulate(workload, standard_policy(name)), workload)
+            assert trace_violations(simulate(workload, standard_policy(name)), workload) == []

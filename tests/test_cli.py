@@ -61,6 +61,19 @@ def test_compare_includes_baseline_and_gains():
     assert "dabrr" in proc.stdout and "sarr" in proc.stdout
 
 
+@pytest.mark.parametrize("rows", ["A,0,10\nB,50,20\n", "A,0,10\n"],
+                         ids=["no overlap", "single process"])
+def test_compare_on_a_baseline_that_never_waits(tmp_path, rows):
+    path = tmp_path / "nowait.csv"
+    path.write_text("pid,arrival_ms,burst_ms\n" + rows)
+    proc = rrsim("compare", "--workload", str(path), "--algos", "dabrr,sarr")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    table = proc.stdout.splitlines()[2:]
+    assert len(table) == 3  # the rr:q=25 baseline, dabrr and sarr
+    assert all(line.split()[-2:] == ["0.00%", "0.00%"] for line in table)
+
+
 def test_reproduce_paper_all_exits_zero():
     proc = rrsim("reproduce-paper", "--cases", "all")
     assert proc.returncode == 0

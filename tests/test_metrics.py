@@ -47,7 +47,6 @@ def test_single_process_metrics_are_trivial():
     assert (p.turnaround, p.waiting, p.response) == (10, 0, 0)
     assert m.makespan == 10
     assert m.cpu_utilization == 100
-    assert m.throughput == Fraction(1, 10)
 
 
 def test_context_switch_rule_counts_same_pid_expiry():
@@ -169,6 +168,22 @@ def test_compare_runs_rejects_mismatched_case_sets():
         compare_runs(crippled, baseline)
     with pytest.raises(MismatchedCaseSets):
         compare_runs({victim: runs[victim]}, baseline)
+
+
+@pytest.mark.parametrize("records", [
+    [("P1", 0, 40)],
+    [("A", 0, 10), ("B", 50, 20)],
+], ids=["single process", "no overlap"])
+def test_compare_runs_gains_are_zero_when_the_baseline_never_waits(records):
+    w = validate_workload(records)
+    runs = {standard_policy(name).descriptor: {"w": compute_metrics(
+                simulate(w, standard_policy(name)), w)}
+            for name in POLICY_NAMES}
+    report = compare_runs(runs, standard_policy("DABRR").descriptor)
+    for entry in report.entries:
+        assert entry.waiting_total == 0
+        assert entry.waiting_gain_pct == 0
+        assert entry.turnaround_gain_pct == 0
 
 
 def test_format_average_renders_one_decimal():

@@ -85,9 +85,8 @@ def test_trace_records_are_immutable_named_tuples(record, field):
 def test_policy_descriptor_spec_string():
     assert PolicyDescriptor.of("RR", q=25).spec_string() == "rr:q=25"
     assert PolicyDescriptor.of("DABRR").spec_string() == "dabrr"
-    assert PolicyDescriptor.of("RR", q=25).parameter("q") == 25
-    with pytest.raises(KeyError):
-        PolicyDescriptor.of("DABRR").parameter("q")
+    assert PolicyDescriptor.of("RR", q=25).parameters == (("q", 25),)
+    assert PolicyDescriptor.of("DABRR").parameters == ()
 
 
 @pytest.mark.parametrize("pid", ["a,b", "a\nb", "a\rb", " P1", "P1 ", "\tP1", " "])
@@ -103,6 +102,59 @@ def test_package_exports_no_submodules():
         assert name not in rrsim.__all__
     assert all(hasattr(rrsim, name) for name in rrsim.__all__)
     assert "validate_workload" in rrsim.__all__
+
+
+def test_public_names_are_pinned():
+    # Adding a name to, or removing one from, the package's surface must
+    # be deliberate: update this list with the README's API notes.
+    import rrsim
+    assert sorted(rrsim.__all__) == [
+        "ComparisonReport",
+        "CyclePlan",
+        "DuplicatePid",
+        "EmptyWorkload",
+        "ExecutionTrace",
+        "GeneratorSpec",
+        "IdleGap",
+        "InconsistentTrace",
+        "MismatchedCaseSets",
+        "NegativeArrival",
+        "NonPositiveBurst",
+        "PolicyBehavior",
+        "PolicyDescriptor",
+        "PolicyPlanInvalid",
+        "PolicySpecError",
+        "ProcessMetrics",
+        "ProcessSpec",
+        "ReadySnapshot",
+        "RunMetrics",
+        "Slice",
+        "SnapshotEntry",
+        "Workload",
+        "WorkloadError",
+        "alternating_min_max_order",
+        "benchmark_case",
+        "compare_runs",
+        "compute_metrics",
+        "context_switches",
+        "expected_row",
+        "generate_workload",
+        "make_dabrr",
+        "make_dqrrr",
+        "make_irrvq",
+        "make_mrr",
+        "make_round_robin",
+        "make_rp5",
+        "make_sarr",
+        "mean_quantum",
+        "median_quantum",
+        "parse_policy_spec",
+        "range_quantum",
+        "simulate",
+        "trace_violations",
+        "validate_workload",
+    ]
+    assert "replay_check" not in rrsim.__all__
 
 
 @pytest.mark.parametrize("record", [

@@ -184,10 +184,10 @@ def test_parse_policy_spec_round_trip():
 
 
 def test_parse_policy_spec_defaults_match_benchmark_parameters():
-    assert parse_policy_spec("rr").descriptor.parameter("q") == 25
-    assert parse_policy_spec("rp5").descriptor.parameter("base") == 25
-    assert parse_policy_spec("mrr").descriptor.parameter("floor") == 25
-    assert parse_policy_spec("RR:q=40").descriptor.parameter("q") == 40
+    assert parse_policy_spec("rr").descriptor.parameters == (("q", 25),)
+    assert parse_policy_spec("rp5").descriptor.parameters == (("base", 25),)
+    assert parse_policy_spec("mrr").descriptor.parameters == (("floor", 25),)
+    assert parse_policy_spec("RR:q=40").descriptor.parameters == (("q", 40),)
 
 
 @pytest.mark.parametrize("bad", ["nope", "rr:quantum=9", "rr:q=abc", "mrr:floor="])

@@ -22,7 +22,7 @@ def test_generated_traces_satisfy_all_invariants():
         problems = trace_violations(trace, workload)
         assert problems == [], f"seed {seed} {policy.descriptor.name}: {problems}"
         assert context_switches(trace) == len(trace.slices) - 1
-        assert all(q >= 1 for q in trace.quanta())
+        assert all(q >= 1 for _, q in trace.quantum_log)
 
 
 def test_simulation_determinism_on_generated_workloads():
