@@ -36,19 +36,12 @@ class ProcessMetrics(NamedTuple):
 
 
 # The per-process columns of `run`: its JSON keys and its CSV header.  The
-# text table drops the "_ms" and sets each column in its width.
+# text table drops the "_ms".
 PROCESS_COLUMNS = ("pid", "arrival_ms", "burst_ms", "completion_ms",
                    "turnaround_ms", "waiting_ms", "response_ms")
-_PROCESS_WIDTHS = (8, 8, 7, 11, 11, 8, 9)
-_COMPARISON_COLUMNS = ("algorithm", "waiting", "turnaround", "switches",
-                       "wait gain", "tat gain")
-_COMPARISON_WIDTHS = (14, 10, 12, 10, 11, 10)
-
-
-def _table_row(cells, widths) -> str:
-    """The first cell left-aligned, the others right-aligned, each in its width."""
-    first, *rest = cells
-    return f"{first:<{widths[0]}}" + "".join(f"{c:>{w}}" for c, w in zip(rest, widths[1:]))
+_PROCESS_TEXT_ROW = "{:<8}{:>8}{:>7}{:>11}{:>11}{:>8}{:>9}"
+_PROCESS_CSV_ROW = ",".join(["{}"] * len(PROCESS_COLUMNS)) + "\n"
+_COMPARISON_ROW = "{:<14}{:>10}{:>12}{:>10}{:>11}{:>10}"
 
 
 @dataclass(frozen=True)
@@ -73,8 +66,8 @@ class RunMetrics:
             f"workload:  {self.workload_label or '(unlabeled)'}",
             f"quanta:    {format_quanta(self.quanta())}",
             "",
-            _table_row([c.removesuffix("_ms") for c in PROCESS_COLUMNS], _PROCESS_WIDTHS),
-            *(_table_row(p, _PROCESS_WIDTHS) for p in self.per_process),
+            _PROCESS_TEXT_ROW.format(*(c.removesuffix("_ms") for c in PROCESS_COLUMNS)),
+            *(_PROCESS_TEXT_ROW.format(*p) for p in self.per_process),
             "",
             f"average waiting time:    {format_average(self.avg_waiting)}",
             f"average turnaround time: {format_average(self.avg_turnaround)}",
@@ -101,7 +94,7 @@ class RunMetrics:
         return json.dumps(payload, indent=2) + "\n"
 
     def render_csv(self) -> str:
-        return "".join(",".join(map(str, row)) + "\n"
+        return "".join(_PROCESS_CSV_ROW.format(*row)
                        for row in (PROCESS_COLUMNS, *self.per_process))
 
 
@@ -178,11 +171,14 @@ class ComparisonReport:
 
     def render_text(self) -> str:
         lines = [f"workload: {self.label}  (baseline {self.baseline.spec_string()})",
-                 _table_row(_COMPARISON_COLUMNS, _COMPARISON_WIDTHS)]
-        lines += [_table_row((e.descriptor.spec_string(), format_average(e.waiting_total),
-                              format_average(e.turnaround_total), e.context_switch_total,
-                              f"{format_percent(e.waiting_gain_pct)}%",
-                              f"{format_percent(e.turnaround_gain_pct)}%"), _COMPARISON_WIDTHS)
+                 _COMPARISON_ROW.format("algorithm", "waiting", "turnaround", "switches",
+                                        "wait gain", "tat gain")]
+        lines += [_COMPARISON_ROW.format(e.descriptor.spec_string(),
+                                         format_average(e.waiting_total),
+                                         format_average(e.turnaround_total),
+                                         e.context_switch_total,
+                                         f"{format_percent(e.waiting_gain_pct)}%",
+                                         f"{format_percent(e.turnaround_gain_pct)}%")
                   for e in self.entries]
         return "\n".join(lines) + "\n"
 
