@@ -142,6 +142,34 @@ def test_bad_subcommand_exits_two():
     assert proc.returncode == 2
 
 
+def _json_workload(*records):
+    return json.dumps({"processes": [{"pid": pid, "arrival_ms": arrival, "burst_ms": burst}
+                                     for pid, arrival, burst in records]})
+
+
+def _csv_workload(*records):
+    return "pid,arrival_ms,burst_ms\n" + "".join(f"{p},{a},{b}\n" for p, a, b in records)
+
+
+@pytest.mark.parametrize("records, message", [
+    ((("P1", 0, 5), ("P1", 0, 7)), "duplicate pid 'P1'"),
+    ((("P1", 0, 0),), "process 'P1' has non-positive burst 0"),
+    ((("P1", -5, 5),), "process 'P1' has negative arrival -5"),
+    ((("", 0, 5),), "empty pid in record ('', 0, 5)"),
+    ((), "workload contains no processes"),
+], ids=["duplicate-pid", "zero-burst", "negative-arrival", "empty-pid", "empty"])
+@pytest.mark.parametrize("suffix, render", [(".csv", _csv_workload),
+                                            (".json", _json_workload)])
+def test_workload_error_is_one_exact_stderr_line(tmp_path, records, message,
+                                                 suffix, render):
+    name = "bad" + suffix
+    (tmp_path / name).write_text(render(*records))
+    proc = rrsim("run", "--algo", "rr", "--workload", name, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"rrsim: {name}: {message}\n"
+
+
 def test_parse_error_in_workload_file_exits_two(tmp_path):
     path = tmp_path / "broken.csv"
     path.write_text("pid,arrival_ms,burst_ms\nP1,0,abc\n")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rrsim import DuplicatePid, EmptyWorkload
+from rrsim import WorkloadError
 from rrsim.fileio import CSV, JSON, ParseError, parse_workload, serialize_workload
 from rrsim.workloads import benchmark_case
 
@@ -23,7 +23,7 @@ def test_parse_csv_accepts_crlf_and_str_input():
 
 
 def test_header_only_csv_is_empty_workload():
-    with pytest.raises(EmptyWorkload):
+    with pytest.raises(WorkloadError, match="^workload contains no processes$"):
         parse_workload(b"pid,arrival_ms,burst_ms\n", CSV)
 
 
@@ -46,7 +46,7 @@ def test_csv_requires_exact_header():
 
 
 def test_csv_validation_errors_propagate():
-    with pytest.raises(DuplicatePid):
+    with pytest.raises(WorkloadError, match="^duplicate pid 'P1'$"):
         parse_workload(b"pid,arrival_ms,burst_ms\nP1,0,4\nP1,0,5\n", CSV)
 
 
