@@ -23,12 +23,8 @@ from .metrics import (
     context_switches,
 )
 from .model import (
-    DuplicatePid,
-    EmptyWorkload,
     ExecutionTrace,
     IdleGap,
-    NegativeArrival,
-    NonPositiveBurst,
     PolicyDescriptor,
     ProcessSpec,
     Slice,

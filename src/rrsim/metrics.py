@@ -142,17 +142,9 @@ def compute_metrics(trace: ExecutionTrace, workload: Workload) -> RunMetrics:
 
 
 @dataclass(frozen=True)
-class CaseAverages:
-    case_id: str
-    avg_waiting: Fraction
-    avg_turnaround: Fraction
-    context_switches: int
-
-
-@dataclass(frozen=True)
 class AlgorithmComparison:
     descriptor: PolicyDescriptor
-    per_case: tuple[CaseAverages, ...]
+    per_case: tuple  # the rows it was given, in the report's case_ids order
     waiting_total: Fraction
     turnaround_total: Fraction
     context_switch_total: int
@@ -219,10 +211,7 @@ def compare_runs(runs: Mapping[PolicyDescriptor, Mapping[str, RunMetrics]],
         waiting, turnaround, switches = totals(per_case)
         entries.append(AlgorithmComparison(
             descriptor=descriptor,
-            per_case=tuple(
-                CaseAverages(c, per_case[c].avg_waiting, per_case[c].avg_turnaround,
-                             per_case[c].context_switches)
-                for c in case_ids),
+            per_case=tuple(per_case[c] for c in case_ids),
             waiting_total=waiting,
             turnaround_total=turnaround,
             context_switch_total=switches,

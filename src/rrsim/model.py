@@ -13,37 +13,6 @@ class WorkloadError(ValueError):
     """A workload record violates a structural invariant."""
 
 
-class DuplicatePid(WorkloadError):
-    def __init__(self, pid: str):
-        super().__init__(f"duplicate pid {pid!r}")
-        self.pid = pid
-
-
-class EmptyPid(WorkloadError):
-    def __init__(self, record):
-        super().__init__(f"empty pid in record {record!r}")
-        self.record = record
-
-
-class NonPositiveBurst(WorkloadError):
-    def __init__(self, pid: str, burst: int):
-        super().__init__(f"process {pid!r} has non-positive burst {burst}")
-        self.pid = pid
-        self.burst = burst
-
-
-class NegativeArrival(WorkloadError):
-    def __init__(self, pid: str, arrival: int):
-        super().__init__(f"process {pid!r} has negative arrival {arrival}")
-        self.pid = pid
-        self.arrival = arrival
-
-
-class EmptyWorkload(WorkloadError):
-    def __init__(self):
-        super().__init__("workload contains no processes")
-
-
 @dataclass(frozen=True)
 class ProcessSpec:
     """One process: identifier, arrival time (ms) and CPU burst (ms)."""
@@ -58,14 +27,14 @@ class ProcessSpec:
             raise WorkloadError(f"record {(pid, self.arrival, self.burst)!r} needs a "
                                 f"str pid and int times")
         if not pid:
-            raise EmptyPid((pid, self.arrival, self.burst))
+            raise WorkloadError(f"empty pid in record {(pid, self.arrival, self.burst)!r}")
         if pid != pid.strip() or "," in pid or "\r" in pid or "\n" in pid:
             raise WorkloadError(f"pid {pid!r} has a comma, a line break or "
                                 f"edge whitespace, so it cannot round-trip through CSV")
         if self.arrival < 0:
-            raise NegativeArrival(self.pid, self.arrival)
+            raise WorkloadError(f"process {pid!r} has negative arrival {self.arrival}")
         if self.burst < 1:
-            raise NonPositiveBurst(self.pid, self.burst)
+            raise WorkloadError(f"process {pid!r} has non-positive burst {self.burst}")
 
 
 @dataclass(frozen=True)
@@ -85,11 +54,11 @@ class Workload:
                 or not all(isinstance(p, ProcessSpec) for p in procs)):
             raise WorkloadError("a Workload needs a tuple of ProcessSpec and a str label")
         if not procs:
-            raise EmptyWorkload()
+            raise WorkloadError("workload contains no processes")
         seen = set()
         for proc in procs:
             if proc.pid in seen:
-                raise DuplicatePid(proc.pid)
+                raise WorkloadError(f"duplicate pid {proc.pid!r}")
             seen.add(proc.pid)
 
     def __len__(self) -> int:
@@ -118,9 +87,8 @@ def validate_workload(records, label: str = "") -> Workload:
     a ``str`` and times must be ``int`` (not ``bool``).
 
     Raises:
-        EmptyWorkload: no records were given.
-        EmptyPid, NegativeArrival, NonPositiveBurst, DuplicatePid, WorkloadError:
-            a record is invalid; the exception names the offender.
+        WorkloadError: no records were given, or a record is invalid; the
+            message names the offender.
     """
     procs = tuple(ProcessSpec(pid, arrival, burst) for pid, arrival, burst in records)
     return Workload(processes=procs, label=label)
@@ -179,9 +147,6 @@ class ExecutionTrace:
     slices: tuple[Slice, ...]
     idles: tuple[IdleGap, ...] = ()
     quantum_log: tuple[tuple[int, int], ...] = ()  # (cycle index, quantum ms)
-
-    def completion_times(self) -> dict[str, int]:
-        return {s.pid: s.end for s in self.slices}  # each pid's last listed slice
 
     def end_time(self) -> int:
         return self.slices[-1].end if self.slices else 0

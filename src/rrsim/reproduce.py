@@ -129,17 +129,12 @@ def _check(table, algorithm, cell, fmt, actual, published, derived, erratum_id):
     return CellCheck(table, algorithm, cell, actual, shown, outcome)
 
 
-def _rule_derived(row):
-    return row.erratum.derived if row.erratum else row
-
-
 def _row_cells(case_id: str, algorithm: str, run: RunMetrics) -> list[CellCheck]:
     row = expected_row(case_id, algorithm)
-    derived = _rule_derived(row)
-    eid = row.erratum.id if row.erratum else None
+    derived = row.derived or row
     table = f"case {case_id}"
     return [_check(table, algorithm, cell, fmt, actual,
-                   getattr(row, cell), getattr(derived, cell), eid)
+                   getattr(row, cell), getattr(derived, cell), row.erratum)
             for cell, actual, fmt in (
                 ("quanta", run.quanta(), format_quanta),
                 ("context_switches", run.context_switches, str),
@@ -191,7 +186,7 @@ def _summary_cells(runs) -> list[CellCheck]:
     """Group totals, grand totals and gains of ``runs`` (all six cases)
     against those of the published and the rule-derived rows."""
     published = {d: {c: expected_row(c, d.name) for c in CASE_IDS} for d in runs}
-    derived = {d: {c: _rule_derived(row) for c, row in rows.items()}
+    derived = {d: {c: row.derived or row for c, row in rows.items()}
                for d, rows in published.items()}
     actual, expected, rule = (_group_reports(t) for t in (runs, published, derived))
     checks = []
@@ -202,7 +197,7 @@ def _summary_cells(runs) -> list[CellCheck]:
                                        rule[group].entries):
             algorithm = got.descriptor.name
             rows = published[got.descriptor]
-            eid = ",".join(rows[c].erratum.id for c in case_ids if rows[c].erratum) or None
+            eid = ",".join(rows[c].erratum for c in case_ids if rows[c].erratum) or None
             for cell in cells:
                 paper_value = (_GRAND_CELLS[cell][algorithm] if group == GRAND_GROUP
                                else getattr(paper, cell))
@@ -267,8 +262,8 @@ def export_figure_data(reports: dict[str, ComparisonReport]) -> bytes:
             prefix = f"{figure},{entry.descriptor.name},{metric}"
             total = fmt(getattr(entry, entry_attr))
             if case_attr:
-                lines.extend([f"{prefix},{c.case_id},{fmt(getattr(c, case_attr))}"
-                              for c in entry.per_case])
+                lines.extend([f"{prefix},{c},{fmt(getattr(row, case_attr))}"
+                              for c, row in zip(reports[group].case_ids, entry.per_case)])
                 lines.append(f"{prefix},total,{total}")
             else:
                 lines.append(f"{prefix},{group},{total}")

@@ -47,13 +47,6 @@ def benchmark_case(case_id: str) -> Workload:
 
 
 @dataclass(frozen=True)
-class Erratum:
-    id: str
-    explanation: str
-    derived: ExpectedRow  # the rule-derived row that replaces the published one
-
-
-@dataclass(frozen=True)
 class ExpectedRow:
     """Published reference values for one (case, algorithm) pair."""
 
@@ -63,29 +56,22 @@ class ExpectedRow:
     context_switches: int
     avg_waiting: Fraction
     avg_turnaround: Fraction
-    erratum: Erratum | None = None
+    erratum: str | None = None            # "E1"/"E2" on a registered erratum
+    derived: ExpectedRow | None = None    # the rule-derived row replacing it
 
 
-def _row(case_id, algorithm, quanta, cs, waiting, turnaround, erratum=None):
+def _row(case_id, algorithm, quanta, cs, waiting, turnaround, erratum=None, derived=None):
     return ExpectedRow(case_id, algorithm, tuple(quanta), cs,
-                       Fraction(waiting), Fraction(turnaround), erratum)
+                       Fraction(waiting), Fraction(turnaround), erratum, derived)
 
 
-_E1 = Erratum(
-    id="E1",
-    explanation=("published SARR row for case III uses quantum 120, which is "
-                 "not the median of the remaining bursts (75); values below "
-                 "are derived from the median rule"),
-    derived=_row("III", "SARR", (75, 37, 8), 7, "217.8", "299.4"),
-)
-
-_E2 = Erratum(
-    id="E2",
-    explanation=("published SARR row for case VI uses quanta 45,54,16,20; the "
-                 "median of the second cycle's remaining bursts is 62, not 54; "
-                 "values below are derived from the median rule"),
-    derived=_row("VI", "SARR", (45, 62, 18, 10), 7, "150.8", "210.4"),
-)
+# The rule-derived rows of the two errata.  E1: the published SARR row for
+# case III uses quantum 120, which is not the median of the remaining
+# bursts (75).  E2: the published SARR row for case VI uses quanta
+# 45,54,16,20, but the median of the second cycle's remaining bursts is
+# 62, not 54.
+_E1 = _row("III", "SARR", (75, 37, 8), 7, "217.8", "299.4")
+_E2 = _row("VI", "SARR", (45, 62, 18, 10), 7, "150.8", "210.4")
 
 _EXPECTED = {(r.case_id, r.algorithm): r for r in [
     # case I: zero arrivals, ascending bursts
@@ -108,7 +94,7 @@ _EXPECTED = {(r.case_id, r.algorithm): r for r in [
     _row("III", "RR", (25,), 17, "245.4", "327"),
     _row("III", "DQRRR", (75, 37, 8), 7, "192.8", "274.4"),
     _row("III", "IRRVQ", (48, 12, 15, 30, 15), 14, "193.2", "274.8"),
-    _row("III", "SARR", (120,), 4, "177.6", "259.2", _E1),
+    _row("III", "SARR", (120,), 4, "177.6", "259.2", "E1", _E1),
     _row("III", "RP5", (25, 50, 100), 11, "237.8", "319.4"),
     _row("III", "MRR", (72, 45, 25), 8, "168.6", "250.2"),
     _row("III", "DABRR", (81, 31, 8), 7, "141.6", "223.2"),
@@ -132,7 +118,7 @@ _EXPECTED = {(r.case_id, r.algorithm): r for r in [
     _row("VI", "RR", (25,), 13, "173.2", "232.8"),
     _row("VI", "DQRRR", (45, 62, 18, 10), 7, "113.6", "173.2"),
     _row("VI", "IRRVQ", (45, 38, 17, 15, 20), 10, "111.4", "171"),
-    _row("VI", "SARR", (45, 54, 16, 20), 8, "148.6", "208.2", _E2),
+    _row("VI", "SARR", (45, 54, 16, 20), 8, "148.6", "208.2", "E2", _E2),
     _row("VI", "RP5", (25, 50, 100), 8, "149.2", "208.8"),
     _row("VI", "MRR", (45, 52, 35, 25), 8, "116.4", "176"),
     _row("VI", "DABRR", (45, 63, 17, 10), 7, "97.8", "157.4"),
@@ -172,11 +158,6 @@ def expected_row(case_id: str, algorithm: PolicyDescriptor | str) -> ExpectedRow
     except KeyError:
         raise KeyError(f"no expected row for case {case_id!r}, "
                        f"algorithm {name!r}") from None
-
-
-def expected_rows(case_id: str) -> tuple[ExpectedRow, ...]:
-    from .policies import POLICY_NAMES
-    return tuple(_EXPECTED[(case_id, name)] for name in POLICY_NAMES)
 
 
 ASCENDING = "ascending"

@@ -47,3 +47,8 @@ def seeded_workload(seed: int, max_n: int = 12, max_burst: int = 200):
         seed=seed,
     )
     return generate_workload(spec)
+
+
+def completion_times(trace):
+    """Each pid's completion time: the end of its last listed slice."""
+    return {s.pid: s.end for s in trace.slices}

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from conftest import seeded_workload
+from conftest import completion_times, seeded_workload
 
 from rrsim import (
     ExecutionTrace,
@@ -32,7 +32,7 @@ def test_dabrr_case_i_trace():
     trace = simulate(w, make_dabrr())
     assert tuple(q for _, q in trace.quantum_log) == (69, 27, 6)
     assert len(trace.slices) == 8
-    assert trace.completion_times() == {
+    assert completion_times(trace) == {
         "P1": 40, "P2": 95, "P3": 155, "P4": 314, "P5": 347}
     assert trace_violations(trace, w) == []
 
@@ -58,7 +58,7 @@ def test_rr_case_i_slice_count_and_completions():
     w = benchmark_case("I")
     trace = simulate(w, make_round_robin(25))
     assert len(trace.slices) == 17
-    assert trace.completion_times() == {
+    assert completion_times(trace) == {
         "P1": 140, "P2": 245, "P3": 255, "P4": 320, "P5": 347}
 
 
@@ -190,7 +190,7 @@ def test_every_policy_completes_single_process_at_arrival_plus_burst():
     w = validate_workload([("P1", 7, 13)])
     for name in ("RR", "DQRRR", "IRRVQ", "SARR", "RP5", "MRR", "DABRR"):
         trace = simulate(w, standard_policy(name))
-        assert trace.completion_times() == {"P1": 20}
+        assert completion_times(trace) == {"P1": 20}
 
 
 @pytest.mark.parametrize("policy, records", [

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import seeded_workload
+from conftest import completion_times, seeded_workload
 from test_engine import CHECKER_MUTATIONS
 
 from rrsim import (
@@ -80,7 +80,7 @@ def test_metrics_agree_with_the_listed_slices():
             first_start = {}
             for s in trace.slices:
                 first_start.setdefault(s.pid, s.start)
-            assert {p.pid: p.completion for p in m.per_process} == trace.completion_times()
+            assert {p.pid: p.completion for p in m.per_process} == completion_times(trace)
             assert [p.response for p in m.per_process] == [
                 first_start[p.pid] - p.arrival for p in w], (w.label, name)
 
@@ -156,6 +156,17 @@ def test_compare_runs_reproduces_published_gains():
     assert format_percent(by_name["RP5"].turnaround_gain_pct) == "4.85"
     assert by_name["RR"].waiting_gain_pct == 0
     assert by_name["RR"].turnaround_gain_pct == 0
+
+
+def test_compare_runs_entries_keep_the_rows_they_were_given():
+    runs = _grand_runs()
+    # a case order other than sorted, so that the report's order shows
+    runs = {d: {c: per_case[c] for c in ("VI", "I", "III")} for d, per_case in runs.items()}
+    report = compare_runs(runs, standard_policy("RR").descriptor)
+    assert report.case_ids == ("VI", "I", "III")
+    for entry in report.entries:
+        rows = runs[entry.descriptor]
+        assert all(got is rows[c] for got, c in zip(entry.per_case, report.case_ids, strict=True))
 
 
 def test_compare_runs_rejects_mismatched_case_sets():

@@ -104,15 +104,11 @@ def test_public_names_are_pinned():
     assert sorted(rrsim.__all__) == [
         "ComparisonReport",
         "CyclePlan",
-        "DuplicatePid",
-        "EmptyWorkload",
         "ExecutionTrace",
         "GeneratorSpec",
         "IdleGap",
         "InconsistentTrace",
         "MismatchedCaseSets",
-        "NegativeArrival",
-        "NonPositiveBurst",
         "PolicyBehavior",
         "PolicyDescriptor",
         "PolicyPlanInvalid",

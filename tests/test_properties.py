@@ -6,7 +6,7 @@ these runs are sized for the development loop.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seeded_workload
+from conftest import completion_times, seeded_workload
 
 from rrsim import simulate, trace_violations, validate_workload
 from rrsim.metrics import context_switches
@@ -45,7 +45,7 @@ def test_single_process_completion_for_every_policy(arrival, burst):
     workload = validate_workload([("P1", arrival, burst)])
     for name in POLICY_NAMES:
         trace = simulate(workload, standard_policy(name))
-        assert trace.completion_times() == {"P1": arrival + burst}
+        assert completion_times(trace) == {"P1": arrival + burst}
 
 
 @settings(max_examples=150)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrsim import validate_workload
+from rrsim.policies import POLICY_NAMES
 from rrsim.workloads import (
     ALL_ZERO,
     ASCENDING,
@@ -15,7 +16,6 @@ from rrsim.workloads import (
     GeneratorSpec,
     benchmark_case,
     expected_row,
-    expected_rows,
     generate_workload,
 )
 
@@ -53,7 +53,7 @@ def test_expected_row_lookup():
     assert row.context_switches == 7
     assert row.avg_waiting == Fraction("106.8")
     assert row.avg_turnaround == Fraction("171.4")
-    assert row.erratum is None
+    assert row.erratum is None and row.derived is None
 
     row = expected_row("V", "DQRRR")
     assert row.quanta == (95, 51, 16, 8)
@@ -65,23 +65,24 @@ def test_expected_row_errata_payloads():
     assert e1.quanta == (120,)
     assert e1.context_switches == 4
     assert e1.avg_waiting == Fraction("177.6")
-    assert e1.erratum is not None and e1.erratum.id == "E1"
-    assert e1.erratum.derived.quanta == (75, 37, 8)
-    assert e1.erratum.derived.context_switches == 7
+    assert e1.erratum == "E1"
+    assert e1.derived.quanta == (75, 37, 8)
+    assert e1.derived.context_switches == 7
 
     e2 = expected_row("VI", "SARR")
-    assert e2.erratum is not None and e2.erratum.id == "E2"
+    assert e2.erratum == "E2"
     assert e2.quanta == (45, 54, 16, 20)
-    assert e2.erratum.derived.quanta == (45, 62, 18, 10)
+    assert e2.derived.quanta == (45, 62, 18, 10)
 
-    errata = [(r.case_id, r.algorithm)
-              for case_id in CASE_IDS for r in expected_rows(case_id) if r.erratum]
+    rows = [expected_row(c, name) for c in CASE_IDS for name in POLICY_NAMES]
+    errata = [(r.case_id, r.algorithm) for r in rows if r.erratum]
     assert errata == [("III", "SARR"), ("VI", "SARR")]
 
 
 def test_expected_rows_cover_all_seven_policies():
     for case_id in CASE_IDS:
-        assert len(expected_rows(case_id)) == 7
+        rows = [expected_row(case_id, name) for name in POLICY_NAMES]
+        assert [r.algorithm for r in rows] == list(POLICY_NAMES)
 
 
 def test_generator_is_deterministic_in_seed():
