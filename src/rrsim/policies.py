@@ -21,9 +21,6 @@ from .engine import (
 )
 from .model import PolicyDescriptor
 
-POLICY_NAMES = ("RR", "DQRRR", "IRRVQ", "SARR", "RP5", "MRR", "DABRR")
-
-
 class PolicySpecError(ValueError):
     """A policy spec string could not be parsed."""
 
@@ -184,17 +181,18 @@ def make_mrr(floor: int) -> PolicyBehavior:
     return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
 
 
-# CLI-facing policy registry.  Paper-style parameterization is the default:
-# rr:q=25, rp5:base=25, mrr:floor=25.
+# CLI-facing policy registry, in report order.  Paper-style
+# parameterization is the default: rr:q=25, rp5:base=25, mrr:floor=25.
 _FACTORIES = {
     "rr": (make_round_robin, {"q": 25}),
-    "dabrr": (make_dabrr, {}),
-    "sarr": (make_sarr, {}),
     "dqrrr": (make_dqrrr, {}),
     "irrvq": (make_irrvq, {}),
+    "sarr": (make_sarr, {}),
     "rp5": (make_rp5, {"base": 25}),
     "mrr": (make_mrr, {"floor": 25}),
+    "dabrr": (make_dabrr, {}),
 }
+POLICY_NAMES = tuple(k.upper() for k in _FACTORIES)
 
 
 def parse_policy_spec(text: str) -> PolicyBehavior:

@@ -199,3 +199,13 @@ def test_parse_policy_spec_rejects_garbage(bad):
 def test_standard_policy_covers_canonical_names():
     for name in POLICY_NAMES:
         assert standard_policy(name).descriptor.name == name
+
+
+def test_policy_names_are_in_report_order():
+    assert POLICY_NAMES == ("RR", "DQRRR", "IRRVQ", "SARR", "RP5", "MRR", "DABRR")
+
+
+def test_unknown_policy_message_lists_the_names_sorted():
+    with pytest.raises(PolicySpecError, match="^unknown policy 'nosuch'; expected one of "
+                                              "dabrr, dqrrr, irrvq, mrr, rp5, rr, sarr$"):
+        parse_policy_spec("nosuch")
