@@ -6,7 +6,6 @@ Run every policy over the same benchmark case and rank them by average
 waiting time, with percentage gains against classic round robin.
 """
 from rrsim import compare_runs, compute_metrics, simulate
-from rrsim.metrics import format_average, format_percent
 from rrsim.policies import POLICY_NAMES, standard_policy
 from rrsim.workloads import benchmark_case
 
@@ -27,10 +26,6 @@ for name in POLICY_NAMES:
 baseline = standard_policy("RR").descriptor
 report = compare_runs(runs, baseline, label="case V")
 
-print(f"{'policy':<10}{'waiting':>9}{'turnaround':>12}{'switches':>10}{'gain':>9}")
-for entry in sorted(report.entries, key=lambda e: e.waiting_total):
-    print(f"{entry.descriptor.name:<10}"
-          f"{format_average(entry.waiting_total):>9}"
-          f"{format_average(entry.turnaround_total):>12}"
-          f"{entry.context_switch_total:>10}"
-          f"{format_percent(entry.waiting_gain_pct):>8}%")
+print(report.render_text(), end="")
+ranking = sorted(report.entries, key=lambda e: e.waiting_total)
+print("\nby waiting time, lowest first:", ", ".join(e.descriptor.name for e in ranking))
