@@ -35,6 +35,14 @@ def _decode(data: bytes | str) -> str:
     return data
 
 
+def _utf8(text: str, what: str) -> str:
+    try:  # a JSON escape can spell a lone surrogate, which UTF-8 cannot encode
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError(f"{what} {text!r} is not valid Unicode text") from None
+    return text
+
+
 def _parse_csv(text: str, label: str) -> Workload:
     lines = text.replace("\r\n", "\n").split("\n")
     if not lines or lines[0].strip() != CSV_HEADER:
@@ -79,11 +87,11 @@ def _parse_json(text: str, label: str) -> Workload:
             raise ParseError(f"process #{i + 1}: pid must be a string")
         if type(arrival) is not int or type(burst) is not int:
             raise ParseError(f"process #{i + 1}: arrival_ms and burst_ms must be integers")
-        records.append((pid, arrival, burst))
+        records.append((_utf8(pid, f"process #{i + 1}: pid"), arrival, burst))
     label = payload.get("label", label)
     if not isinstance(label, str):
         raise ParseError("'label' must be a string")
-    return validate_workload(records, label=label)
+    return validate_workload(records, label=_utf8(label, "label"))
 
 
 def parse_workload(data: bytes | str, format: str = CSV, label: str = "") -> Workload:

@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrsim import WorkloadError
-from rrsim.fileio import CSV, JSON, ParseError, parse_workload, serialize_workload
+from rrsim.fileio import CSV, CSV_HEADER, JSON, ParseError, parse_workload, serialize_workload
 from rrsim.workloads import benchmark_case
 
 CASE_I_CSV = (
@@ -135,3 +137,47 @@ def test_utf8_bom_is_accepted():
 def test_undecodable_json_is_a_parse_error(data):
     with pytest.raises(ParseError, match="invalid JSON"):
         parse_workload(data, JSON)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ('{"processes": [{"pid": "\\ud800", "arrival_ms": 0, "burst_ms": 1}]}',
+     "process #1: pid '\\ud800' is not valid Unicode text"),
+    ('{"label": "\\udfff", "processes": [{"pid": "P1", "arrival_ms": 0, "burst_ms": 1}]}',
+     "label '\\udfff' is not valid Unicode text"),
+], ids=["pid", "label"])
+def test_json_lone_surrogate_is_a_parse_error(payload, message):
+    # json.loads turns the escape into a str that no UTF-8 output can hold
+    with pytest.raises(ParseError) as exc:
+        parse_workload(payload.encode(), JSON)
+    assert str(exc.value) == message
+
+
+# Raw bytes, plus records of valid and invalid fields in each format, so
+# that some inputs parse and the rest fail in the parser or the model.
+def _records(pids, times):
+    field = st.sampled_from
+    return st.lists(st.tuples(field(pids), field(times), field(times)), max_size=3)
+
+
+_near_csv = st.tuples(
+    _records(["P1", "P2", "P3", " P4 ", "\u00e9", "a b", ""],
+             ["0", "1", "2", " 7", "40", "-1", "x"]),
+    st.sampled_from(["\n", "\r\n"]),
+).map(lambda r: (CSV_HEADER + r[1] + "".join(",".join(rec) + r[1] for rec in r[0])).encode())
+_near_json = _records(['"P1"', '"P2"', '"P3"', '"\\u00e9"', '"\\ud800"', '" P4"', "7"],
+                      ["0", "1", "2", "7", "40", "-1", "1.5", "true"]).map(
+    lambda records: ('{"label": "x", "processes": [%s]}' % ", ".join(
+        '{"pid": %s, "arrival_ms": %s, "burst_ms": %s}' % r for r in records)).encode())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.binary(max_size=80), _near_csv, _near_json))
+def test_any_bytes_parse_or_raise_a_workload_error_and_round_trip(data):
+    for fmt in (CSV, JSON):
+        try:
+            workload = parse_workload(data, fmt)
+        except (ParseError, WorkloadError):
+            continue
+        for out in (CSV, JSON):
+            again = parse_workload(serialize_workload(workload, out), out)
+            assert again.processes == workload.processes
