@@ -35,12 +35,14 @@ def _decode(data: bytes | str) -> str:
     return data
 
 
-def _utf8(text: str, what: str) -> str:
-    try:  # a JSON escape can spell a lone surrogate, which UTF-8 cannot encode
-        text.encode("utf-8")
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{what} must be a string")
+    try:  # a \u escape can spell a lone surrogate, which UTF-8 cannot encode
+        value.encode("utf-8")
     except UnicodeEncodeError:
-        raise ParseError(f"{what} {text!r} is not valid Unicode text") from None
-    return text
+        raise ParseError(f"{what} holds a lone surrogate") from None
+    return value
 
 
 def _parse_csv(text: str, label: str) -> Workload:
@@ -83,15 +85,13 @@ def _parse_json(text: str, label: str) -> Workload:
             pid, arrival, burst = item["pid"], item["arrival_ms"], item["burst_ms"]
         except KeyError as exc:
             raise ParseError(f"process #{i + 1}: {exc!r}") from None
-        if not isinstance(pid, str):
-            raise ParseError(f"process #{i + 1}: pid must be a string")
+        pid = _string(pid, f"process #{i + 1}: pid")
         if type(arrival) is not int or type(burst) is not int:
             raise ParseError(f"process #{i + 1}: arrival_ms and burst_ms must be integers")
-        records.append((_utf8(pid, f"process #{i + 1}: pid"), arrival, burst))
-    label = payload.get("label", label)
-    if not isinstance(label, str):
-        raise ParseError("'label' must be a string")
-    return validate_workload(records, label=_utf8(label, "label"))
+        records.append((pid, arrival, burst))
+    if "label" in payload:
+        label = _string(payload["label"], "'label'")
+    return validate_workload(records, label=label)
 
 
 def parse_workload(data: bytes | str, format: str = CSV, label: str = "") -> Workload:
