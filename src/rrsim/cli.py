@@ -215,10 +215,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"rrsim: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except BrokenPipeError:  # stdout's reader has gone, as in `rrsim ... | head`
+    except OSError as exc:  # stdout failed: its reader has gone (`| head`) or its disk is full
         # so that the interpreter's exit flush writes nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("rrsim: output closed before it was fully written", file=sys.stderr)
+        print(f"rrsim: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -1,10 +1,10 @@
 """Deterministic execution kernel for quantum-based scheduling policies.
 
-Every policy runs on one cycle loop.  The loop stores one record per
-process and replaces it only when a slice preempts that process.  At each
-cycle start the policy receives a snapshot that lists the queued
-processes' records in queue order, and answers with a dispatch order and
-a quantum for the whole cycle.  Completed processes leave; survivors keep
+Every policy runs on one cycle loop over one queue of records, one
+record per queued process; a slice that preempts a process replaces its
+record.  At each cycle start the policy receives a snapshot of that queue
+and answers with a quantum for the whole cycle and a dispatch order made
+of the snapshot's own records.  Completed processes leave; survivors keep
 the order in which they were executed.  The policy's ``arrival_mode``
 decides when arrivals join the queue:
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .model import (
     COMPLETED,
@@ -60,9 +60,9 @@ class SnapshotEntry(NamedTuple):
 class ReadySnapshot:
     """State of the ready queue handed to a policy at cycle start.
 
-    ``entries`` are the engine's stored records, one per queued process,
-    in the current queue order (survivors of the previous cycle in
-    execution order, then newly admitted processes in arrival order; in
+    ``entries`` is the engine's queue itself, one record per queued
+    process, in the current queue order (survivors of the previous cycle
+    in execution order, then newly admitted processes in arrival order; in
     tail-rejoin mode a newcomer stands ahead of every survivor preempted
     at or after its arrival).
     """
@@ -71,15 +71,14 @@ class ReadySnapshot:
     now: int
     cycle_index: int
 
-    def pids(self) -> tuple[str, ...]:
-        return tuple(e.pid for e in self.entries)
-
 
 @dataclass(frozen=True)
 class CyclePlan:
-    """A dispatch order (permutation of the snapshot) plus the cycle quantum."""
+    """The cycle quantum plus a dispatch order: the snapshot's own records,
+    each exactly once.  A copied or edited record is rejected, since the
+    engine runs each record's ``remaining`` as it finds it."""
 
-    order: tuple[str, ...]
+    order: Sequence[SnapshotEntry]
     quantum: int
 
 
@@ -96,14 +95,20 @@ class PolicyBehavior:
     arrival_mode: str = CYCLE_BOUNDARY
 
 
+def _pids(records) -> tuple:
+    return tuple(getattr(r, "pid", r) for r in records)
+
+
 def _checked_plan(policy: PolicyBehavior, snapshot: ReadySnapshot) -> CyclePlan:
     plan = policy.plan(snapshot)
-    # snapshot pids are distinct, so equal lengths and equal sets make a permutation
-    if (len(plan.order) != len(snapshot.entries)
-            or set(plan.order) != {e.pid for e in snapshot.entries}):
+    order, entries = plan.order, snapshot.entries
+    # the queue's records are distinct objects, so equal lengths and equal
+    # identity sets make a permutation of those very records
+    if order is not entries and (len(order) != len(entries)
+                                 or set(map(id, order)) != set(map(id, entries))):
         raise PolicyPlanInvalid(
-            f"{policy.descriptor.name}: plan order {plan.order!r} is not a "
-            f"permutation of the ready queue {snapshot.pids()!r}")
+            f"{policy.descriptor.name}: plan order {_pids(order)} is not a "
+            f"permutation of the ready queue's records {_pids(entries)}")
     if plan.quantum < 1:
         raise PolicyPlanInvalid(
             f"{policy.descriptor.name}: quantum {plan.quantum} < 1")
@@ -122,12 +127,11 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     if mode not in ARRIVAL_MODES:
         raise ValueError(f"unknown arrival mode {mode!r}")
     # sorted() is stable, so equal arrivals keep their submission order
-    incoming = sorted(workload.processes, key=lambda p: p.arrival)
-    entry = {p.pid: SnapshotEntry(p.pid, p.burst, p.arrival, i, False)
-             for i, p in enumerate(workload.processes)}
+    incoming = sorted((SnapshotEntry(p.pid, p.burst, p.arrival, i, False)
+                       for i, p in enumerate(workload.processes)), key=attrgetter("arrival"))
     never = incoming[-1].arrival + workload.total_burst() + 1  # beyond every slice's end
 
-    queue: list[str] = []
+    queue: list[SnapshotEntry] = []
     slices: list[Slice] = []
     idles: list[IdleGap] = []
     quantum_log: list[tuple[int, int]] = []
@@ -138,7 +142,7 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     def admit(upto: int) -> int:  # enqueue arrivals up to ``upto``; return the next one's time
         nonlocal ptr
         while ptr < len(incoming) and incoming[ptr].arrival <= upto:
-            queue.append(incoming[ptr].pid)
+            queue.append(incoming[ptr])
             ptr += 1
         return incoming[ptr].arrival if ptr < len(incoming) else never
 
@@ -151,7 +155,7 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
             continue
 
         cycle += 1
-        snapshot = ReadySnapshot(tuple(map(entry.__getitem__, queue)), clock, cycle)
+        snapshot = ReadySnapshot(tuple(queue), clock, cycle)
         plan = _checked_plan(policy, snapshot)
         order, quantum = plan.order, plan.quantum
         # A tail-rejoin cycle is one pass over a FIFO queue, not a quantum
@@ -162,8 +166,7 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
 
         queue = []  # the next cycle's queue, filled in execution order
         watch = due if mode != CYCLE_BOUNDARY else never  # an arrival that acts mid-cycle
-        for pos, pid in enumerate(order):
-            _, remaining, arrival, index, _ = entry[pid]
+        for pos, (pid, remaining, arrival, index, _) in enumerate(order):
             left = remaining - quantum
             run = quantum if left > 0 else remaining
             slices.append(Slice(pid, clock, clock + run, cycle, quantum,
@@ -172,8 +175,7 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
             if clock >= watch and mode == TAIL_REJOIN:
                 watch = due = admit(clock)  # same-ms arrivals enqueue before the preempted one
             if left > 0:
-                entry[pid] = SnapshotEntry(pid, left, arrival, index, True)
-                queue.append(pid)
+                queue.append(SnapshotEntry(pid, left, arrival, index, True))
             if clock >= watch:  # slice-boundary restart: abandon the cycle, replan over all
                 queue.extend(order[pos + 1:])
                 break

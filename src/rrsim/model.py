@@ -31,6 +31,10 @@ class ProcessSpec:
         if pid != pid.strip() or "," in pid or "\r" in pid or "\n" in pid:
             raise WorkloadError(f"pid {pid!r} has a comma, a line break or "
                                 f"edge whitespace, so it cannot round-trip through CSV")
+        try:  # a lone surrogate has no UTF-8 form, so no workload file can hold it
+            pid.encode("utf-8")
+        except UnicodeEncodeError:
+            raise WorkloadError(f"pid {pid!r} holds a lone surrogate") from None
         if self.arrival < 0:
             raise WorkloadError(f"process {pid!r} has negative arrival {self.arrival}")
         if self.burst < 1:

@@ -7,7 +7,7 @@ a total order, so planning is deterministic.
 """
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .engine import (
@@ -57,22 +57,18 @@ def range_quantum(remaining: Iterable[int], floor: int) -> int:
     return max(max(values) - min(values), floor)
 
 
-def alternating_min_max_order(entries: Sequence[tuple[str, int]]) -> tuple[str, ...]:
-    """Order pids as lowest, highest, 2nd lowest, 2nd highest, ...
+def alternating_min_max_order(items: Sequence) -> tuple:
+    """Reorder ``items`` as lowest, highest, 2nd lowest, 2nd highest, ...
 
-    ``entries`` are (pid, remaining) pairs; equal remainings keep their
-    input order.  Reading the result at even positions and then at odd
-    positions reversed gives back the ascending sort.
+    Each item's ``[1]`` is its remaining burst, as in a
+    :class:`SnapshotEntry` or a (pid, remaining) pair; equal remainings
+    keep their input order.  Reading the result at even positions and then
+    at odd positions reversed gives back the ascending sort.
     """
-    ranked = sorted(range(len(entries)), key=lambda i: (entries[i][1], i))
-    order: list[str] = []
-    lo, hi = 0, len(ranked) - 1
-    while lo <= hi:
-        order.append(entries[ranked[lo]][0])
-        lo += 1
-        if lo <= hi:
-            order.append(entries[ranked[hi]][0])
-            hi -= 1
+    ranked = sorted(items, key=itemgetter(1))  # stable, so ties keep input order
+    half = (len(ranked) + 1) // 2
+    order = list(ranked)
+    order[::2], order[1::2] = ranked[:half], ranked[half:][::-1]
     return tuple(order)
 
 
@@ -87,7 +83,7 @@ def make_round_robin(q: int) -> PolicyBehavior:
     descriptor = PolicyDescriptor.of("RR", q=q)
 
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
-        return CyclePlan(snapshot.pids(), q)
+        return CyclePlan(snapshot.entries, q)
 
     return PolicyBehavior(descriptor, plan, TAIL_REJOIN)
 
@@ -102,8 +98,7 @@ def make_dabrr() -> PolicyBehavior:
 
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
         ordered = _ascending(snapshot.entries)
-        return CyclePlan(tuple(e.pid for e in ordered),
-                         mean_quantum(e.remaining for e in ordered))
+        return CyclePlan(ordered, mean_quantum(e.remaining for e in ordered))
 
     return PolicyBehavior(descriptor, plan, SLICE_BOUNDARY_RESTART)
 
@@ -113,7 +108,7 @@ def make_sarr() -> PolicyBehavior:
     descriptor = PolicyDescriptor.of("SARR")
 
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
-        return CyclePlan(snapshot.pids(),
+        return CyclePlan(snapshot.entries,
                          median_quantum(e.remaining for e in snapshot.entries))
 
     return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
@@ -131,11 +126,8 @@ def make_dqrrr() -> PolicyBehavior:
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
         quantum = median_quantum(e.remaining for e in snapshot.entries)
         if all(e.dispatched_before for e in snapshot.entries):
-            order = snapshot.pids()
-        else:
-            ordered = _ascending(snapshot.entries)
-            order = alternating_min_max_order([(e.pid, e.remaining) for e in ordered])
-        return CyclePlan(order, quantum)
+            return CyclePlan(snapshot.entries, quantum)
+        return CyclePlan(alternating_min_max_order(_ascending(snapshot.entries)), quantum)
 
     return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
 
@@ -150,7 +142,7 @@ def make_irrvq() -> PolicyBehavior:
 
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
         ordered = _ascending(snapshot.entries)
-        return CyclePlan(tuple(e.pid for e in ordered), ordered[0].remaining)
+        return CyclePlan(ordered, ordered[0].remaining)
 
     return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
 
@@ -162,7 +154,7 @@ def make_rp5(base: int) -> PolicyBehavior:
     descriptor = PolicyDescriptor.of("RP5", base=base)
 
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
-        return CyclePlan(snapshot.pids(), base << (snapshot.cycle_index - 1))
+        return CyclePlan(snapshot.entries, base << (snapshot.cycle_index - 1))
 
     return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
 
@@ -175,8 +167,7 @@ def make_mrr(floor: int) -> PolicyBehavior:
 
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
         ordered = _ascending(snapshot.entries)
-        return CyclePlan(tuple(e.pid for e in ordered),
-                         range_quantum((e.remaining for e in ordered), floor))
+        return CyclePlan(ordered, range_quantum((e.remaining for e in ordered), floor))
 
     return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
 
@@ -207,20 +198,22 @@ def parse_policy_spec(text: str) -> PolicyBehavior:
         raise PolicySpecError(
             f"unknown policy {name!r}; expected one of {', '.join(sorted(_FACTORIES))}")
     factory, defaults = _FACTORIES[key]
-    params = dict(defaults)
+    given = {}
     if param_text:
         for item in param_text.split(","):
             pkey, eq, value = item.partition("=")
             pkey = pkey.strip()
             if not eq or pkey not in defaults:
                 raise PolicySpecError(f"bad parameter {item!r} for policy {key}")
+            if pkey in given:
+                raise PolicySpecError(f"parameter {pkey!r} of policy {key} is repeated")
             try:
-                params[pkey] = int(value)
+                given[pkey] = int(value)
             except ValueError:
                 raise PolicySpecError(
                     f"parameter {pkey!r} of policy {key} must be an integer, "
                     f"got {value!r}") from None
-    return factory(**params)
+    return factory(**{**defaults, **given})
 
 
 def standard_policy(name: str) -> PolicyBehavior:

@@ -270,13 +270,20 @@ def test_generate_and_run_agree_on_suffix_case(tmp_path, name):
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("n", ["50000", "3"])
-def test_closed_stdout_pipe_exits_two(n, buffered):
+@pytest.mark.parametrize("n, sink", [
+    ("50000", "pipe"), ("3", "pipe"),
+    pytest.param("3", "/dev/full", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full here")),
+], ids=["50000", "3", "dev-full"])
+def test_closed_stdout_pipe_exits_two(n, sink, buffered):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    if sink == "pipe":  # a pipe whose reader has gone
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+    else:  # a device whose every write fails with ENOSPC
+        write_end = os.open(sink, os.O_WRONLY)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "rrsim", "generate", "--n", n,

@@ -15,7 +15,7 @@ from rrsim import (
     trace_violations,
     validate_workload,
 )
-from rrsim.engine import SLICE_BOUNDARY_RESTART, CyclePlan, PolicyBehavior
+from rrsim.engine import SLICE_BOUNDARY_RESTART, CyclePlan, PolicyBehavior, SnapshotEntry
 from rrsim.model import COMPLETED, PolicyDescriptor, QUANTUM_EXPIRED
 from rrsim.policies import (
     POLICY_NAMES,
@@ -99,20 +99,28 @@ def test_dabrr_restart_replans_when_arrivals_interrupt_a_cycle():
 
 def _defective(order_fn, quantum=10):
     def plan(snapshot):
-        return CyclePlan(order_fn(snapshot.pids()), quantum)
+        return CyclePlan(order_fn(snapshot.entries), quantum)
     return PolicyBehavior(PolicyDescriptor.of("BROKEN"), plan)
 
 
 def test_plan_must_be_a_permutation():
     w = benchmark_case("I")
     with pytest.raises(PolicyPlanInvalid):
-        simulate(w, _defective(lambda pids: pids[:-1]))
+        simulate(w, _defective(lambda records: records[:-1]))
     with pytest.raises(PolicyPlanInvalid):
-        simulate(w, _defective(lambda pids: pids + (pids[0],)))
+        simulate(w, _defective(lambda records: records + (records[0],)))
     with pytest.raises(PolicyPlanInvalid):
-        simulate(w, _defective(lambda pids: pids[:-1] + (pids[0],)))
+        simulate(w, _defective(lambda records: records[:-1] + (records[0],)))
+    with pytest.raises(PolicyPlanInvalid, match=r"\('P1', 'P2', 'P3', 'P4', 'P99'\)"):
+        simulate(w, _defective(
+            lambda records: records[:-1] + (SnapshotEntry("P99", 5, 0, 5, False),)))
+    # the right pid with less work left: a check of pids alone would run it
     with pytest.raises(PolicyPlanInvalid):
-        simulate(w, _defective(lambda pids: pids[:-1] + ("P99",)))
+        simulate(w, _defective(lambda records: records[:-1] + (
+            records[-1]._replace(remaining=records[-1].remaining - 1),)))
+    # an equal copy is not the queue's own record either
+    with pytest.raises(PolicyPlanInvalid):
+        simulate(w, _defective(lambda records: records[:-1] + (SnapshotEntry(*records[-1]),)))
 
 
 def test_unknown_arrival_mode_rejected():
@@ -127,7 +135,7 @@ def test_rr_plans_once_per_pass():
     snapshots = []
 
     def plan(snapshot):
-        snapshots.append(snapshot.pids())
+        snapshots.append(tuple(e.pid for e in snapshot.entries))
         return rr.plan(snapshot)
 
     trace = simulate(w, dataclasses.replace(rr, plan=plan))
@@ -140,7 +148,7 @@ def test_rr_plans_once_per_pass():
 def test_plan_quantum_must_be_positive():
     w = benchmark_case("I")
     with pytest.raises(PolicyPlanInvalid):
-        simulate(w, _defective(lambda pids: pids, quantum=0))
+        simulate(w, _defective(lambda records: records, quantum=0))
 
 
 def test_replay_check_accepts_all_benchmark_traces():

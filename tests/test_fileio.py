@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrsim import WorkloadError
+from rrsim import WorkloadError, validate_workload
 from rrsim.fileio import CSV, CSV_HEADER, JSON, ParseError, parse_workload, serialize_workload
 from rrsim.workloads import benchmark_case
 
@@ -183,3 +183,27 @@ def test_any_bytes_parse_or_raise_a_workload_error_and_round_trip(data):
         for out in (CSV, JSON):
             again = parse_workload(serialize_workload(workload, out), out)
             assert again.processes == workload.processes
+
+
+# Records built in memory, not parsed from bytes.  The pid alphabet mixes
+# what CSV cannot carry (comma, line breaks, edge whitespace) with what no
+# UTF-8 file can carry (lone surrogates).  Labels skip surrogates: a label
+# may be a file name's surrogate escape, kept in memory but not written.
+_pid_chars = st.one_of(st.sampled_from("P1 ,\r\n\t\x85\u2028\u00e9\ud800\udfff"),
+                       st.characters())
+_built = st.tuples(
+    st.lists(st.tuples(st.text(_pid_chars, min_size=1, max_size=4),
+                       st.integers(0, 10**6), st.integers(1, 10**6)), min_size=1, max_size=4),
+    st.text(max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_built)
+def test_every_valid_workload_round_trips_through_both_formats(built):
+    records, label = built
+    try:
+        workload = validate_workload(records, label)
+    except WorkloadError:
+        return
+    for fmt in (CSV, JSON):  # CSV has no label, so the caller supplies it
+        assert parse_workload(serialize_workload(workload, fmt), fmt, label=label) == workload

@@ -61,12 +61,16 @@ def test_range_quantum_golden(remaining, floor, expected):
     assert range_quantum(remaining, floor) == expected
 
 
+def _pids(items):
+    return tuple(item[0] for item in items)
+
+
 def test_alternating_min_max_order_golden():
     entries = [("P1", 105), ("P2", 60), ("P3", 120), ("P4", 48), ("P5", 75)]
-    assert alternating_min_max_order(entries) == ("P4", "P3", "P2", "P1", "P5")
+    assert _pids(alternating_min_max_order(entries)) == ("P4", "P3", "P2", "P1", "P5")
     entries = [("P5", 26), ("P2", 75), ("P4", 43), ("P3", 60)]
-    assert alternating_min_max_order(entries) == ("P5", "P2", "P4", "P3")
-    assert alternating_min_max_order([("P1", 10)]) == ("P1",)
+    assert _pids(alternating_min_max_order(entries)) == ("P5", "P2", "P4", "P3")
+    assert alternating_min_max_order([("P1", 10)]) == (("P1", 10),)
 
 
 @given(bursts)
@@ -95,9 +99,9 @@ def test_alternating_order_structural(values):
     entries = [(f"P{i}", v) for i, v in enumerate(values)]
     order = list(alternating_min_max_order(entries))
     unfolded = order[0::2] + order[1::2][::-1]
-    expected = [pid for pid, _ in sorted(entries, key=lambda e: (e[1],))]
+    expected = sorted(entries, key=lambda e: (e[1],))
     # ties keep input order, matching the stable ascending sort
-    assert sorted(order) == sorted(pid for pid, _ in entries)
+    assert sorted(order) == sorted(entries)
     assert unfolded == expected
 
 
@@ -125,7 +129,8 @@ ALL_FACTORIES = [
 def test_every_plan_is_a_permutation_with_positive_quantum(snapshot, idx):
     policy = ALL_FACTORIES[idx]
     plan = policy.plan(snapshot)
-    assert sorted(plan.order) == sorted(snapshot.pids())
+    assert sorted(plan.order) == sorted(snapshot.entries)
+    assert {id(e) for e in plan.order} == {id(e) for e in snapshot.entries}
     assert plan.quantum >= 1
 
 
@@ -142,10 +147,9 @@ def test_quantum_depends_only_on_remaining_multiset(snapshot, rng):
 @settings(max_examples=200)
 @given(snapshots)
 def test_sorting_policies_plan_ascending_remaining(snapshot):
-    by_pid = {e.pid: e for e in snapshot.entries}
     for policy in (make_dabrr(), make_irrvq(), make_mrr(25)):
         order = policy.plan(snapshot).order
-        remainings = [by_pid[pid].remaining for pid in order]
+        remainings = [e.remaining for e in order]
         assert remainings == sorted(remainings)
 
 
@@ -153,7 +157,7 @@ def test_dqrrr_keeps_queue_order_without_new_arrivals():
     entries = tuple(SnapshotEntry(pid, rem, 0, i, True)
                     for i, (pid, rem) in enumerate([("P5", 42), ("P4", 30)]))
     snapshot = ReadySnapshot(entries, now=275, cycle_index=2)
-    assert make_dqrrr().plan(snapshot).order == ("P5", "P4")
+    assert _pids(make_dqrrr().plan(snapshot).order) == ("P5", "P4")
 
 
 def test_dqrrr_alternates_when_new_arrivals_present():
@@ -161,7 +165,7 @@ def test_dqrrr_alternates_when_new_arrivals_present():
                     for i, (pid, rem, arr) in enumerate(
                         [("P2", 75, 2), ("P3", 60, 4), ("P4", 43, 8), ("P5", 26, 16)]))
     snapshot = ReadySnapshot(entries, now=95, cycle_index=2)
-    assert make_dqrrr().plan(snapshot).order == ("P5", "P2", "P4", "P3")
+    assert _pids(make_dqrrr().plan(snapshot).order) == ("P5", "P2", "P4", "P3")
 
 
 def test_rp5_quantum_doubles_with_cycle_index():
@@ -190,7 +194,8 @@ def test_parse_policy_spec_defaults_match_benchmark_parameters():
     assert parse_policy_spec("RR:q=40").descriptor.parameters == (("q", 40),)
 
 
-@pytest.mark.parametrize("bad", ["nope", "rr:quantum=9", "rr:q=abc", "mrr:floor="])
+@pytest.mark.parametrize("bad", ["nope", "rr:quantum=9", "rr:q=abc", "mrr:floor=",
+                                 "rr:q=25,q=30"])
 def test_parse_policy_spec_rejects_garbage(bad):
     with pytest.raises(PolicySpecError):
         parse_policy_spec(bad)

@@ -3,6 +3,8 @@
 The full-scale sweep (10^4 workloads) lives in the acceptance suite;
 these runs are sized for the development loop.
 """
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from rrsim import simulate, trace_violations, validate_workload
 from rrsim.metrics import context_switches
 from rrsim.model import COMPLETED
 from rrsim.policies import POLICY_NAMES, make_round_robin, standard_policy
+from rrsim.workloads import RANDOM, STAGGERED, GeneratorSpec, generate_workload
 
 
 def test_generated_traces_satisfy_all_invariants():
@@ -71,3 +74,44 @@ def test_work_conservation_no_idle_while_runnable():
             trace = simulate(workload, standard_policy(name))
             for gap in trace.idles:
                 assert gap.end in arrivals
+
+
+SHIFT = 7919
+
+
+def _shifted_and_renamed(workload):
+    """``workload`` with every arrival ``SHIFT`` ms later and process i of n
+    renamed Z{n-i}, which reverses the pids' lexical order, plus the map
+    from each new pid back to the old one."""
+    n = len(workload)
+    old = {f"Z{n - i}": p.pid for i, p in enumerate(workload.processes)}
+    moved = validate_workload([(f"Z{n - i}", p.arrival + SHIFT, p.burst)
+                               for i, p in enumerate(workload.processes)], workload.label)
+    return moved, old
+
+
+def _mapped_back(trace, old):
+    return dataclasses.replace(
+        trace,
+        slices=tuple(s._replace(pid=old[s.pid], start=s.start - SHIFT, end=s.end - SHIFT)
+                     for s in trace.slices),
+        idles=tuple(g._replace(start=g.start - SHIFT, end=g.end - SHIFT) for g in trace.idles))
+
+
+def _assert_shift_and_rename_invariant(workload, policy):
+    moved, old = _shifted_and_renamed(workload)
+    assert _mapped_back(simulate(moved, policy), old) == simulate(workload, policy)
+
+
+def test_trace_maps_back_after_shifting_arrivals_and_renaming_pids():
+    for seed in range(300):
+        workload = seeded_workload(seed)
+        for name in POLICY_NAMES:
+            _assert_shift_and_rename_invariant(workload, standard_policy(name))
+
+
+def test_dabrr_restarts_map_back_on_a_busy_staggered_file():
+    # far beyond the oracle's reach: DABRR restarts at nearly every arrival
+    busy = generate_workload(GeneratorSpec(n=1500, burst_min=1, burst_max=50, order=RANDOM,
+                                           arrival=STAGGERED, max_gap=8, seed=0))
+    _assert_shift_and_rename_invariant(busy, standard_policy("DABRR"))
