@@ -9,10 +9,13 @@ the command.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
 from rrsim.cli import main
+from rrsim.policies import POLICY_NAMES
+from rrsim.workloads import STAGGERED, GeneratorSpec, generate_workload
 
 COMMAND_DIGESTS = {
     "reproduce-paper --format json":
@@ -449,6 +452,41 @@ COMPARE_DIGESTS = {
         "6ca70b364df55f4258ad6cb0377e4d9a44a312ff422d2c4b5a9c77b0878ad547",
 }
 
+# run --algo <policy> --workload <ESCAPES_WORKLOAD as JSON> --format json: pids
+# and a label that the JSON writer must escape or spell as \\u sequences.
+ESCAPES_PIDS = ("P\u00e9", 'say "hi"', "back\\slash", "tab\there", "bell\x07",
+                "\u65e5\u672c", "\U0001f600", "del\x7f", "nbsp\u00a0x", "slash/")
+ESCAPES_LABEL = "charge \u00e9t\u00e9 \u2013 \u2603"
+ESCAPES_DIGESTS = {
+    "rr":
+        "3767c7e950da0ba905715be312c18ee261ac40f99f7820a4d267fffafe2498fa",
+    "dqrrr":
+        "9e50ff69e98afa1914d9a4aae17edf8ef19f48542a1d630aef36422b0937fc08",
+    "irrvq":
+        "0fc0380f757de1b408f010d25dde26eb6068bccfbdbaec2d0ccede54e2f85871",
+    "sarr":
+        "a93fb0d4543ec0148cccf3473661b7cffa2ee862d4dc91927d36b7eed5b1e00c",
+    "rp5":
+        "44b0f36942200815119165eb189e472cb42fd19aa0398ec4e478ba74f97c283c",
+    "mrr":
+        "68b53b9a7b0712808a97155408799604f0f0a9ce80ee759f01de742522f46af4",
+    "dabrr":
+        "3a5c683ae336bbff0bbe8e3666fade5ba6434cec11476947b97f9481795f68ee",
+}
+
+
+def _escapes_workload_file(tmp_path):
+    generated = generate_workload(GeneratorSpec(n=len(ESCAPES_PIDS), burst_min=1,
+                                                burst_max=60, arrival=STAGGERED,
+                                                max_gap=15, seed=7))
+    payload = {"label": ESCAPES_LABEL, "processes": [
+        {"pid": pid, "arrival_ms": p.arrival, "burst_ms": p.burst}
+        for pid, p in zip(ESCAPES_PIDS, generated.processes)]}
+    path = tmp_path / "escapes.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
 def _stdout_digest(argv):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
@@ -477,3 +515,10 @@ def test_run_output_is_byte_identical(case_id, policy, options):
 @pytest.mark.parametrize("command", sorted(COMPARE_DIGESTS))
 def test_compare_table_is_byte_identical(command):
     assert _stdout_digest(command.split()) == COMPARE_DIGESTS[command]
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_run_json_with_escaped_pids_is_byte_identical(policy, tmp_path):
+    path = _escapes_workload_file(tmp_path)
+    argv = ["run", "--algo", policy.lower(), "--workload", str(path), "--format", "json"]
+    assert _stdout_digest(argv) == ESCAPES_DIGESTS[policy.lower()]
