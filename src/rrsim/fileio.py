@@ -10,11 +10,46 @@ from __future__ import annotations
 
 import json
 
-from .model import Workload, validate_workload
+from .model import Workload, WorkloadError, validate_workload
 
 CSV_HEADER = "pid,arrival_ms,burst_ms"
 CSV = "csv"
 JSON = "json"
+
+_escape = json.encoder.encode_basestring_ascii  # json.dumps quotes every str with it
+
+
+def _json_row_template(keys) -> str:
+    """A ``%`` template, one ``%s`` per key, for an object in a list that is
+    a top-level value of ``json.dumps(…, indent=2)``."""
+    return "    {\n" + ",\n".join(f"      {_escape(k)}: %s" for k in keys) + "\n    }"
+
+
+def _indented_json(fields: dict, row_template: str) -> str:
+    """``json.dumps(fields, indent=2) + "\\n"``, byte for byte.
+
+    ``indent`` makes json fall back to its pure-Python encoder; this writes
+    the same text with the C string escaper, ``str`` for ints and ``repr``
+    for floats.  A value is a str, an int, a float, a list of ints, or a
+    list of rows written by ``row_template``: tuples of a str, then ints.
+    """
+    lines = []
+    for key, value in fields.items():
+        if isinstance(value, str):
+            text = _escape(value)
+        elif isinstance(value, float):
+            text = repr(value)
+        elif not isinstance(value, (list, tuple)):
+            text = str(value)
+        elif not value:
+            text = "[]"
+        elif isinstance(value[0], tuple):
+            rows = [row_template % ((_escape(row[0]),) + row[1:]) for row in value]
+            text = "[\n" + ",\n".join(rows) + "\n  ]"
+        else:
+            text = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]"
+        lines.append(f"  {_escape(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 class ParseError(ValueError):
@@ -108,23 +143,31 @@ def parse_workload(data: bytes | str, format: str = CSV, label: str = "") -> Wor
     raise ValueError(f"unknown workload format {format!r}")
 
 
+_WORKLOAD_ROW = _json_row_template(("pid", "arrival_ms", "burst_ms"))
+
+
 def serialize_workload(workload: Workload, format: str = CSV) -> bytes:
     """Render a workload to normalized CSV or JSON bytes.
 
     CSV carries only the process records (the label is not representable
     there); JSON round-trips the label too.
+
+    Raises:
+        WorkloadError: JSON was asked for and the label holds a lone
+            surrogate (a file name's undecodable byte), which
+            ``parse_workload`` would reject.
     """
     if format == CSV:
         lines = [CSV_HEADER]
         lines.extend(f"{p.pid},{p.arrival},{p.burst}" for p in workload.processes)
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == JSON:
-        payload = {
-            "label": workload.label,
-            "processes": [
-                {"pid": p.pid, "arrival_ms": p.arrival, "burst_ms": p.burst}
-                for p in workload.processes
-            ],
-        }
-        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        label = workload.label
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise WorkloadError(f"label {label!r} holds a lone surrogate, "
+                                f"so it cannot round-trip through JSON") from None
+        rows = [(p.pid, p.arrival, p.burst) for p in workload.processes]
+        return _indented_json({"label": label, "processes": rows}, _WORKLOAD_ROW).encode()
     raise ValueError(f"unknown workload format {format!r}")

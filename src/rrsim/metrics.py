@@ -6,12 +6,12 @@ golden comparisons never drift.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .engine import _walk_trace, trace_violations  # noqa: F401 (bench/tracing.py wraps it)
+from .fileio import _indented_json, _json_row_template
 from .model import ExecutionTrace, PolicyDescriptor, Workload
 
 
@@ -41,6 +41,7 @@ PROCESS_COLUMNS = ("pid", "arrival_ms", "burst_ms", "completion_ms",
                    "turnaround_ms", "waiting_ms", "response_ms")
 _PROCESS_TEXT_ROW = "{:<8}{:>8}{:>7}{:>11}{:>11}{:>8}{:>9}"
 _PROCESS_CSV_ROW = ",".join(["{}"] * len(PROCESS_COLUMNS)) + "\n"
+_PROCESS_JSON_ROW = _json_row_template(PROCESS_COLUMNS)
 _COMPARISON_ROW = "{:<14}{:>10}{:>12}{:>10}{:>11}{:>10}"
 
 
@@ -79,19 +80,18 @@ class RunMetrics:
         return "\n".join(lines) + "\n"
 
     def render_json(self) -> str:
-        payload = {
+        return _indented_json({
             "algorithm": self.descriptor.spec_string(),
             "workload": self.workload_label,
-            "quanta": list(self.quanta()),
-            "per_process": [dict(zip(PROCESS_COLUMNS, p)) for p in self.per_process],
+            "quanta": self.quanta(),
+            "per_process": self.per_process,
             "avg_waiting": float(format_average(self.avg_waiting)),
             "avg_turnaround": float(format_average(self.avg_turnaround)),
             "avg_response": float(format_average(self.avg_response)),
             "context_switches": self.context_switches,
             "makespan_ms": self.makespan,
             "cpu_utilization_pct": float(format_percent(self.cpu_utilization)),
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        }, _PROCESS_JSON_ROW)
 
     def render_csv(self) -> str:
         return "".join(_PROCESS_CSV_ROW.format(*row)

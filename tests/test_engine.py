@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import random
+import re
 import time
 
 import pytest
@@ -335,32 +337,83 @@ def _swap_adjacent_slices(trace, rng):
         trace, slices=trace.slices[:i] + (second, first) + trace.slices[i + 2:])
 
 
+def _delete_one_slice(trace, rng):
+    i = rng.randrange(len(trace.slices))
+    return dataclasses.replace(trace, slices=trace.slices[:i] + trace.slices[i + 1:])
+
+
+def _duplicate_one_slice(trace, rng):
+    i = rng.randrange(len(trace.slices))
+    return dataclasses.replace(trace, slices=trace.slices[:i + 1] + trace.slices[i:])
+
+
+def _change_one_slices_pid(trace, rng):
+    i = rng.randrange(len(trace.slices))
+    others = sorted({s.pid for s in trace.slices} - {trace.slices[i].pid})
+    if not others:
+        return None
+    return _with_slices(trace, i, trace.slices[i]._replace(pid=rng.choice(others)))
+
+
+def _lower_one_slices_quantum(trace, rng):
+    i = rng.randrange(len(trace.slices))
+    s = trace.slices[i]
+    return _with_slices(trace, i, s._replace(quantum_in_effect=rng.randrange(s.duration)))
+
+
+def _corrupt_quantum_log(trace, rng):
+    log = trace.quantum_log
+    if rng.random() < 0.25:
+        return dataclasses.replace(trace, quantum_log=())
+    i = rng.randrange(len(log))
+    bad = (log[i][0], rng.randint(-3, 0))
+    return dataclasses.replace(trace, quantum_log=log[:i] + (bad,) + log[i + 1:])
+
+
+def _append_trailing_gap(trace, rng):
+    end = trace.slices[-1].end
+    return dataclasses.replace(
+        trace, idles=trace.idles + (IdleGap(end, end + rng.randint(1, 5)),))
+
+
 def _with_slices(trace, i, replacement):
     return dataclasses.replace(
         trace, slices=trace.slices[:i] + (replacement,) + trace.slices[i + 1:])
 
 
-# Each mutation provably breaks an invariant: shortening breaks conservation,
-# a flipped mark breaks the completion rule, a swap lists two non-empty
-# slices out of time order, and a gap inserted between two abutting slices
-# idles while the second slice's process is runnable.
-CHECKER_MUTATIONS = [_shorten_one_slice, _flip_one_completion_mark,
-                     _swap_adjacent_slices, _insert_gap_after_abutting_pair]
+# Each mutation, paired with the violation it provably causes on every trace
+# it applies to (every slice of a valid trace runs at least 1 ms).
+_SHORT_OR_LONG = r"executed \d+ ms, burst is"
+CHECKER_MUTATIONS = [
+    (_shorten_one_slice, _SHORT_OR_LONG),  # its process runs less than its burst
+    (_flip_one_completion_mark, "marked completed"),
+    (_swap_adjacent_slices, "out of time order"),  # two non-empty slices
+    # the second slice's process was runnable throughout the new gap
+    (_insert_gap_after_abutting_pair, "runnable"),
+    (_delete_one_slice, _SHORT_OR_LONG),  # its process runs less than its burst
+    (_duplicate_one_slice, _SHORT_OR_LONG),  # its process runs more than its burst
+    (_change_one_slices_pid, _SHORT_OR_LONG),  # one process runs less, another more
+    (_lower_one_slices_quantum, "exceeds quantum"),
+    (_corrupt_quantum_log, r"empty quantum log|logged quantum -?\d+ < 1"),
+    (_append_trailing_gap, "does not end at the last slice"),
+]
 
 
 def test_seeded_mutated_traces_are_all_flagged():
-    applied = 0
+    applied = collections.Counter()
     for seed in range(1000):
         rng = random.Random(seed)
         workload = seeded_workload(seed)
         trace = simulate(workload, standard_policy(POLICY_NAMES[seed % len(POLICY_NAMES)]))
-        for mutate in CHECKER_MUTATIONS:
+        for mutate, violation in CHECKER_MUTATIONS:
             bad = mutate(trace, rng)
             if bad is None:
                 continue
-            applied += 1
-            assert trace_violations(bad, workload), f"seed {seed}: {mutate.__name__}"
-    assert applied >= 3000
+            applied[mutate] += 1
+            problems = "; ".join(trace_violations(bad, workload))
+            assert re.search(violation, problems), f"seed {seed}: {mutate.__name__}: {problems}"
+    # a swap needs two slices, a pid change two pids, a gap an abutting pair
+    assert len(applied) == len(CHECKER_MUTATIONS) and min(applied.values()) >= 900
 
 
 def test_slices_listed_out_of_time_order_are_flagged():

@@ -187,14 +187,15 @@ def test_any_bytes_parse_or_raise_a_workload_error_and_round_trip(data):
 
 # Records built in memory, not parsed from bytes.  The pid alphabet mixes
 # what CSV cannot carry (comma, line breaks, edge whitespace) with what no
-# UTF-8 file can carry (lone surrogates).  Labels skip surrogates: a label
-# may be a file name's surrogate escape, kept in memory but not written.
+# UTF-8 file can carry (lone surrogates).  A label may hold a surrogate
+# escape, as a file name's undecodable byte does: CSV drops the label, and
+# JSON refuses to write it.
 _pid_chars = st.one_of(st.sampled_from("P1 ,\r\n\t\x85\u2028\u00e9\ud800\udfff"),
                        st.characters())
 _built = st.tuples(
     st.lists(st.tuples(st.text(_pid_chars, min_size=1, max_size=4),
                        st.integers(0, 10**6), st.integers(1, 10**6)), min_size=1, max_size=4),
-    st.text(max_size=5))
+    st.text(st.one_of(st.sampled_from("\u00e9\udcff\ud800"), st.characters()), max_size=5))
 
 
 @settings(max_examples=200, deadline=None)
@@ -205,5 +206,14 @@ def test_every_valid_workload_round_trips_through_both_formats(built):
         workload = validate_workload(records, label)
     except WorkloadError:
         return
-    for fmt in (CSV, JSON):  # CSV has no label, so the caller supplies it
-        assert parse_workload(serialize_workload(workload, fmt), fmt, label=label) == workload
+    # CSV has no label, so the caller supplies it
+    assert parse_workload(serialize_workload(workload, CSV), CSV, label=label) == workload
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        with pytest.raises(WorkloadError) as exc:
+            serialize_workload(workload, JSON)
+        assert str(exc.value) == (f"label {label!r} holds a lone surrogate, "
+                                  f"so it cannot round-trip through JSON")
+        return
+    assert parse_workload(serialize_workload(workload, JSON), JSON) == workload
