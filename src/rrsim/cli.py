@@ -57,8 +57,9 @@ def _load_workload(spec: str) -> Workload:
         data = path.read_bytes()
     except OSError as exc:
         raise CliError(f"cannot read workload file {spec!r}: {exc}") from None
+    label = os.fsencode(path.stem).decode("utf-8", "backslashreplace")  # non-UTF-8 bytes: \xNN
     try:
-        return parse_workload(data, _file_format(spec), label=path.stem)
+        return parse_workload(data, _file_format(spec), label=label)
     except (ParseError, WorkloadError) as exc:
         raise CliError(f"{spec}: {exc}") from None
 

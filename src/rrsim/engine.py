@@ -192,9 +192,10 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
 def trace_violations(trace: ExecutionTrace, workload: Workload) -> list[str]:
     """All ExecutionTrace invariants violated by ``trace``, as messages.
 
-    One walk over the slices and idle gaps in time order checks the tiling
-    and each slice against its process's remaining work; at an idle gap,
-    every process that has arrived must already be finished.
+    One walk over ``trace.timeline()`` checks the tiling and each slice
+    against its process's remaining work; at an idle gap, every process
+    that has arrived must already be finished.  Both lists must be in time
+    order, as ``simulate`` writes them: the walk does not sort them.
     """
     return _walk_trace(trace, workload)[0]
 
@@ -207,11 +208,10 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], d
     left = {pid: spec.burst for pid, spec in specs.items()}
     completion, first_dispatch = {}, {}
     arrivals = sorted(spec.arrival for spec in specs.values())
-    listed = iter(trace.slices)
-    in_order = True
     finished = 0
     cursor = arrivals[0]
-    for item in sorted(trace.slices + trace.idles, key=attrgetter("start", "end")):
+    previous = float("-inf")  # the start of the previous slice
+    for item in trace.timeline():
         start, end = item.start, item.end
         if start != cursor:
             problems.append(f"interval [{start},{end}) overlaps the previous one"
@@ -227,9 +227,9 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], d
                                 for pid, spec in specs.items()
                                 if spec.arrival < end and left[pid] > 0)
             continue
-        if item is not next(listed) and in_order:
-            in_order = False
+        if start < previous:
             problems.append(f"slice {item.pid} [{start},{end}) listed out of time order")
+        previous = start
         pid = item.pid
         spec = specs.get(pid)
         if spec is None:

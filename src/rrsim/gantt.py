@@ -7,23 +7,20 @@ banner.
 """
 from __future__ import annotations
 
-from .model import ExecutionTrace
+from .model import ExecutionTrace, IdleGap
 
 MIN_WIDTH = 40
 
 
 def _groups(trace: ExecutionTrace):
     """Chronological (banner, cells) groups; cells are (label, end) pairs."""
-    events = sorted(
-        [(s.start, f"cycle {s.cycle}  <- quantum {s.quantum_in_effect} ->", s.pid, s.end)
-         for s in trace.slices]
-        + [(g.start, "idle", "--", g.end) for g in trace.idles],
-        key=lambda e: e[0])
     groups: list[tuple[str, list[tuple[str, int]]]] = []
-    for _, banner, label, end in events:
+    for item in trace.timeline():
+        idle = item.__class__ is IdleGap
+        banner = "idle" if idle else f"cycle {item.cycle}  <- quantum {item.quantum_in_effect} ->"
         if not groups or groups[-1][0] != banner:
             groups.append((banner, []))
-        groups[-1][1].append((label, end))
+        groups[-1][1].append(("--" if idle else item.pid, item.end))
     return groups
 
 
@@ -55,9 +52,7 @@ def render_gantt(trace: ExecutionTrace, width: int = 80) -> str:
         return "(empty trace)\n"
 
     out: list[str] = []
-    cursor = min(s.start for s in trace.slices)
-    if trace.idles:
-        cursor = min(cursor, trace.idles[0].start)
+    cursor = next(trace.timeline()).start
 
     for banner, cells in _groups(trace):
         out.append(banner)
@@ -65,8 +60,7 @@ def render_gantt(trace: ExecutionTrace, width: int = 80) -> str:
         row_start = cursor
         used = 0
         for label, end in cells:
-            first = row_start if not row else None
-            cell_width = _inner_width(label, end, first) + 3
+            cell_width = _inner_width(label, end, None if row else row_start) + 3
             if row and used + cell_width + 1 > width:
                 _render_row(out, row_start, row)
                 row_start = row[-1][1]
@@ -76,6 +70,5 @@ def render_gantt(trace: ExecutionTrace, width: int = 80) -> str:
             row.append((label, end))
             used += cell_width
             cursor = end
-        if row:
-            _render_row(out, row_start, row)
+        _render_row(out, row_start, row)  # every group holds at least one cell
     return "\n".join(out) + "\n"

@@ -6,6 +6,8 @@ so they can be shared freely between concurrent simulations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import merge
+from operator import attrgetter
 from typing import NamedTuple
 
 
@@ -145,7 +147,7 @@ class PolicyDescriptor:
 
 @dataclass(frozen=True)
 class ExecutionTrace:
-    """Everything one simulation run produced, in time order."""
+    """Everything one simulation run produced; slices and idles each in time order."""
 
     algorithm: PolicyDescriptor
     slices: tuple[Slice, ...]
@@ -154,3 +156,7 @@ class ExecutionTrace:
 
     def end_time(self) -> int:
         return self.slices[-1].end if self.slices else 0
+
+    def timeline(self):
+        """Slices and idle gaps merged in time order; a slice comes first on a tie."""
+        return merge(self.slices, self.idles, key=attrgetter("start"))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,8 +7,24 @@ import sys
 
 import pytest
 
+from rrsim.cli import main
 
-def rrsim(*args, **kwargs):
+
+def rrsim(*args):
+    """Run the CLI in this process: its exit code and captured output, as
+    ``subprocess.run`` reports them for ``python -m rrsim``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def rrsim_process(*args, **kwargs):
+    """Run ``python -m rrsim`` in a child process, for what needs a real
+    process: the module entry point and the encoding of its stdout."""
     return subprocess.run([sys.executable, "-m", "rrsim", *args],
                           capture_output=True, text=True, **kwargs)
 
@@ -17,6 +35,12 @@ def test_run_text_output():
     assert "average waiting time:    120.8" in proc.stdout
     assert "average turnaround time: 190.2" in proc.stdout
     assert "quanta:    69,27,6" in proc.stdout
+
+
+def test_python_m_rrsim_prints_what_main_prints():
+    proc = rrsim_process("run", "--algo", "dabrr", "--workload", "case:I")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == rrsim("run", "--algo", "dabrr", "--workload", "case:I").stdout
 
 
 def test_run_json_output():
@@ -160,11 +184,12 @@ def _csv_workload(*records):
 ], ids=["duplicate-pid", "zero-burst", "negative-arrival", "empty-pid", "empty"])
 @pytest.mark.parametrize("suffix, render", [(".csv", _csv_workload),
                                             (".json", _json_workload)])
-def test_workload_error_is_one_exact_stderr_line(tmp_path, records, message,
+def test_workload_error_is_one_exact_stderr_line(tmp_path, monkeypatch, records, message,
                                                  suffix, render):
     name = "bad" + suffix
     (tmp_path / name).write_text(render(*records))
-    proc = rrsim("run", "--algo", "rr", "--workload", name, cwd=tmp_path)
+    monkeypatch.chdir(tmp_path)
+    proc = rrsim("run", "--algo", "rr", "--workload", name)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"rrsim: {name}: {message}\n"
@@ -267,6 +292,26 @@ def test_generate_and_run_agree_on_suffix_case(tmp_path, name):
     proc = rrsim("run", "--algo", "rr", "--workload", str(out), "--format", "csv")
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 5
+
+
+def test_undecodable_file_name_is_a_readable_label_on_a_strict_utf8_stdout(tmp_path):
+    try:  # a file name byte that is not UTF-8
+        with open(os.path.join(os.fsencode(tmp_path), b"bad\xff.csv"), "w") as f:
+            f.write("pid,arrival_ms,burst_ms\nA,0,10\nB,5,20\n")
+    except OSError:
+        pytest.skip("this file system refuses a file name that is not UTF-8")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+    workload = ("--workload", os.fsdecode(b"bad\xff.csv"))
+    runs = {fmt: rrsim_process("run", "--algo", "rr", *workload, "--format", fmt,
+                               cwd=tmp_path, env=env) for fmt in ("text", "json", "csv")}
+    runs["compare"] = rrsim_process("compare", "--algos", "dabrr", *workload,
+                                    cwd=tmp_path, env=env)
+    for name, proc in runs.items():
+        assert (proc.returncode, proc.stderr) == (0, ""), name
+    assert "workload:  bad\\xff\n" in runs["text"].stdout
+    assert json.loads(runs["json"].stdout)["workload"] == "bad\\xff"
+    assert runs["csv"].stdout.startswith("pid,arrival_ms,")
+    assert runs["compare"].stdout.startswith("workload: bad\\xff  (baseline rr:q=25)\n")
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])

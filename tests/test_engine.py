@@ -3,6 +3,7 @@ import dataclasses
 import random
 import re
 import time
+from operator import attrgetter
 
 import pytest
 
@@ -26,7 +27,7 @@ from rrsim.policies import (
     make_round_robin,
     standard_policy,
 )
-from rrsim.workloads import benchmark_case
+from rrsim.workloads import CASE_IDS, benchmark_case
 
 
 def test_dabrr_case_i_trace():
@@ -289,6 +290,11 @@ def test_hand_built_trace_without_defects_passes():
     pytest.param([("P1", 0, 20)],
                  [Slice("P1", 0, 10, 1, 10, QUANTUM_EXPIRED), Slice("P1", 15, 25, 2, 10, COMPLETED)],
                  [IdleGap(10, 15)], ((1, 10),), "runnable", id="idle-while-runnable"),
+    pytest.param([("P1", 0, 5), ("P2", 10, 5), ("P3", 20, 5)],
+                 [Slice("P1", 0, 5, 1, 10, COMPLETED), Slice("P2", 10, 15, 2, 10, COMPLETED),
+                  Slice("P3", 20, 25, 3, 10, COMPLETED)],
+                 [IdleGap(15, 20), IdleGap(5, 10)], ((1, 10),), "timeline hole",
+                 id="idles-out-of-order"),
     pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED)],
                  (), (), "empty quantum log", id="empty-quantum-log"),
     pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED)],
@@ -422,6 +428,16 @@ def test_slices_listed_out_of_time_order_are_flagged():
     swapped = dataclasses.replace(good, slices=good.slices[1::-1] + good.slices[2:])
     problems = trace_violations(swapped, w)
     assert any("out of time order" in p for p in problems), problems
+
+
+def test_timeline_merges_slices_and_idles_as_sorting_them_does():
+    workloads = [benchmark_case(c) for c in (*CASE_IDS, "ILL")]
+    workloads += [seeded_workload(seed) for seed in range(200)]
+    for workload in workloads:
+        for name in POLICY_NAMES:
+            trace = simulate(workload, standard_policy(name))
+            assert list(trace.timeline()) == sorted(trace.slices + trace.idles,
+                                                    key=attrgetter("start", "end")), name
 
 
 def test_checker_runs_in_linear_time_over_many_idle_gaps():

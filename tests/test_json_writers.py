@@ -57,7 +57,8 @@ def _assert_writers_match_json_dumps(workload, policy_name):
     loaded = json.loads(text)
     assert [tuple(row) for row in loaded["per_process"]] == [PROCESS_COLUMNS] * len(workload)
     assert [tuple(row.values()) for row in loaded["per_process"]] == list(run.per_process)
-    assert loaded["workload"] == workload.label
+    # json.loads joins an escaped high + low surrogate pair into one character
+    assert loaded["workload"] == json.loads(json.dumps(workload.label))
     if _has_lone_surrogate(workload.label):
         with pytest.raises(WorkloadError, match="^label .* holds a lone surrogate"):
             serialize_workload(workload, JSON)
@@ -93,7 +94,8 @@ def test_writers_match_json_dumps_on_rp5s_longest_quanta():
     assert serialize_workload(sparse, JSON) == _serialize_json_oracle(sparse)
 
 
-# st.characters() draws no surrogates; the sampled ones put them in labels.
+# st.characters() draws lone surrogates too, rarely; the sampled ones put
+# them in labels often.  A pid that holds one must be rejected.
 _pid_text = st.text(st.one_of(st.sampled_from('"\\\t\x00\x1f\x7fé\u2028/'),
                               st.characters(exclude_characters=",\r\n")), max_size=4)
 _label_text = st.text(st.one_of(st.sampled_from('"\\\x00é\udcff\ud800'), st.characters()),
@@ -105,7 +107,9 @@ _label_text = st.text(st.one_of(st.sampled_from('"\\\x00é\udcff\ud800'), st.cha
        st.lists(st.tuples(st.integers(0, 40), st.integers(1, 60)), min_size=5, max_size=5),
        st.sampled_from(POLICY_NAMES))
 def test_writers_match_json_dumps_on_arbitrary_pids_and_labels(middles, label, times, name):
-    workload = validate_workload(
-        [(f"p{middle}q", arrival, burst) for middle, (arrival, burst) in zip(middles, times)],
-        label)
-    _assert_writers_match_json_dumps(workload, name)
+    records = [(f"p{middle}q", arrival, burst) for middle, (arrival, burst) in zip(middles, times)]
+    if any(map(_has_lone_surrogate, middles)):
+        with pytest.raises(WorkloadError, match="^pid .* holds a lone surrogate"):
+            validate_workload(records, label)
+        return
+    _assert_writers_match_json_dumps(validate_workload(records, label), name)
