@@ -37,9 +37,14 @@ class CliError(Exception):
     """Fatal usage/parse problem; message goes to stderr, exit code 2."""
 
 
+def _error_line(message) -> str:
+    """``rrsim: message`` as one stderr line, its line breaks escaped."""
+    return f"rrsim: {message}".replace("\r", "\\r").replace("\n", "\\n") + "\n"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one stderr line, like every other error, not the usage block
-        self.exit(USAGE_ERROR, f"rrsim: {message}\n")
+        self.exit(USAGE_ERROR, _error_line(message))
 
 
 def _file_format(path: str) -> str:
@@ -214,12 +219,15 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code
     except CliError as exc:
-        print(f"rrsim: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(exc))
         return USAGE_ERROR
-    except OSError as exc:  # stdout failed: its reader has gone (`| head`) or its disk is full
-        # so that the interpreter's exit flush writes nothing
+    except (OSError, UnicodeEncodeError) as exc:
+        # stdout failed: its reader has gone (`| head`), its disk is full, or
+        # its encoding cannot spell the output; point it at the null device so
+        # that the interpreter's exit flush writes nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"rrsim: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        reason = getattr(exc, "strerror", None) or exc
+        sys.stderr.write(_error_line(f"cannot write output: {reason}"))
         return USAGE_ERROR
 
 

@@ -32,7 +32,6 @@ from .model import (
     COMPLETED,
     QUANTUM_EXPIRED,
     ExecutionTrace,
-    IdleGap,
     PolicyDescriptor,
     Slice,
     Workload,
@@ -120,8 +119,9 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
 
     The clock starts at the earliest arrival.  A process is admitted once
     the clock has reached its arrival time; whenever no admitted process
-    has remaining work but some are still pending, an idle gap is emitted
-    up to the next arrival.  Context-switch overhead is zero.
+    has remaining work but some are still pending, the clock jumps to the
+    next arrival, which leaves an idle gap between two slices.
+    Context-switch overhead is zero.
     """
     mode = policy.arrival_mode
     if mode not in ARRIVAL_MODES:
@@ -133,7 +133,6 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
 
     queue: list[SnapshotEntry] = []
     slices: list[Slice] = []
-    idles: list[IdleGap] = []
     quantum_log: list[tuple[int, int]] = []
     clock = workload.min_arrival()
     cycle = 0
@@ -149,7 +148,6 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     due = admit(clock)
     while queue or due != never:
         if not queue:
-            idles.append(IdleGap(clock, due))
             clock = due
             due = admit(clock)
             continue
@@ -184,7 +182,6 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     return ExecutionTrace(
         algorithm=policy.descriptor,
         slices=tuple(slices),
-        idles=tuple(idles),
         quantum_log=tuple(quantum_log),
     )
 
@@ -192,10 +189,11 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
 def trace_violations(trace: ExecutionTrace, workload: Workload) -> list[str]:
     """All ExecutionTrace invariants violated by ``trace``, as messages.
 
-    One walk over ``trace.timeline()`` checks the tiling and each slice
-    against its process's remaining work; at an idle gap, every process
-    that has arrived must already be finished.  Both lists must be in time
-    order, as ``simulate`` writes them: the walk does not sort them.
+    One walk over ``trace.slices`` checks the tiling and each slice against
+    its process's remaining work.  A hole before a slice is an idle gap,
+    and every process that arrived before its end must already be
+    finished.  The slices must be in time order, as ``simulate`` writes
+    them: the walk does not sort them.
     """
     return _walk_trace(trace, workload)[0]
 
@@ -211,22 +209,18 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], d
     finished = 0
     cursor = arrivals[0]
     previous = float("-inf")  # the start of the previous slice
-    for item in trace.timeline():
+    for item in trace.slices:
         start, end = item.start, item.end
-        if start != cursor:
-            problems.append(f"interval [{start},{end}) overlaps the previous one"
-                            if start < cursor else f"timeline hole [{cursor},{start})")
+        if start < cursor:
+            problems.append(f"interval [{start},{end}) overlaps the previous one")
+        # an idle gap [cursor, start): finished processes ran before it, so
+        # they arrived before its end
+        elif start > cursor and bisect_left(arrivals, start) != finished:
+            problems.extend(f"idle gap [{cursor},{start}) while {pid} is runnable"
+                            for pid, spec in specs.items()
+                            if spec.arrival < start and left[pid] > 0)
         if end > cursor:
             cursor = end
-        if item.__class__ is IdleGap:
-            if end <= start:
-                problems.append(f"empty or reversed idle gap [{start},{end})")
-            # finished processes ran before the gap, so they arrived before its end
-            if bisect_left(arrivals, end) != finished:
-                problems.extend(f"idle gap [{start},{end}) while {pid} is runnable"
-                                for pid, spec in specs.items()
-                                if spec.arrival < end and left[pid] > 0)
-            continue
         if start < previous:
             problems.append(f"slice {item.pid} [{start},{end}) listed out of time order")
         previous = start
@@ -254,8 +248,6 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], d
             finished += 1
             completion[pid] = end
 
-    if trace.slices and trace.slices[-1].end != cursor:
-        problems.append("timeline does not end at the last slice")
     problems.extend(f"pid {pid}: executed {specs[pid].burst - rest} ms, "
                     f"burst is {specs[pid].burst} ms" for pid, rest in left.items() if rest)
     if not trace.quantum_log:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .model import Workload, WorkloadError, validate_workload
+from .model import Workload, validate_workload
 
 CSV_HEADER = "pid,arrival_ms,burst_ms"
 CSV = "csv"
@@ -73,10 +73,6 @@ def _decode(data: bytes | str) -> str:
 def _string(value, what: str) -> str:
     if not isinstance(value, str):
         raise ParseError(f"{what} must be a string")
-    try:  # a \u escape can spell a lone surrogate, which UTF-8 cannot encode
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ParseError(f"{what} holds a lone surrogate") from None
     return value
 
 
@@ -151,23 +147,13 @@ def serialize_workload(workload: Workload, format: str = CSV) -> bytes:
 
     CSV carries only the process records (the label is not representable
     there); JSON round-trips the label too.
-
-    Raises:
-        WorkloadError: JSON was asked for and the label holds a lone
-            surrogate (a file name's undecodable byte), which
-            ``parse_workload`` would reject.
     """
     if format == CSV:
         lines = [CSV_HEADER]
         lines.extend(f"{p.pid},{p.arrival},{p.burst}" for p in workload.processes)
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == JSON:
-        label = workload.label
-        try:
-            label.encode("utf-8")
-        except UnicodeEncodeError:
-            raise WorkloadError(f"label {label!r} holds a lone surrogate, "
-                                f"so it cannot round-trip through JSON") from None
         rows = [(p.pid, p.arrival, p.burst) for p in workload.processes]
-        return _indented_json({"label": label, "processes": rows}, _WORKLOAD_ROW).encode()
+        return _indented_json({"label": workload.label, "processes": rows},
+                              _WORKLOAD_ROW).encode()
     raise ValueError(f"unknown workload format {format!r}")

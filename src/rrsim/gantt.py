@@ -7,20 +7,24 @@ banner.
 """
 from __future__ import annotations
 
-from .model import ExecutionTrace, IdleGap
+from .model import ExecutionTrace
 
 MIN_WIDTH = 40
 
 
 def _groups(trace: ExecutionTrace):
-    """Chronological (banner, cells) groups; cells are (label, end) pairs."""
+    """Chronological (banner, cells) groups; cells are (label, end) pairs.
+    A hole between two slices is an idle gap, one ``--`` cell."""
     groups: list[tuple[str, list[tuple[str, int]]]] = []
-    for item in trace.timeline():
-        idle = item.__class__ is IdleGap
-        banner = "idle" if idle else f"cycle {item.cycle}  <- quantum {item.quantum_in_effect} ->"
+    end = trace.slices[0].start
+    for item in trace.slices:
+        if item.start > end:
+            groups.append(("idle", [("--", item.start)]))
+        banner = f"cycle {item.cycle}  <- quantum {item.quantum_in_effect} ->"
         if not groups or groups[-1][0] != banner:
             groups.append((banner, []))
-        groups[-1][1].append(("--" if idle else item.pid, item.end))
+        groups[-1][1].append((item.pid, item.end))
+        end = item.end
     return groups
 
 
@@ -52,7 +56,7 @@ def render_gantt(trace: ExecutionTrace, width: int = 80) -> str:
         return "(empty trace)\n"
 
     out: list[str] = []
-    cursor = next(trace.timeline()).start
+    cursor = trace.slices[0].start
 
     for banner, cells in _groups(trace):
         out.append(banner)

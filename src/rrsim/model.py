@@ -6,13 +6,19 @@ so they can be shared freely between concurrent simulations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import merge
-from operator import attrgetter
+from itertools import pairwise
 from typing import NamedTuple
 
 
 class WorkloadError(ValueError):
     """A workload record violates a structural invariant."""
+
+
+def _check_utf8(text: str, what: str) -> None:
+    try:  # a lone surrogate has no UTF-8 form, so no workload file can hold it
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise WorkloadError(f"{what} {text!r} holds a lone surrogate") from None
 
 
 @dataclass(frozen=True)
@@ -33,10 +39,7 @@ class ProcessSpec:
         if pid != pid.strip() or "," in pid or "\r" in pid or "\n" in pid:
             raise WorkloadError(f"pid {pid!r} has a comma, a line break or "
                                 f"edge whitespace, so it cannot round-trip through CSV")
-        try:  # a lone surrogate has no UTF-8 form, so no workload file can hold it
-            pid.encode("utf-8")
-        except UnicodeEncodeError:
-            raise WorkloadError(f"pid {pid!r} holds a lone surrogate") from None
+        _check_utf8(pid, "pid")
         if self.arrival < 0:
             raise WorkloadError(f"process {pid!r} has negative arrival {self.arrival}")
         if self.burst < 1:
@@ -59,6 +62,7 @@ class Workload:
         if (not isinstance(procs, tuple) or not isinstance(self.label, str)
                 or not all(isinstance(p, ProcessSpec) for p in procs)):
             raise WorkloadError("a Workload needs a tuple of ProcessSpec and a str label")
+        _check_utf8(self.label, "label")
         if not procs:
             raise WorkloadError("workload contains no processes")
         seen = set()
@@ -147,16 +151,16 @@ class PolicyDescriptor:
 
 @dataclass(frozen=True)
 class ExecutionTrace:
-    """Everything one simulation run produced; slices and idles each in time order."""
+    """Everything one simulation run produced; slices in time order."""
 
     algorithm: PolicyDescriptor
     slices: tuple[Slice, ...]
-    idles: tuple[IdleGap, ...] = ()
     quantum_log: tuple[tuple[int, int], ...] = ()  # (cycle index, quantum ms)
 
     def end_time(self) -> int:
         return self.slices[-1].end if self.slices else 0
 
-    def timeline(self):
-        """Slices and idle gaps merged in time order; a slice comes first on a tie."""
-        return merge(self.slices, self.idles, key=attrgetter("start"))
+    @property
+    def idles(self) -> tuple[IdleGap, ...]:
+        """The idle gaps: the hole between each pair of consecutive slices."""
+        return tuple(IdleGap(a.end, b.start) for a, b in pairwise(self.slices) if a.end < b.start)

@@ -314,6 +314,36 @@ def test_undecodable_file_name_is_a_readable_label_on_a_strict_utf8_stdout(tmp_p
     assert runs["compare"].stdout.startswith("workload: bad\\xff  (baseline rr:q=25)\n")
 
 
+def test_stdout_that_cannot_encode_the_output_exits_two(tmp_path):
+    (tmp_path / "café.csv").write_text("pid,arrival_ms,burst_ms\nPé,0,10\nQ,5,20\n",
+                                       encoding="utf-8")
+    env = dict(os.environ, PYTHONIOENCODING="ascii")
+    workload = ("--workload", "café.csv")
+    runs = {fmt: rrsim_process("run", "--algo", "rr", *workload, "--format", fmt,
+                               cwd=tmp_path, env=env) for fmt in ("text", "csv")}
+    runs["compare"] = rrsim_process("compare", "--algos", "dabrr", *workload,
+                                    cwd=tmp_path, env=env)
+    for name, proc in runs.items():
+        assert proc.returncode == 2, name
+        assert proc.stderr.startswith("rrsim: cannot write output: 'ascii' codec"), name
+        assert len(proc.stderr.splitlines()) == 1, name
+
+
+def test_line_breaks_in_an_error_message_are_escaped(tmp_path, monkeypatch):
+    name = "bad\nname.csv"
+    try:
+        (tmp_path / name).write_text("pid,arrival_ms,burst_ms\nP1,0,abc\n")
+    except OSError:
+        pytest.skip("this file system refuses a line break in a file name")
+    monkeypatch.chdir(tmp_path)
+    proc = rrsim("run", "--algo", "rr", "--workload", name)
+    assert proc.returncode == 2
+    assert proc.stderr == "rrsim: bad\\nname.csv: line 2: non-integer time in 'P1,0,abc'\n"
+    proc = rrsim("run", "--algo", "rr", "--workload", "case:I", "x\ny\rz")
+    assert proc.returncode == 2
+    assert proc.stderr == "rrsim: unrecognized arguments: x\\ny\\rz\n"
+
+
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("n, sink", [
     ("50000", "pipe"), ("3", "pipe"),

@@ -3,7 +3,6 @@ import dataclasses
 import random
 import re
 import time
-from operator import attrgetter
 
 import pytest
 
@@ -27,7 +26,7 @@ from rrsim.policies import (
     make_round_robin,
     standard_policy,
 )
-from rrsim.workloads import CASE_IDS, benchmark_case
+from rrsim.workloads import benchmark_case
 
 
 def test_dabrr_case_i_trace():
@@ -182,7 +181,7 @@ def test_replay_check_flags_conservation_violation():
     bad = dataclasses.replace(good, slices=(short,) + good.slices[1:])
     problems = trace_violations(bad, w)
     assert any("burst" in p for p in problems)
-    assert any("hole" in p for p in problems)
+    assert any("runnable" in p for p in problems)
 
 
 def test_replay_check_flags_idle_while_work_pending():
@@ -191,7 +190,6 @@ def test_replay_check_flags_idle_while_work_pending():
         algorithm=PolicyDescriptor.of("RR", q=10),
         slices=(Slice("P1", 0, 10, 1, 10, QUANTUM_EXPIRED),
                 Slice("P1", 15, 25, 2, 10, COMPLETED)),
-        idles=(IdleGap(10, 15),),
         quantum_log=((1, 10),))
     problems = trace_violations(trace, w)
     assert any("runnable" in p for p in problems)
@@ -242,9 +240,8 @@ def test_snapshot_records_match_the_trace(policy, records):
     assert abandoned == (policy.arrival_mode == SLICE_BOUNDARY_RESTART)
 
 
-def _hand_trace(slices, idles=(), quantum_log=((1, 10),)):
-    return ExecutionTrace(PolicyDescriptor.of("RR", q=10), tuple(slices),
-                          tuple(idles), quantum_log)
+def _hand_trace(slices, quantum_log=((1, 10),)):
+    return ExecutionTrace(PolicyDescriptor.of("RR", q=10), tuple(slices), quantum_log)
 
 
 _ONE = [("P1", 0, 10)]
@@ -256,52 +253,42 @@ def test_hand_built_trace_without_defects_passes():
     trace = _hand_trace([Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED),
                          Slice("P1", 5, 10, 2, 5, COMPLETED),
                          Slice("P2", 15, 20, 3, 5, COMPLETED)],
-                        idles=[IdleGap(10, 15)], quantum_log=((1, 5),))
+                        quantum_log=((1, 5),))
     assert trace_violations(trace, w) == []
 
 
 # One minimal trace per invariant; each is valid except for that defect.
-@pytest.mark.parametrize("records, slices, idles, quantum_log, message", [
+@pytest.mark.parametrize("records, slices, quantum_log, message", [
     pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P9", 10, 15, 2, 10, COMPLETED)],
-                 (), ((1, 10),), "unknown pid", id="unknown-pid"),
+                 ((1, 10),), "unknown pid", id="unknown-pid"),
     pytest.param(_ONE, [Slice("P1", 0, 0, 1, 10, QUANTUM_EXPIRED), Slice("P1", 0, 10, 1, 10, COMPLETED)],
-                 (), ((1, 10),), "empty or reversed slice", id="empty-slice"),
+                 ((1, 10),), "empty or reversed slice", id="empty-slice"),
     pytest.param(_ONE, [Slice("P1", 0, 10, 1, 5, COMPLETED)],
-                 (), ((1, 5),), "exceeds quantum", id="over-quantum"),
+                 ((1, 5),), "exceeds quantum", id="over-quantum"),
     pytest.param([("P1", 5, 10)], [Slice("P1", 0, 10, 1, 10, COMPLETED)],
-                 (), ((1, 10),), "before arrival", id="before-arrival"),
+                 ((1, 10),), "before arrival", id="before-arrival"),
     pytest.param(_ONE, [Slice("P1", 0, 5, 1, 10, COMPLETED)],
-                 (), ((1, 10),), "burst", id="under-executed"),
+                 ((1, 10),), "burst", id="under-executed"),
     pytest.param(_ONE, [Slice("P1", 0, 15, 1, 15, COMPLETED)],
-                 (), ((1, 15),), "burst", id="over-executed"),
+                 ((1, 15),), "burst", id="over-executed"),
     pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, QUANTUM_EXPIRED)],
-                 (), ((1, 10),), "not marked completed", id="final-not-completed"),
+                 ((1, 10),), "not marked completed", id="final-not-completed"),
     pytest.param(_ONE, [Slice("P1", 0, 5, 1, 5, COMPLETED), Slice("P1", 5, 10, 2, 5, COMPLETED)],
-                 (), ((1, 5),), "non-final slice of P1 marked completed", id="non-final-completed"),
-    pytest.param([("P1", 0, 5), ("P2", 5, 5)],
-                 [Slice("P1", 0, 5, 1, 10, COMPLETED), Slice("P2", 5, 10, 2, 10, COMPLETED)],
-                 [IdleGap(5, 5)], ((1, 10),), "empty or reversed idle gap", id="empty-idle"),
+                 ((1, 5),), "non-final slice of P1 marked completed", id="non-final-completed"),
     pytest.param(_TWO, [Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P2", 5, 15, 1, 10, COMPLETED)],
-                 (), ((1, 10),), "overlaps", id="overlap"),
+                 ((1, 10),), "overlaps", id="overlap"),
     pytest.param(_TWO, [Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P2", 12, 22, 1, 10, COMPLETED)],
-                 (), ((1, 10),), "hole", id="hole"),
-    pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED)],
-                 [IdleGap(10, 20)], ((1, 10),), "does not end at the last slice", id="wrong-end"),
+                 ((1, 10),), "runnable", id="hole"),
     pytest.param([("P1", 0, 20)],
                  [Slice("P1", 0, 10, 1, 10, QUANTUM_EXPIRED), Slice("P1", 15, 25, 2, 10, COMPLETED)],
-                 [IdleGap(10, 15)], ((1, 10),), "runnable", id="idle-while-runnable"),
-    pytest.param([("P1", 0, 5), ("P2", 10, 5), ("P3", 20, 5)],
-                 [Slice("P1", 0, 5, 1, 10, COMPLETED), Slice("P2", 10, 15, 2, 10, COMPLETED),
-                  Slice("P3", 20, 25, 3, 10, COMPLETED)],
-                 [IdleGap(15, 20), IdleGap(5, 10)], ((1, 10),), "timeline hole",
-                 id="idles-out-of-order"),
+                 ((1, 10),), "runnable", id="idle-while-runnable"),
     pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED)],
-                 (), (), "empty quantum log", id="empty-quantum-log"),
+                 (), "empty quantum log", id="empty-quantum-log"),
     pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED)],
-                 (), ((1, 10), (2, 0)), "< 1", id="quantum-below-one"),
+                 ((1, 10), (2, 0)), "< 1", id="quantum-below-one"),
 ])
-def test_each_trace_invariant_is_flagged(records, slices, idles, quantum_log, message):
-    problems = trace_violations(_hand_trace(slices, idles, quantum_log),
+def test_each_trace_invariant_is_flagged(records, slices, quantum_log, message):
+    problems = trace_violations(_hand_trace(slices, quantum_log),
                                 validate_workload(records))
     assert any(message in p for p in problems), problems
 
@@ -325,13 +312,10 @@ def _insert_gap_after_abutting_pair(trace, rng):
     if not pairs:
         return None
     i = rng.choice(pairs)
-    at, delta = trace.slices[i].end, rng.randint(1, 5)
+    delta = rng.randint(1, 5)
     shifted = tuple(s._replace(start=s.start + delta, end=s.end + delta)
                     for s in trace.slices[i + 1:])
-    idles = tuple(g if g.end <= at else IdleGap(g.start + delta, g.end + delta)
-                  for g in trace.idles)
-    idles = tuple(sorted(idles + (IdleGap(at, at + delta),), key=lambda g: g.start))
-    return dataclasses.replace(trace, slices=trace.slices[:i + 1] + shifted, idles=idles)
+    return dataclasses.replace(trace, slices=trace.slices[:i + 1] + shifted)
 
 
 def _swap_adjacent_slices(trace, rng):
@@ -376,12 +360,6 @@ def _corrupt_quantum_log(trace, rng):
     return dataclasses.replace(trace, quantum_log=log[:i] + (bad,) + log[i + 1:])
 
 
-def _append_trailing_gap(trace, rng):
-    end = trace.slices[-1].end
-    return dataclasses.replace(
-        trace, idles=trace.idles + (IdleGap(end, end + rng.randint(1, 5)),))
-
-
 def _with_slices(trace, i, replacement):
     return dataclasses.replace(
         trace, slices=trace.slices[:i] + (replacement,) + trace.slices[i + 1:])
@@ -401,7 +379,6 @@ CHECKER_MUTATIONS = [
     (_change_one_slices_pid, _SHORT_OR_LONG),  # one process runs less, another more
     (_lower_one_slices_quantum, "exceeds quantum"),
     (_corrupt_quantum_log, r"empty quantum log|logged quantum -?\d+ < 1"),
-    (_append_trailing_gap, "does not end at the last slice"),
 ]
 
 
@@ -428,16 +405,6 @@ def test_slices_listed_out_of_time_order_are_flagged():
     swapped = dataclasses.replace(good, slices=good.slices[1::-1] + good.slices[2:])
     problems = trace_violations(swapped, w)
     assert any("out of time order" in p for p in problems), problems
-
-
-def test_timeline_merges_slices_and_idles_as_sorting_them_does():
-    workloads = [benchmark_case(c) for c in (*CASE_IDS, "ILL")]
-    workloads += [seeded_workload(seed) for seed in range(200)]
-    for workload in workloads:
-        for name in POLICY_NAMES:
-            trace = simulate(workload, standard_policy(name))
-            assert list(trace.timeline()) == sorted(trace.slices + trace.idles,
-                                                    key=attrgetter("start", "end")), name
 
 
 def test_checker_runs_in_linear_time_over_many_idle_gaps():

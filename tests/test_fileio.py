@@ -120,8 +120,10 @@ def test_json_label_must_be_a_string(label):
 def test_json_label_may_be_omitted():
     data = json.dumps({"processes": [{"pid": "P1", "arrival_ms": 0, "burst_ms": 5}]})
     assert parse_workload(data, JSON, label="from caller").label == "from caller"
-    # the caller's label, a file name, may carry a byte that is not UTF-8
-    assert parse_workload(data, JSON, label="bad\udcff").label == "bad\udcff"
+    # a label with no UTF-8 form, as Path.stem gives a file name's undecodable byte
+    with pytest.raises(WorkloadError) as exc:
+        parse_workload(data, JSON, label="bad\udcff")
+    assert str(exc.value) == "label 'bad\\udcff' holds a lone surrogate"
 
 
 def test_utf8_bom_is_accepted():
@@ -143,13 +145,14 @@ def test_undecodable_json_is_a_parse_error(data):
 
 @pytest.mark.parametrize("payload, message", [
     ('{"processes": [{"pid": "\\ud800", "arrival_ms": 0, "burst_ms": 1}]}',
-     "process #1: pid holds a lone surrogate"),
+     "pid '\\ud800' holds a lone surrogate"),
     ('{"label": "\\udfff", "processes": [{"pid": "P1", "arrival_ms": 0, "burst_ms": 1}]}',
-     "'label' holds a lone surrogate"),
+     "label '\\udfff' holds a lone surrogate"),
 ], ids=["pid", "label"])
 def test_json_lone_surrogate_is_a_parse_error(payload, message):
-    # json.loads turns the escape into a str that no UTF-8 output can hold
-    with pytest.raises(ParseError) as exc:
+    # json.loads turns the escape into a str that no UTF-8 output can hold,
+    # and the model rejects it as it rejects one built in memory
+    with pytest.raises(WorkloadError) as exc:
         parse_workload(payload.encode(), JSON)
     assert str(exc.value) == message
 
@@ -187,9 +190,7 @@ def test_any_bytes_parse_or_raise_a_workload_error_and_round_trip(data):
 
 # Records built in memory, not parsed from bytes.  The pid alphabet mixes
 # what CSV cannot carry (comma, line breaks, edge whitespace) with what no
-# UTF-8 file can carry (lone surrogates).  A label may hold a surrogate
-# escape, as a file name's undecodable byte does: CSV drops the label, and
-# JSON refuses to write it.
+# UTF-8 file can carry (lone surrogates), which the label alphabet holds too.
 _pid_chars = st.one_of(st.sampled_from("P1 ,\r\n\t\x85\u2028\u00e9\ud800\udfff"),
                        st.characters())
 _built = st.tuples(
@@ -208,12 +209,4 @@ def test_every_valid_workload_round_trips_through_both_formats(built):
         return
     # CSV has no label, so the caller supplies it
     assert parse_workload(serialize_workload(workload, CSV), CSV, label=label) == workload
-    try:
-        label.encode("utf-8")
-    except UnicodeEncodeError:
-        with pytest.raises(WorkloadError) as exc:
-            serialize_workload(workload, JSON)
-        assert str(exc.value) == (f"label {label!r} holds a lone surrogate, "
-                                  f"so it cannot round-trip through JSON")
-        return
     assert parse_workload(serialize_workload(workload, JSON), JSON) == workload

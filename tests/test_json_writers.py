@@ -57,20 +57,15 @@ def _assert_writers_match_json_dumps(workload, policy_name):
     loaded = json.loads(text)
     assert [tuple(row) for row in loaded["per_process"]] == [PROCESS_COLUMNS] * len(workload)
     assert [tuple(row.values()) for row in loaded["per_process"]] == list(run.per_process)
-    # json.loads joins an escaped high + low surrogate pair into one character
-    assert loaded["workload"] == json.loads(json.dumps(workload.label))
-    if _has_lone_surrogate(workload.label):
-        with pytest.raises(WorkloadError, match="^label .* holds a lone surrogate"):
-            serialize_workload(workload, JSON)
-    else:
-        assert serialize_workload(workload, JSON) == _serialize_json_oracle(workload)
+    assert loaded["workload"] == workload.label
+    assert serialize_workload(workload, JSON) == _serialize_json_oracle(workload)
 
 
 # Each pid keeps a letter at both ends (no edge whitespace) and a counter
 # (no duplicates); the middle needs quoting, a \u escape or a surrogate pair.
 _PID_MIDDLES = ('"', "\\", "\t", "\x00", "\x1f", "\x7f", "é", "日本",
                 "\U0001f600", "\u00a0", "/", "\u2028")
-_LABELS = ("", "café ☃", "bad\udcff", 'a "quoted" \\ label\x01', "\U0001f600")
+_LABELS = ("", "café ☃", "bad\\xff", 'a "quoted" \\ label\x01', "\U0001f600")
 
 
 def test_writers_match_json_dumps_on_seeded_workloads_under_every_policy():
@@ -95,7 +90,7 @@ def test_writers_match_json_dumps_on_rp5s_longest_quanta():
 
 
 # st.characters() draws lone surrogates too, rarely; the sampled ones put
-# them in labels often.  A pid that holds one must be rejected.
+# them in labels often.  A pid or a label that holds one must be rejected.
 _pid_text = st.text(st.one_of(st.sampled_from('"\\\t\x00\x1f\x7fé\u2028/'),
                               st.characters(exclude_characters=",\r\n")), max_size=4)
 _label_text = st.text(st.one_of(st.sampled_from('"\\\x00é\udcff\ud800'), st.characters()),
@@ -110,6 +105,10 @@ def test_writers_match_json_dumps_on_arbitrary_pids_and_labels(middles, label, t
     records = [(f"p{middle}q", arrival, burst) for middle, (arrival, burst) in zip(middles, times)]
     if any(map(_has_lone_surrogate, middles)):
         with pytest.raises(WorkloadError, match="^pid .* holds a lone surrogate"):
+            validate_workload(records, label)
+        return
+    if _has_lone_surrogate(label):
+        with pytest.raises(WorkloadError, match="^label .* holds a lone surrogate"):
             validate_workload(records, label)
         return
     _assert_writers_match_json_dumps(validate_workload(records, label), name)

@@ -94,8 +94,7 @@ def _mapped_back(trace, old):
     return dataclasses.replace(
         trace,
         slices=tuple(s._replace(pid=old[s.pid], start=s.start - SHIFT, end=s.end - SHIFT)
-                     for s in trace.slices),
-        idles=tuple(g._replace(start=g.start - SHIFT, end=g.end - SHIFT) for g in trace.idles))
+                     for s in trace.slices))
 
 
 def _assert_shift_and_rename_invariant(workload, policy):
