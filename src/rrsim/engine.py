@@ -5,8 +5,9 @@ record per queued process; a slice that preempts a process replaces its
 record.  At each cycle start the policy receives a snapshot of that queue
 and answers with a quantum for the whole cycle and a dispatch order made
 of the snapshot's own records.  Completed processes leave; survivors keep
-the order in which they were executed.  The policy's ``arrival_mode``
-decides when arrivals join the queue:
+the order in which they ran, so an ``ascending`` policy's queue stays
+sorted by :data:`rank_key` (each lost the same quantum) as newcomers are
+inserted in place.  ``arrival_mode`` decides when arrivals join the queue:
 
 * ``cycle_boundary``: new processes are appended once the cycle has
   finished.
@@ -23,7 +24,7 @@ twice yields identical traces.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
@@ -41,6 +42,7 @@ CYCLE_BOUNDARY = "cycle_boundary"
 SLICE_BOUNDARY_RESTART = "slice_boundary_restart"
 TAIL_REJOIN = "tail_rejoin"
 ARRIVAL_MODES = (CYCLE_BOUNDARY, SLICE_BOUNDARY_RESTART, TAIL_REJOIN)
+rank_key = attrgetter("remaining", "arrival", "submission_index")  # a total order
 
 
 class PolicyPlanInvalid(ValueError):
@@ -60,10 +62,8 @@ class ReadySnapshot:
     """State of the ready queue handed to a policy at cycle start.
 
     ``entries`` is the engine's queue itself, one record per queued
-    process, in the current queue order (survivors of the previous cycle
-    in execution order, then newly admitted processes in arrival order; in
-    tail-rejoin mode a newcomer stands ahead of every survivor preempted
-    at or after its arrival).
+    process, in queue order: sorted by :data:`rank_key` for an
+    ``ascending`` policy, else as the ``arrival_mode`` leaves it.
     """
 
     entries: tuple[SnapshotEntry, ...]
@@ -86,12 +86,14 @@ class PolicyBehavior:
     """The policy contract consumed by :func:`simulate`.
 
     ``plan`` must be pure and deterministic: the same snapshot always
-    yields the same plan.
+    yields the same plan.  An ``ascending`` policy gets a sorted snapshot
+    and must return its ``entries`` unchanged as the order.
     """
 
     descriptor: PolicyDescriptor
     plan: Callable[[ReadySnapshot], CyclePlan]
     arrival_mode: str = CYCLE_BOUNDARY
+    ascending: bool = False
 
 
 def _pids(records) -> tuple:
@@ -103,11 +105,12 @@ def _checked_plan(policy: PolicyBehavior, snapshot: ReadySnapshot) -> CyclePlan:
     order, entries = plan.order, snapshot.entries
     # the queue's records are distinct objects, so equal lengths and equal
     # identity sets make a permutation of those very records
-    if order is not entries and (len(order) != len(entries)
+    if order is not entries and (policy.ascending or len(order) != len(entries)
                                  or set(map(id, order)) != set(map(id, entries))):
+        kind = "the ascending queue" if policy.ascending else "a permutation of the ready queue"
         raise PolicyPlanInvalid(
-            f"{policy.descriptor.name}: plan order {_pids(order)} is not a "
-            f"permutation of the ready queue's records {_pids(entries)}")
+            f"{policy.descriptor.name}: plan order {_pids(order)} is not {kind}'s records "
+            f"{_pids(entries)}")
     if plan.quantum < 1:
         raise PolicyPlanInvalid(
             f"{policy.descriptor.name}: quantum {plan.quantum} < 1")
@@ -126,6 +129,9 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     mode = policy.arrival_mode
     if mode not in ARRIVAL_MODES:
         raise ValueError(f"unknown arrival mode {mode!r}")
+    if policy.ascending and mode == TAIL_REJOIN:  # newcomers join ahead of the preempted one
+        raise ValueError(f"arrival mode {mode!r} cannot keep the queue ascending")
+    place = (lambda q, e: insort(q, e, key=rank_key)) if policy.ascending else list.append
     # sorted() is stable, so equal arrivals keep their submission order
     incoming = sorted((SnapshotEntry(p.pid, p.burst, p.arrival, i, False)
                        for i, p in enumerate(workload.processes)), key=attrgetter("arrival"))
@@ -141,7 +147,7 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     def admit(upto: int) -> int:  # enqueue arrivals up to ``upto``; return the next one's time
         nonlocal ptr
         while ptr < len(incoming) and incoming[ptr].arrival <= upto:
-            queue.append(incoming[ptr])
+            place(queue, incoming[ptr])
             ptr += 1
         return incoming[ptr].arrival if ptr < len(incoming) else never
 

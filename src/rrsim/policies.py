@@ -1,13 +1,13 @@
 """The seven scheduling policies and their quantum/ordering rules.
 
 Quantum helpers work on the multiset of remaining bursts and always
-return at least 1.  Every dynamic quantum uses floor division.  Sorting
-ties are broken by (remaining burst, arrival, submission index), which is
-a total order, so planning is deterministic.
+return at least 1.  Every dynamic quantum uses floor division.  DABRR,
+IRRVQ and MRR declare an ascending queue, which the engine keeps sorted by
+``engine.rank_key``, and dispatch it as it stands; DQRRR sorts by that key.
 """
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .engine import (
@@ -17,7 +17,7 @@ from .engine import (
     CyclePlan,
     PolicyBehavior,
     ReadySnapshot,
-    SnapshotEntry,
+    rank_key,
 )
 from .model import PolicyDescriptor
 
@@ -72,10 +72,6 @@ def alternating_min_max_order(items: Sequence) -> tuple:
     return tuple(order)
 
 
-def _ascending(entries: Iterable[SnapshotEntry]) -> list[SnapshotEntry]:
-    return sorted(entries, key=attrgetter("remaining", "arrival", "submission_index"))
-
-
 def make_round_robin(q: int) -> PolicyBehavior:
     """Classic round robin with a constant quantum ``q``."""
     if q < 1:
@@ -97,10 +93,9 @@ def make_dabrr() -> PolicyBehavior:
     descriptor = PolicyDescriptor.of("DABRR")
 
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
-        ordered = _ascending(snapshot.entries)
-        return CyclePlan(ordered, mean_quantum(e.remaining for e in ordered))
+        return CyclePlan(snapshot.entries, mean_quantum(map(itemgetter(1), snapshot.entries)))
 
-    return PolicyBehavior(descriptor, plan, SLICE_BOUNDARY_RESTART)
+    return PolicyBehavior(descriptor, plan, SLICE_BOUNDARY_RESTART, ascending=True)
 
 
 def make_sarr() -> PolicyBehavior:
@@ -124,10 +119,10 @@ def make_dqrrr() -> PolicyBehavior:
     descriptor = PolicyDescriptor.of("DQRRR")
 
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
-        quantum = median_quantum(e.remaining for e in snapshot.entries)
-        if all(e.dispatched_before for e in snapshot.entries):
-            return CyclePlan(snapshot.entries, quantum)
-        return CyclePlan(alternating_min_max_order(_ascending(snapshot.entries)), quantum)
+        order = snapshot.entries
+        if not all(e.dispatched_before for e in order):
+            order = alternating_min_max_order(sorted(order, key=rank_key))
+        return CyclePlan(order, median_quantum(e.remaining for e in snapshot.entries))
 
     return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
 
@@ -141,10 +136,9 @@ def make_irrvq() -> PolicyBehavior:
     descriptor = PolicyDescriptor.of("IRRVQ")
 
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
-        ordered = _ascending(snapshot.entries)
-        return CyclePlan(ordered, ordered[0].remaining)
+        return CyclePlan(snapshot.entries, snapshot.entries[0].remaining)
 
-    return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
+    return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY, ascending=True)
 
 
 def make_rp5(base: int) -> PolicyBehavior:
@@ -166,10 +160,10 @@ def make_mrr(floor: int) -> PolicyBehavior:
     descriptor = PolicyDescriptor.of("MRR", floor=floor)
 
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
-        ordered = _ascending(snapshot.entries)
-        return CyclePlan(ordered, range_quantum((e.remaining for e in ordered), floor))
+        entries = snapshot.entries
+        return CyclePlan(entries, range_quantum(map(itemgetter(1), entries), floor))
 
-    return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
+    return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY, ascending=True)
 
 
 # CLI-facing policy registry, in report order.  Paper-style

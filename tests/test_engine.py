@@ -125,6 +125,23 @@ def test_plan_must_be_a_permutation():
         simulate(w, _defective(lambda records: records[:-1] + (SnapshotEntry(*records[-1]),)))
 
 
+@pytest.mark.parametrize("order_fn", [
+    list,                                      # the same records, but a copy of the queue
+    lambda records: records[::-1],             # a permutation out of rank order
+    lambda records: records[:-1],              # a record short
+])
+def test_ascending_plan_must_be_the_snapshot_entries(order_fn):
+    policy = dataclasses.replace(_defective(order_fn), ascending=True)
+    with pytest.raises(PolicyPlanInvalid, match="not the ascending queue's records"):
+        simulate(benchmark_case("I"), policy)
+
+
+def test_ascending_queue_rejects_tail_rejoin():
+    policy = dataclasses.replace(make_round_robin(10), ascending=True)
+    with pytest.raises(ValueError, match="'tail_rejoin' cannot keep the queue ascending"):
+        simulate(benchmark_case("I"), policy)
+
+
 def test_unknown_arrival_mode_rejected():
     policy = dataclasses.replace(make_dabrr(), arrival_mode="sometimes")
     with pytest.raises(ValueError, match="arrival mode"):

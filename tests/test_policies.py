@@ -1,10 +1,23 @@
+import collections
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrsim.engine import ReadySnapshot, SnapshotEntry
+from conftest import seeded_workload
+
+from rrsim import simulate
+from rrsim.engine import (
+    CYCLE_BOUNDARY,
+    SLICE_BOUNDARY_RESTART,
+    CyclePlan,
+    PolicyBehavior,
+    ReadySnapshot,
+    SnapshotEntry,
+    rank_key,
+)
 from rrsim.policies import (
     POLICY_NAMES,
     PolicySpecError,
@@ -21,6 +34,15 @@ from rrsim.policies import (
     parse_policy_spec,
     range_quantum,
     standard_policy,
+)
+from rrsim.workloads import (
+    ALL_ZERO,
+    CASE_IDS,
+    RANDOM,
+    STAGGERED,
+    GeneratorSpec,
+    benchmark_case,
+    generate_workload,
 )
 
 bursts = st.lists(st.integers(min_value=1, max_value=10_000), min_size=1, max_size=40)
@@ -134,23 +156,79 @@ def test_every_plan_is_a_permutation_with_positive_quantum(snapshot, idx):
     assert plan.quantum >= 1
 
 
+def _ascending(snapshot):
+    """``snapshot`` as the engine hands it to an ascending policy."""
+    return ReadySnapshot(tuple(sorted(snapshot.entries, key=rank_key)),
+                         snapshot.now, snapshot.cycle_index)
+
+
 @settings(max_examples=200)
 @given(snapshots, st.randoms())
 def test_quantum_depends_only_on_remaining_multiset(snapshot, rng):
     permuted = list(snapshot.entries)
     rng.shuffle(permuted)
     shuffled = ReadySnapshot(tuple(permuted), snapshot.now, snapshot.cycle_index)
+    # An ascending policy is only ever handed a sorted queue, so it gets two
+    # sorted snapshots with the same remaining multiset: the drawn one, and
+    # one whose processes hold those remainings in the shuffled order.
+    remainings = (e.remaining for e in permuted)
+    relabelled = ReadySnapshot(
+        tuple(e._replace(remaining=r) for e, r in zip(snapshot.entries, remainings)),
+        snapshot.now, snapshot.cycle_index)
     for policy in ALL_FACTORIES:
-        assert policy.plan(snapshot).quantum == policy.plan(shuffled).quantum
+        a, b = (_ascending(snapshot), _ascending(relabelled)) if policy.ascending \
+            else (snapshot, shuffled)
+        assert policy.plan(a).quantum == policy.plan(b).quantum
+
+
+# Seeded generator shapes after the benchmark's files, at test sizes.  On
+# *busy* DABRR abandons cycles for arrivals; *sparse* leaves idle gaps.
+SHAPES = {
+    "busy": dict(n=150, burst_max=50, arrival=STAGGERED, max_gap=8),
+    "dense": dict(n=40, burst_max=500, arrival=ALL_ZERO, max_gap=0),
+    "sparse": dict(n=60, burst_max=500, arrival=STAGGERED, max_gap=2000),
+}
+
+
+def _shaped(shape, seed, **overrides):
+    return generate_workload(GeneratorSpec(burst_min=1, order=RANDOM, seed=seed,
+                                           **{**SHAPES[shape], **overrides}))
+
+
+def _assert_ascending_snapshots(policy, workload):
+    """Simulate, asserting that every snapshot ``policy`` is handed is sorted
+    by the full rank key; return the snapshots and the trace."""
+    snapshots = []
+
+    def plan(snapshot):
+        assert list(snapshot.entries) == sorted(snapshot.entries, key=rank_key), \
+            f"{policy.descriptor.name}: cycle {snapshot.cycle_index} at {snapshot.now}"
+        snapshots.append(snapshot)
+        return policy.plan(snapshot)
+
+    return snapshots, simulate(workload, dataclasses.replace(policy, plan=plan))
 
 
 @settings(max_examples=200)
-@given(snapshots)
-def test_sorting_policies_plan_ascending_remaining(snapshot):
-    for policy in (make_dabrr(), make_irrvq(), make_mrr(25)):
-        order = policy.plan(snapshot).order
-        remainings = [e.remaining for e in order]
-        assert remainings == sorted(remainings)
+@given(st.sampled_from(sorted(SHAPES)), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["DABRR", "IRRVQ", "MRR"]))
+def test_ascending_policies_receive_sorted_snapshots(shape, seed, name):
+    _assert_ascending_snapshots(standard_policy(name), _shaped(shape, seed))
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS + ("ILL",))
+def test_ascending_policies_receive_sorted_snapshots_on_the_fixtures(case_id):
+    for name in ("DABRR", "IRRVQ", "MRR"):
+        _assert_ascending_snapshots(standard_policy(name), benchmark_case(case_id))
+
+
+def test_busy_runs_make_dabrr_restart_over_sorted_snapshots():
+    restarts = 0
+    for seed in range(5):
+        snapshots, trace = _assert_ascending_snapshots(make_dabrr(), _shaped("busy", seed))
+        ran = collections.Counter(s.cycle for s in trace.slices)
+        restarts += sum(ran[s.cycle_index] < len(s.entries) for s in snapshots)
+    assert restarts >= 100
 
 
 def test_dqrrr_keeps_queue_order_without_new_arrivals():
@@ -214,3 +292,48 @@ def test_unknown_policy_message_lists_the_names_sorted():
     with pytest.raises(PolicySpecError, match="^unknown policy 'nosuch'; expected one of "
                                               "dabrr, dqrrr, irrvq, mrr, rp5, rr, sarr$"):
         parse_policy_spec("nosuch")
+
+
+def _sorting_planners():
+    """DABRR, IRRVQ and MRR as they planned before the engine kept their queue
+    ascending: each sorts every snapshot itself.  None declares an ascending
+    queue, so the engine checks each order as a permutation of the queue."""
+    def ranked(snapshot):
+        return sorted(snapshot.entries, key=lambda e: (e.remaining, e.arrival, e.submission_index))
+
+    def dabrr(snapshot):
+        order = ranked(snapshot)
+        return CyclePlan(order, mean_quantum(e.remaining for e in order))
+
+    def irrvq(snapshot):
+        order = ranked(snapshot)
+        return CyclePlan(order, order[0].remaining)
+
+    def mrr(snapshot):
+        order = ranked(snapshot)
+        return CyclePlan(order, range_quantum((e.remaining for e in order), 25))
+
+    return [
+        (make_dabrr(), PolicyBehavior(make_dabrr().descriptor, dabrr, SLICE_BOUNDARY_RESTART)),
+        (make_irrvq(), PolicyBehavior(make_irrvq().descriptor, irrvq, CYCLE_BOUNDARY)),
+        (make_mrr(25), PolicyBehavior(make_mrr(25).descriptor, mrr, CYCLE_BOUNDARY)),
+    ]
+
+
+def _differential_workloads():
+    yield from (benchmark_case(case_id) for case_id in CASE_IDS + ("ILL",))
+    yield from (seeded_workload(seed, max_n=40) for seed in range(200))
+    # n of a few hundred with gaps <= 8: DABRR abandons a cycle on most arrivals
+    yield from (_shaped("busy", seed, n=100 + 10 * seed) for seed in range(20))
+
+
+def test_ascending_queue_gives_the_traces_of_planners_that_sort():
+    for workload in _differential_workloads():
+        for shipped, sorting in _sorting_planners():
+            new, old = simulate(workload, shipped), simulate(workload, sorting)
+            where = f"{shipped.descriptor.name} on {workload.label}"
+            for i, (a, b) in enumerate(zip(new.slices, old.slices)):
+                assert a == b, f"{where}: slice {i} differs"
+            assert len(new.slices) == len(old.slices), where
+            assert new.quantum_log == old.quantum_log, where
+            assert new == old, where
