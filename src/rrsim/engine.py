@@ -140,7 +140,7 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     queue: list[SnapshotEntry] = []
     slices: list[Slice] = []
     quantum_log: list[tuple[int, int]] = []
-    clock = workload.min_arrival()
+    clock = incoming[0].arrival
     cycle = 0
     ptr = 0
 

@@ -12,67 +12,38 @@ from .model import ExecutionTrace
 MIN_WIDTH = 40
 
 
-def _groups(trace: ExecutionTrace):
-    """Chronological (banner, cells) groups; cells are (label, end) pairs.
-    A hole between two slices is an idle gap, one ``--`` cell."""
-    groups: list[tuple[str, list[tuple[str, int]]]] = []
-    end = trace.slices[0].start
-    for item in trace.slices:
-        if item.start > end:
-            groups.append(("idle", [("--", item.start)]))
-        banner = f"cycle {item.cycle}  <- quantum {item.quantum_in_effect} ->"
-        if not groups or groups[-1][0] != banner:
-            groups.append((banner, []))
-        groups[-1][1].append((item.pid, item.end))
-        end = item.end
-    return groups
-
-
-def _inner_width(label: str, end: int, row_start: int | None) -> int:
-    """Inner width of one cell; the first cell of a row also leaves room
-    for the row-start time printed at the left edge of the number line."""
-    inner = max(len(label), len(str(end)))
-    if row_start is not None:
-        inner = max(inner, len(str(row_start)) + len(str(end)) - 2)
-    return inner
-
-
-def _render_row(out: list[str], start: int, cells: list[tuple[str, int]]):
-    top = ""
-    bottom = str(start)
-    for i, (label, end) in enumerate(cells):
-        inner = _inner_width(label, end, start if i == 0 else None)
-        top += f"| {label:<{inner}} "
-        bottom += f"{end:>{len(top) - len(bottom)}}"
-    out.append(top + "|")
-    out.append(bottom)
-
-
 def render_gantt(trace: ExecutionTrace, width: int = 80) -> str:
-    """Render the trace as monospaced text no wider than ``width`` columns."""
+    """Render the trace as monospaced text in one pass over its slices.
+
+    A row wraps before any cell that would take it past ``width`` columns,
+    so only a row holding a single oversize cell is wider than ``width``.
+    """
     if width < MIN_WIDTH:
         raise ValueError(f"width must be >= {MIN_WIDTH}, got {width}")
     if not trace.slices:
         return "(empty trace)\n"
 
     out: list[str] = []
-    cursor = trace.slices[0].start
-
-    for banner, cells in _groups(trace):
-        out.append(banner)
-        row: list[tuple[str, int]] = []
-        row_start = cursor
-        used = 0
-        for label, end in cells:
-            cell_width = _inner_width(label, end, None if row else row_start) + 3
-            if row and used + cell_width + 1 > width:
-                _render_row(out, row_start, row)
-                row_start = row[-1][1]
-                row = []
-                cell_width = _inner_width(label, end, row_start) + 3
-                used = 0
-            row.append((label, end))
-            used += cell_width
-            cursor = end
-        _render_row(out, row_start, row)  # every group holds at least one cell
+    banner = top = bottom = ""
+    start = trace.slices[0].start  # where the next cell begins
+    for item in trace.slices:
+        cycle = f"cycle {item.cycle}  <- quantum {item.quantum_in_effect} ->"
+        cells = ((cycle, item.pid, item.end),)
+        if item.start > start:  # a hole between two slices is an idle gap, one ``--`` cell
+            cells = (("idle", "--", item.start),) + cells
+        for cell_banner, label, end in cells:
+            inner = max(len(label), len(str(end)))
+            if cell_banner != banner or len(top) + inner + 4 > width:  # "| label " and "|"
+                if top:
+                    out += (top + "|", bottom)
+                if cell_banner != banner:
+                    out.append(cell_banner)
+                    banner = cell_banner
+                # the row's first cell leaves room for its start time at the left edge
+                top, bottom = "", str(start)
+                inner = max(inner, len(bottom) + len(str(end)) - 2)
+            top += f"| {label:<{inner}} "
+            bottom += f"{end:>{len(top) - len(bottom)}}"
+            start = end
+    out += (top + "|", bottom)
     return "\n".join(out) + "\n"

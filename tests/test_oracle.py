@@ -6,7 +6,7 @@ import pytest
 from conftest import completion_times, seeded_workload
 from reference_executor import unit_step_completions
 
-from rrsim import simulate
+from rrsim import simulate, validate_workload
 from rrsim.policies import POLICY_NAMES, standard_policy
 from rrsim.workloads import CASE_IDS, benchmark_case, expected_row
 
@@ -25,6 +25,20 @@ def _agree(workload, name):
 def test_engine_matches_oracle_on_fixtures(case_id, name):
     ok, engine, reference = _agree(benchmark_case(case_id), name)
     assert ok, f"{name} on case {case_id}: engine {engine} vs oracle {reference}"
+
+
+# DQRRR's alternating cycle 3 leaves P6 and then P4 with 3 ms each, and P7
+# arrives during it.  Arrival cycle 4 must break that tie by arrival (P4
+# first), i.e. by the full ``rank_key``, not by remaining time alone.
+TIED_SURVIVORS = validate_workload([
+    ("P1", 10, 20), ("P2", 11, 20), ("P3", 29, 10), ("P4", 34, 10),
+    ("P5", 37, 5), ("P6", 40, 10), ("P7", 65, 10)])
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_engine_matches_oracle_on_tied_survivors_meeting_arrivals(name):
+    ok, engine, reference = _agree(TIED_SURVIVORS, name)
+    assert ok, f"{name}: engine {engine} vs oracle {reference}"
 
 
 def test_engine_matches_oracle_on_random_workloads():
