@@ -24,9 +24,9 @@ twice yields identical traces.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .model import (
@@ -199,7 +199,9 @@ def trace_violations(trace: ExecutionTrace, workload: Workload) -> list[str]:
     its process's remaining work.  A hole before a slice is an idle gap,
     and every process that arrived before its end must already be
     finished.  The slices must be in time order, as ``simulate`` writes
-    them: the walk does not sort them.
+    them: the walk does not sort them.  Their cycles count up from 1 by 0
+    or 1 per slice, and each slice runs at the quantum of the latest
+    ``quantum_log`` entry at or before its cycle.
     """
     return _walk_trace(trace, workload)[0]
 
@@ -215,8 +217,9 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], d
     finished = 0
     cursor = arrivals[0]
     previous = float("-inf")  # the start of the previous slice
-    for item in trace.slices:
-        start, end = item.start, item.end
+    log = trace.quantum_log
+    last_cycle = logged = None  # the previous slice's cycle and its logged quantum
+    for pid, start, end, cycle, quantum, termination in trace.slices:
         if start < cursor:
             problems.append(f"interval [{start},{end}) overlaps the previous one")
         # an idle gap [cursor, start): finished processes ran before it, so
@@ -228,9 +231,19 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], d
         if end > cursor:
             cursor = end
         if start < previous:
-            problems.append(f"slice {item.pid} [{start},{end}) listed out of time order")
+            problems.append(f"slice {pid} [{start},{end}) listed out of time order")
         previous = start
-        pid = item.pid
+        if cycle != last_cycle:
+            expected = 1 if last_cycle is None else last_cycle + 1
+            if cycle != expected:
+                problems.append(f"slice {pid} [{start},{end}) in cycle {cycle}, "
+                                f"not cycle {expected}")
+            last_cycle = cycle
+            at = bisect_right(log, cycle, key=itemgetter(0))
+            logged = log[at - 1][1] if at else None
+        if quantum != logged:
+            problems.append(f"slice {pid} [{start},{end}) has quantum {quantum}, "
+                            f"but cycle {cycle}'s logged quantum is {logged}")
         spec = specs.get(pid)
         if spec is None:
             problems.append(f"slice for unknown pid {pid!r}")
@@ -238,16 +251,15 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], d
         run = end - start
         if run <= 0:
             problems.append(f"empty or reversed slice {pid} [{start},{end})")
-        if run > item.quantum_in_effect:
-            problems.append(
-                f"slice {pid} [{start},{end}) exceeds quantum {item.quantum_in_effect}")
+        if run > quantum:
+            problems.append(f"slice {pid} [{start},{end}) exceeds quantum {quantum}")
         if start < spec.arrival:
             problems.append(f"slice {pid} starts at {start} before arrival {spec.arrival}")
         rest = left[pid] = left[pid] - run
         if rest + run == spec.burst:
             first_dispatch[pid] = start
         done = rest <= 0
-        if done != (item.termination == COMPLETED):
+        if done != (termination == COMPLETED):
             problems.append(f"last slice of {pid} not marked completed" if done
                             else f"non-final slice of {pid} marked completed")
         if done and rest + run > 0:  # this slice used up the last of the burst

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .model import Workload, validate_workload
+from .model import Workload, decimal_int, validate_workload
 
 CSV_HEADER = "pid,arrival_ms,burst_ms"
 CSV = "csv"
@@ -89,7 +89,7 @@ def _parse_csv(text: str, label: str) -> Workload:
             raise ParseError(f"expected 3 fields, got {len(fields)}", line=lineno)
         pid, arrival_text, burst_text = fields
         try:
-            arrival, burst = int(arrival_text), int(burst_text)
+            arrival, burst = decimal_int(arrival_text), decimal_int(burst_text)
         except ValueError:
             raise ParseError(f"non-integer time in {line!r}", line=lineno) from None
         records.append((pid, arrival, burst))

@@ -1,8 +1,8 @@
 """Run metrics, cross-run comparison, and their text, JSON and CSV renderers.
 
 Averages and percentages are carried as exact ``Fraction`` values and only
-rounded when rendered (one decimal for averages, two for percentages), so
-golden comparisons never drift.
+rounded when rendered (one decimal for averages, two for percentages; halves
+away from zero, in integer arithmetic), so golden comparisons never drift.
 """
 from __future__ import annotations
 
@@ -221,22 +221,11 @@ def compare_runs(runs: Mapping[PolicyDescriptor, Mapping[str, RunMetrics]],
     return ComparisonReport(label, case_ids, baseline, tuple(entries))
 
 
-def round_half_up(value: Fraction, digits: int) -> Fraction:
-    """Round to ``digits`` decimals, halves away from zero."""
-    sign = -1 if value < 0 else 1
-    scale = 10 ** digits
-    scaled = abs(value) * scale
-    whole = scaled.numerator // scaled.denominator
-    if (scaled - whole) * 2 >= 1:
-        whole += 1
-    return Fraction(sign * whole, scale)
-
-
 def _format(value: Fraction, digits: int) -> str:
-    rounded = round_half_up(value, digits)
-    scaled = rounded * 10 ** digits
-    text = str(abs(int(scaled))).rjust(digits + 1, "0")
-    sign = "-" if rounded < 0 else ""
+    n, d = value.numerator, value.denominator
+    whole = (2 * abs(n) * 10 ** digits + d) // (2 * d)  # floor(|value| * 10**digits + 1/2)
+    text = str(whole).rjust(digits + 1, "0")
+    sign = "-" if n < 0 and whole else ""
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 

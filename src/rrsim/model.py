@@ -14,6 +14,15 @@ class WorkloadError(ValueError):
     """A workload record violates a structural invariant."""
 
 
+def decimal_int(text: str) -> int:
+    """``text`` as an int if it is an optional ``-`` and ASCII digits, else
+    ``ValueError``; ``int()`` alone takes ``+5``, ``1_0`` and non-ASCII digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _check_utf8(text: str, what: str) -> None:
     try:  # a lone surrogate has no UTF-8 form, so no workload file can hold it
         text.encode("utf-8")

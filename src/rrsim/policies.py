@@ -19,7 +19,7 @@ from .engine import (
     ReadySnapshot,
     rank_key,
 )
-from .model import PolicyDescriptor
+from .model import PolicyDescriptor, decimal_int
 
 class PolicySpecError(ValueError):
     """A policy spec string could not be parsed."""
@@ -202,7 +202,7 @@ def parse_policy_spec(text: str) -> PolicyBehavior:
             if pkey in given:
                 raise PolicySpecError(f"parameter {pkey!r} of policy {key} is repeated")
             try:
-                given[pkey] = int(value)
+                given[pkey] = decimal_int(value.strip())
             except ValueError:
                 raise PolicySpecError(
                     f"parameter {pkey!r} of policy {key} must be an integer, "

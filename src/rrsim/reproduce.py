@@ -116,17 +116,15 @@ def run_case(case_id: str, algorithm: str) -> RunMetrics:
 def _check(table, algorithm, cell, fmt, actual, published, derived, erratum_id):
     """Compare one cell as rendered by ``fmt``.
 
-    Where the rule-derived value renders differently from the published
-    one (an erratum), the cell passes as a known erratum only when it
-    matches the rule.
+    The computed value must render as the rule-derived one.  Where that
+    renders as published the cell is a match; otherwise the published value
+    is an erratum and the cell is a known erratum.
     """
-    actual, shown = fmt(actual), fmt(published)
-    by_rule = shown if derived == published else fmt(derived)
-    if by_rule != shown:
-        outcome = KNOWN_ERRATUM if actual == by_rule else MISMATCH
-        return CellCheck(table, algorithm, cell, actual, shown, outcome, erratum_id)
-    outcome = MATCH if actual == shown else MISMATCH
-    return CellCheck(table, algorithm, cell, actual, shown, outcome)
+    actual, shown, by_rule = fmt(actual), fmt(published), fmt(derived)
+    erratum = by_rule != shown
+    outcome = MISMATCH if actual != by_rule else KNOWN_ERRATUM if erratum else MATCH
+    return CellCheck(table, algorithm, cell, actual, shown, outcome,
+                     erratum_id if erratum else None)
 
 
 def _row_cells(case_id: str, algorithm: str, run: RunMetrics) -> list[CellCheck]:

@@ -52,3 +52,15 @@ def seeded_workload(seed: int, max_n: int = 12, max_burst: int = 200):
 def completion_times(trace):
     """Each pid's completion time: the end of its last listed slice."""
     return {s.pid: s.end for s in trace.slices}
+
+
+def first_divergence(engine, oracle):
+    """Among the pids whose engine and oracle completion times differ, the
+    one the oracle completes first, named with both times; None if they agree."""
+    differing = [pid for pid in engine.keys() | oracle.keys()
+                 if engine.get(pid) != oracle.get(pid)]
+    if not differing:
+        return None
+    pid = min(differing, key=lambda p: (oracle.get(p, float("inf")), p))
+    return (f"{pid} completes at {engine.get(pid)} in the engine, "
+            f"{oracle.get(pid)} in the oracle")

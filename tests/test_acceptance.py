@@ -7,7 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from conftest import completion_times, seeded_workload
+from conftest import completion_times, first_divergence, seeded_workload
 from reference_executor import unit_step_completions
 
 from rrsim import simulate, trace_violations, validate_workload
@@ -154,8 +154,9 @@ def test_criterion_4_unit_step_oracle_equivalence():
         for name in POLICY_NAMES:
             trace = simulate(workload, standard_policy(name))
             reference = unit_step_completions(workload, name, BENCH_PARAMS.get(name))
-            if completion_times(trace) != reference:
-                failures.append(f"{name} disagrees on {what}")
+            divergence = first_divergence(completion_times(trace), reference)
+            if divergence:
+                failures.append(f"{name} disagrees on {what}: {divergence}")
 
     for case_id in CASE_IDS + ("ILL",):
         check(benchmark_case(case_id), f"case {case_id}")

@@ -301,6 +301,12 @@ def test_hand_built_trace_without_defects_passes():
                  ((1, 10),), "runnable", id="idle-while-runnable"),
     pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED)],
                  (), "empty quantum log", id="empty-quantum-log"),
+    pytest.param(_ONE, [Slice("P1", 0, 10, 2, 10, COMPLETED)],
+                 ((1, 10),), "in cycle 2, not cycle 1", id="first-cycle-not-one"),
+    pytest.param(_ONE, [Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED), Slice("P1", 5, 10, 3, 5, COMPLETED)],
+                 ((1, 5),), "in cycle 3, not cycle 2", id="cycle-skipped"),
+    pytest.param(_ONE, [Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED), Slice("P1", 5, 10, 2, 5, COMPLETED)],
+                 ((1, 5), (2, 6)), "cycle 2's logged quantum is 6", id="quantum-not-logged"),
     pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED)],
                  ((1, 10), (2, 0)), "< 1", id="quantum-below-one"),
 ])
@@ -368,6 +374,21 @@ def _lower_one_slices_quantum(trace, rng):
     return _with_slices(trace, i, s._replace(quantum_in_effect=rng.randrange(s.duration)))
 
 
+def _inflate_one_slices_quantum(trace, rng):
+    i = rng.randrange(len(trace.slices))
+    s = trace.slices[i]
+    return _with_slices(trace, i, s._replace(
+        quantum_in_effect=s.quantum_in_effect + rng.randint(1, 50)))
+
+
+def _change_one_slices_cycle(trace, rng):
+    i = rng.randrange(len(trace.slices))
+    before = trace.slices[i - 1].cycle if i else 0
+    # a step of neither 0 nor 1 past the slice before (the first must be cycle 1)
+    cycle = before + rng.choice((-1, 2, 3, 5))
+    return _with_slices(trace, i, trace.slices[i]._replace(cycle=cycle))
+
+
 def _corrupt_quantum_log(trace, rng):
     log = trace.quantum_log
     if rng.random() < 0.25:
@@ -395,6 +416,9 @@ CHECKER_MUTATIONS = [
     (_duplicate_one_slice, _SHORT_OR_LONG),  # its process runs more than its burst
     (_change_one_slices_pid, _SHORT_OR_LONG),  # one process runs less, another more
     (_lower_one_slices_quantum, "exceeds quantum"),
+    # every slice of a cycle runs at the quantum logged for it
+    (_inflate_one_slices_quantum, r"has quantum \d+, but cycle \d+'s logged quantum is"),
+    (_change_one_slices_cycle, r"in cycle -?\d+, not cycle \d+"),
     (_corrupt_quantum_log, r"empty quantum log|logged quantum -?\d+ < 1"),
 ]
 

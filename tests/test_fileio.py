@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,12 @@ def test_csv_bad_integer_names_line():
     with pytest.raises(ParseError) as exc:
         parse_workload(b"pid,arrival_ms,burst_ms\nP1,0,abc\n", CSV)
     assert exc.value.line == 2
+    # int() alone would take each of these: only '-' and ASCII digits are a time
+    for bad in ("1_0", "+5", "\u0663"):
+        row = f"P2,{bad},3"
+        with pytest.raises(ParseError, match=re.escape(f"non-integer time in {row!r}")) as exc:
+            parse_workload(f"pid,arrival_ms,burst_ms\nP1,0,4\n{row}\n".encode(), CSV)
+        assert exc.value.line == 3
 
 
 def test_csv_wrong_field_count_names_line():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import completion_times, seeded_workload
+from reference_format import format_decimal
 from test_engine import CHECKER_MUTATIONS
 
 from rrsim import (
@@ -16,7 +17,7 @@ from rrsim import (
     simulate,
     validate_workload,
 )
-from rrsim.metrics import format_average, format_percent, round_half_up
+from rrsim.metrics import format_average, format_percent
 from rrsim.policies import POLICY_NAMES, make_dabrr, make_round_robin, standard_policy
 from rrsim.workloads import CASE_IDS, benchmark_case
 
@@ -208,4 +209,23 @@ def test_format_percent_rounds_half_up_to_two_decimals():
     assert format_percent(Fraction(2382, 5777) * 100) == "41.23"
     assert format_percent(Fraction(0)) == "0.00"
     assert format_percent(Fraction(-1, 8)) == "-0.13"
-    assert round_half_up(Fraction("2.345"), 2) == Fraction("2.35")
+    assert format_percent(Fraction("2.345")) == "2.35"
+
+
+def _format_cases():
+    """Random fractions, exact halves at one and two decimals, and edge values."""
+    rng = random.Random(2016)
+    yield from (Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 2000))
+                for _ in range(20_000))
+    yield from (Fraction(k, 2 * 10**d) for d in (1, 2) for k in range(-3000, 3000))
+    yield from (Fraction(0), Fraction(-1, 1000), Fraction(-5, 100), Fraction(-1, 20),
+                Fraction(-1, 200), Fraction(10**30, 3))
+
+
+def test_integer_formatting_matches_fraction_reference():
+    count = 0
+    for value in _format_cases():
+        for digits, fmt in ((1, format_average), (2, format_percent)):
+            assert fmt(value) == format_decimal(value, digits), (value, digits)
+            count += 1
+    assert count == 64_012

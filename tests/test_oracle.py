@@ -3,7 +3,7 @@ unit-step reference executor."""
 from fractions import Fraction
 
 import pytest
-from conftest import completion_times, seeded_workload
+from conftest import completion_times, first_divergence, seeded_workload
 from reference_executor import unit_step_completions
 
 from rrsim import simulate, validate_workload
@@ -13,18 +13,17 @@ from rrsim.workloads import CASE_IDS, benchmark_case, expected_row
 BENCH_PARAMS = {"RR": {"q": 25}, "RP5": {"base": 25}, "MRR": {"floor": 25}}
 
 
-def _agree(workload, name):
+def _divergence(workload, name):
     trace = simulate(workload, standard_policy(name))
     reference = unit_step_completions(workload, name, BENCH_PARAMS.get(name))
-    got = completion_times(trace)
-    return got == reference, got, reference
+    return first_divergence(completion_times(trace), reference)
 
 
 @pytest.mark.parametrize("case_id", CASE_IDS + ("ILL",))
 @pytest.mark.parametrize("name", POLICY_NAMES)
 def test_engine_matches_oracle_on_fixtures(case_id, name):
-    ok, engine, reference = _agree(benchmark_case(case_id), name)
-    assert ok, f"{name} on case {case_id}: engine {engine} vs oracle {reference}"
+    divergence = _divergence(benchmark_case(case_id), name)
+    assert divergence is None, f"{name} on case {case_id}: {divergence}"
 
 
 # DQRRR's alternating cycle 3 leaves P6 and then P4 with 3 ms each, and P7
@@ -37,17 +36,16 @@ TIED_SURVIVORS = validate_workload([
 
 @pytest.mark.parametrize("name", POLICY_NAMES)
 def test_engine_matches_oracle_on_tied_survivors_meeting_arrivals(name):
-    ok, engine, reference = _agree(TIED_SURVIVORS, name)
-    assert ok, f"{name}: engine {engine} vs oracle {reference}"
+    divergence = _divergence(TIED_SURVIVORS, name)
+    assert divergence is None, f"{name}: {divergence}"
 
 
 def test_engine_matches_oracle_on_random_workloads():
     for seed in range(200):
         workload = seeded_workload(seed)
         for name in POLICY_NAMES:
-            ok, engine, reference = _agree(workload, name)
-            assert ok, (f"{name} on seed {seed} ({workload.label}): "
-                        f"engine {engine} vs oracle {reference}")
+            divergence = _divergence(workload, name)
+            assert divergence is None, f"{name} on seed {seed} ({workload.label}): {divergence}"
 
 
 def _oracle_metrics(case_id):

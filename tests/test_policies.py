@@ -273,10 +273,17 @@ def test_parse_policy_spec_defaults_match_benchmark_parameters():
 
 
 @pytest.mark.parametrize("bad", ["nope", "rr:quantum=9", "rr:q=abc", "mrr:floor=",
-                                 "rr:q=25,q=30"])
+                                 "rr:q=25,q=30", "rr:q=1_0", "rr:q=+5", "rr:q=\u0663"])
 def test_parse_policy_spec_rejects_garbage(bad):
     with pytest.raises(PolicySpecError):
         parse_policy_spec(bad)
+
+
+def test_policy_parameter_is_an_optional_minus_and_ascii_digits():
+    assert parse_policy_spec("rr:q= 40 ").descriptor.parameters == (("q", 40),)
+    with pytest.raises(PolicySpecError, match="^parameter 'q' of policy rr must be an "
+                                              "integer, got '\u0662_5'$"):
+        parse_policy_spec("rr:q=\u0662_5")
 
 
 def test_standard_policy_covers_canonical_names():
