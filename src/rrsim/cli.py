@@ -15,7 +15,7 @@ from .engine import simulate
 from .fileio import CSV, JSON, ParseError, parse_workload, serialize_workload
 from .gantt import render_gantt
 from .metrics import compare_runs, compute_metrics
-from .model import Workload, WorkloadError
+from .model import Workload, WorkloadError, decimal_int
 from .policies import PolicySpecError, parse_policy_spec
 from .reproduce import comparison_reports, export_figure_data, reproduce_paper
 from .workloads import (
@@ -143,7 +143,7 @@ def _cmd_generate(args) -> int:
         if head != "staggered" or not gap_text:
             raise CliError(f"--arrival must be 'zero' or 'staggered:G', got {args.arrival!r}")
         try:
-            max_gap = int(gap_text)
+            max_gap = decimal_int(gap_text)
         except ValueError:
             raise CliError(f"staggered gap must be an integer, got {gap_text!r}") from None
         arrival = STAGGERED
@@ -194,12 +194,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=_cmd_reproduce)
 
     p_gen = sub.add_parser("generate", help="generate a seeded random workload")
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--burst-min", type=int, required=True)
-    p_gen.add_argument("--burst-max", type=int, required=True)
+    p_gen.add_argument("--n", type=decimal_int, required=True)
+    p_gen.add_argument("--burst-min", type=decimal_int, required=True)
+    p_gen.add_argument("--burst-max", type=decimal_int, required=True)
     p_gen.add_argument("--order", choices=("asc", "desc", "random"), default="random")
     p_gen.add_argument("--arrival", default="zero", help="'zero' or 'staggered:G'")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=decimal_int, default=0)
     p_gen.add_argument("-o", "--output", help="output file (.csv or .json); stdout if omitted")
     p_gen.set_defaults(func=_cmd_generate)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from itertools import pairwise
 from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -34,7 +35,7 @@ from .model import (
     QUANTUM_EXPIRED,
     ExecutionTrace,
     PolicyDescriptor,
-    Slice,
+    SliceView,
     Workload,
 )
 
@@ -138,7 +139,8 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     never = incoming[-1].arrival + workload.total_burst() + 1  # beyond every slice's end
 
     queue: list[SnapshotEntry] = []
-    slices: list[Slice] = []
+    # the trace's columns: a slice is one entry in each, never a record
+    pids, starts, ends, cycles, quanta, terminations = [], [], [], [], [], []
     quantum_log: list[tuple[int, int]] = []
     clock = incoming[0].arrival
     cycle = 0
@@ -172,10 +174,11 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
         watch = due if mode != CYCLE_BOUNDARY else never  # an arrival that acts mid-cycle
         for pos, (pid, remaining, arrival, index, _) in enumerate(order):
             left = remaining - quantum
-            run = quantum if left > 0 else remaining
-            slices.append(Slice(pid, clock, clock + run, cycle, quantum,
-                                QUANTUM_EXPIRED if left > 0 else COMPLETED))
-            clock += run
+            pids.append(pid)
+            starts.append(clock)
+            clock += quantum if left > 0 else remaining
+            ends.append(clock)
+            terminations.append(QUANTUM_EXPIRED if left > 0 else COMPLETED)
             if clock >= watch and mode == TAIL_REJOIN:
                 watch = due = admit(clock)  # same-ms arrivals enqueue before the preempted one
             if left > 0:
@@ -183,11 +186,14 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
             if clock >= watch:  # slice-boundary restart: abandon the cycle, replan over all
                 queue.extend(order[pos + 1:])
                 break
+        ran = len(pids) - len(cycles)  # every slice of a cycle shares its index and quantum
+        cycles += [cycle] * ran
+        quanta += [quantum] * ran
         due = admit(clock)
 
     return ExecutionTrace(
         algorithm=policy.descriptor,
-        slices=tuple(slices),
+        slices=SliceView(pids, starts, ends, cycles, quanta, terminations),
         quantum_log=tuple(quantum_log),
     )
 
@@ -201,7 +207,8 @@ def trace_violations(trace: ExecutionTrace, workload: Workload) -> list[str]:
     finished.  The slices must be in time order, as ``simulate`` writes
     them: the walk does not sort them.  Their cycles count up from 1 by 0
     or 1 per slice, and each slice runs at the quantum of the latest
-    ``quantum_log`` entry at or before its cycle.
+    ``quantum_log`` entry at or before its cycle.  The log's cycles strictly
+    increase and each names a cycle that some slice ran.
     """
     return _walk_trace(trace, workload)[0]
 
@@ -219,7 +226,7 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], d
     previous = float("-inf")  # the start of the previous slice
     log = trace.quantum_log
     last_cycle = logged = None  # the previous slice's cycle and its logged quantum
-    for pid, start, end, cycle, quantum, termination in trace.slices:
+    for pid, start, end, cycle, quantum, termination in zip(*trace.slices.columns):
         if start < cursor:
             problems.append(f"interval [{start},{end}) overlaps the previous one")
         # an idle gap [cursor, start): finished processes ran before it, so
@@ -268,9 +275,13 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], d
 
     problems.extend(f"pid {pid}: executed {specs[pid].burst - rest} ms, "
                     f"burst is {specs[pid].burst} ms" for pid, rest in left.items() if rest)
-    if not trace.quantum_log:
+    if not log:
         problems.append("empty quantum log")
-    problems.extend(f"cycle {cyc} logged quantum {q} < 1"
-                    for cyc, q in trace.quantum_log if q < 1)
+    problems.extend(f"quantum log lists cycle {b} after cycle {a}"
+                    for (a, _), (b, _) in pairwise(log) if b <= a)
+    ran = last_cycle or 0
+    problems.extend(f"quantum log names cycle {cyc}, but the slices ran cycles 1..{ran}"
+                    for cyc, _ in log if not 1 <= cyc <= ran)
+    problems.extend(f"cycle {cyc} logged quantum {q} < 1" for cyc, q in log if q < 1)
 
     return problems, completion, first_dispatch

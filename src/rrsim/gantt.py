@@ -25,12 +25,12 @@ def render_gantt(trace: ExecutionTrace, width: int = 80) -> str:
 
     out: list[str] = []
     banner = top = bottom = ""
-    start = trace.slices[0].start  # where the next cell begins
-    for item in trace.slices:
-        cycle = f"cycle {item.cycle}  <- quantum {item.quantum_in_effect} ->"
-        cells = ((cycle, item.pid, item.end),)
-        if item.start > start:  # a hole between two slices is an idle gap, one ``--`` cell
-            cells = (("idle", "--", item.start),) + cells
+    pids, starts, ends, cycles, quanta, _ = trace.slices.columns
+    start = starts[0]  # where the next cell begins
+    for pid, slice_start, slice_end, cycle, quantum in zip(pids, starts, ends, cycles, quanta):
+        cells = ((f"cycle {cycle}  <- quantum {quantum} ->", pid, slice_end),)
+        if slice_start > start:  # a hole between two slices is an idle gap, one ``--`` cell
+            cells = (("idle", "--", slice_start),) + cells
         for cell_banner, label, end in cells:
             inner = max(len(label), len(str(end)))
             if cell_banner != banner or len(top) + inner + 4 > width:  # "| label " and "|"

@@ -1,12 +1,15 @@
 """Domain types shared by the simulator: processes, workloads and traces.
 
-All times are integer milliseconds. Values are frozen after construction,
-so they can be shared freely between concurrent simulations.
+All times are integer milliseconds. Values are read-only after
+construction, so they can be shared freely between concurrent simulations:
+records are frozen, and a trace's slices sit behind a view that offers no
+mutator.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import islice
 from typing import NamedTuple
 
 
@@ -139,6 +142,50 @@ class IdleGap(NamedTuple):
     end: int
 
 
+class SliceView(Sequence):
+    """A read-only sequence of :class:`Slice`, stored as one list per field.
+
+    A ``Slice`` is built only when the view is indexed or iterated, and a
+    slice of the view (``view[a:b]``) is a ``tuple`` of them, so the cyclic
+    collector has six lists to walk instead of one record per slice.
+    ``columns`` gives the lists themselves, in ``Slice`` field order, to
+    readers that walk every slice; they are shared, so never change them.
+    Values are kept exactly as given, ints of any size included.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, pid: list, start: list, end: list, cycle: list,
+                 quantum_in_effect: list, termination: list):
+        self._columns = (pid, start, end, cycle, quantum_in_effect, termination)
+
+    @property
+    def columns(self) -> tuple[list, ...]:
+        return self._columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(Slice._make, zip(*(column[index] for column in self._columns))))
+        return Slice._make(column[index] for column in self._columns)
+
+    def __iter__(self):
+        return map(Slice._make, zip(*self._columns))
+
+    def __eq__(self, other):
+        if isinstance(other, SliceView):
+            return self._columns == other._columns
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))  # equal to the tuple it equals
+
+    def __repr__(self) -> str:
+        return f"SliceView({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class PolicyDescriptor:
     """Names a scheduling policy plus its integer parameters."""
@@ -160,16 +207,28 @@ class PolicyDescriptor:
 
 @dataclass(frozen=True)
 class ExecutionTrace:
-    """Everything one simulation run produced; slices in time order."""
+    """Everything one simulation run produced; slices in time order.
+
+    ``slices`` may be given as any sequence of ``Slice``; it is stored as a
+    :class:`SliceView`.
+    """
 
     algorithm: PolicyDescriptor
-    slices: tuple[Slice, ...]
+    slices: SliceView
     quantum_log: tuple[tuple[int, int], ...] = ()  # (cycle index, quantum ms)
 
+    def __post_init__(self):
+        if not isinstance(self.slices, SliceView):
+            columns = [list(column) for column in zip(*self.slices)] or [[] for _ in Slice._fields]
+            object.__setattr__(self, "slices", SliceView(*columns))
+
     def end_time(self) -> int:
-        return self.slices[-1].end if self.slices else 0
+        ends = self.slices.columns[2]
+        return ends[-1] if ends else 0
 
     @property
     def idles(self) -> tuple[IdleGap, ...]:
         """The idle gaps: the hole between each pair of consecutive slices."""
-        return tuple(IdleGap(a.end, b.start) for a, b in pairwise(self.slices) if a.end < b.start)
+        _, starts, ends, *_ = self.slices.columns
+        return tuple(IdleGap(end, start) for end, start in zip(ends, islice(starts, 1, None))
+                     if end < start)

@@ -135,6 +135,27 @@ def test_usage_errors_exit_two(args):
     assert proc.stderr
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--n", "1_0"), ("--burst-min", "+1"), ("--burst-max", "\u0665"),
+    ("--arrival", "staggered:+1_0"), ("--seed", "\u0663"),
+])
+def test_generate_takes_only_decimal_integers(flag, value):
+    args = {"--n": "10", "--burst-min": "1", "--burst-max": "5", "--arrival": "staggered:10",
+            "--seed": "3", flag: value}
+    proc = rrsim("generate", *(text for item in args.items() for text in item))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("rrsim: ") and repr(value.split(":")[-1]) in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_generate_with_every_integer_malformed_exits_two():
+    proc = rrsim("generate", "--n", "1_0", "--burst-min", "+1", "--burst-max", "\u0665",
+                 "--arrival", "staggered:+1_0", "--seed", "\u0663")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("rrsim: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 def test_unknown_case_is_one_unquoted_line():
     proc = rrsim("run", "--algo", "rr", "--workload", "case:ZZ")
     assert proc.returncode == 2

@@ -11,8 +11,10 @@ from conftest import completion_times, seeded_workload
 from rrsim import (
     ExecutionTrace,
     IdleGap,
+    InconsistentTrace,
     PolicyPlanInvalid,
     Slice,
+    compute_metrics,
     simulate,
     trace_violations,
     validate_workload,
@@ -309,11 +311,31 @@ def test_hand_built_trace_without_defects_passes():
                  ((1, 5), (2, 6)), "cycle 2's logged quantum is 6", id="quantum-not-logged"),
     pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED)],
                  ((1, 10), (2, 0)), "< 1", id="quantum-below-one"),
+    pytest.param(_ONE, [Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED), Slice("P1", 5, 10, 2, 5, COMPLETED)],
+                 ((1, 5), (1, 5)), "quantum log lists cycle 1 after cycle 1",
+                 id="log-entry-repeated"),
+    pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED)],
+                 ((1, 10), (2, 10)), "quantum log names cycle 2, but the slices ran cycles 1..1",
+                 id="log-entry-past-last-cycle"),
 ])
 def test_each_trace_invariant_is_flagged(records, slices, quantum_log, message):
     problems = trace_violations(_hand_trace(slices, quantum_log),
                                 validate_workload(records))
     assert any(message in p for p in problems), problems
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda log: log + ((9, 5),), "quantum log names cycle 9, but the slices ran cycles 1..3"),
+    (lambda log: log[:2] + log[1:], "quantum log lists cycle 2 after cycle 2"),
+], ids=["cycle-never-ran", "entry-repeated"])
+def test_quantum_log_defects_on_case_i_are_flagged(corrupt, message):
+    w = benchmark_case("I")
+    good = simulate(w, make_dabrr())
+    assert good.quantum_log == ((1, 69), (2, 27), (3, 6))
+    bad = dataclasses.replace(good, quantum_log=corrupt(good.quantum_log))
+    assert trace_violations(bad, w) == [message]
+    with pytest.raises(InconsistentTrace, match=re.escape(message)):
+        compute_metrics(bad, w)
 
 
 def _shorten_one_slice(trace, rng):
@@ -398,6 +420,15 @@ def _corrupt_quantum_log(trace, rng):
     return dataclasses.replace(trace, quantum_log=log[:i] + (bad,) + log[i + 1:])
 
 
+def _add_log_entry_for_no_cycle(trace, rng):
+    log = trace.quantum_log
+    if rng.random() < 0.5:  # a cycle past the last one that ran
+        extra = (trace.slices[-1].cycle + rng.randint(1, 5), rng.randint(1, 50))
+        return dataclasses.replace(trace, quantum_log=log + (extra,))
+    i = rng.randrange(len(log))  # the same cycle logged twice
+    return dataclasses.replace(trace, quantum_log=log[:i + 1] + log[i:])
+
+
 def _with_slices(trace, i, replacement):
     return dataclasses.replace(
         trace, slices=trace.slices[:i] + (replacement,) + trace.slices[i + 1:])
@@ -420,6 +451,8 @@ CHECKER_MUTATIONS = [
     (_inflate_one_slices_quantum, r"has quantum \d+, but cycle \d+'s logged quantum is"),
     (_change_one_slices_cycle, r"in cycle -?\d+, not cycle \d+"),
     (_corrupt_quantum_log, r"empty quantum log|logged quantum -?\d+ < 1"),
+    (_add_log_entry_for_no_cycle,
+     r"quantum log (names cycle \d+, but the slices ran|lists cycle (\d+) after cycle \2)"),
 ]
 
 
