@@ -13,11 +13,9 @@ from pathlib import Path
 
 from .engine import simulate
 from .fileio import CSV, JSON, ParseError, parse_workload, serialize_workload
-from .gantt import render_gantt
 from .metrics import compare_runs, compute_metrics
 from .model import Workload, WorkloadError, decimal_int
 from .policies import PolicySpecError, parse_policy_spec
-from .reproduce import comparison_reports, export_figure_data, reproduce_paper
 from .workloads import (
     ALL_ZERO,
     ASCENDING,
@@ -31,6 +29,29 @@ from .workloads import (
 )
 
 USAGE_ERROR = 2
+
+
+# ``reproduce`` and ``gantt`` load on first use, since ``run`` and
+# ``compare`` need neither.  The commands call these module globals, so a
+# caller can still swap any of them for a wrapper.
+def render_gantt(trace):
+    from .gantt import render_gantt
+    return render_gantt(trace)
+
+
+def reproduce_paper(case_ids):
+    from .reproduce import reproduce_paper
+    return reproduce_paper(case_ids)
+
+
+def comparison_reports():
+    from .reproduce import comparison_reports
+    return comparison_reports()
+
+
+def export_figure_data(reports):
+    from .reproduce import export_figure_data
+    return export_figure_data(reports)
 
 
 class CliError(Exception):

@@ -58,8 +58,7 @@ class SnapshotEntry(NamedTuple):
     dispatched_before: bool
 
 
-@dataclass(frozen=True)
-class ReadySnapshot:
+class ReadySnapshot(NamedTuple):
     """State of the ready queue handed to a policy at cycle start.
 
     ``entries`` is the engine's queue itself, one record per queued
@@ -72,8 +71,7 @@ class ReadySnapshot:
     cycle_index: int
 
 
-@dataclass(frozen=True)
-class CyclePlan:
+class CyclePlan(NamedTuple):
     """The cycle quantum plus a dispatch order: the snapshot's own records,
     each exactly once.  A copied or edited record is rejected, since the
     engine runs each record's ``remaining`` as it finds it."""
@@ -217,10 +215,12 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], d
     """:func:`trace_violations`' messages, plus each pid's completion time and
     first dispatch; the two maps are complete only when there are no messages."""
     problems: list[str] = []
-    specs = workload.by_pid()
-    left = {pid: spec.burst for pid, spec in specs.items()}
+    # each process's arrival and the work it has left, read off its record
+    # once: the walk reads plain dicts per slice, not record fields
+    arrival_of = {pid: arrival for pid, arrival, _ in workload.processes}
+    left = {pid: burst for pid, _, burst in workload.processes}
     completion, first_dispatch = {}, {}
-    arrivals = sorted(spec.arrival for spec in specs.values())
+    arrivals = sorted(arrival_of.values())
     finished = 0
     cursor = arrivals[0]
     previous = float("-inf")  # the start of the previous slice
@@ -233,8 +233,8 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], d
         # they arrived before its end
         elif start > cursor and bisect_left(arrivals, start) != finished:
             problems.extend(f"idle gap [{cursor},{start}) while {pid} is runnable"
-                            for pid, spec in specs.items()
-                            if spec.arrival < start and left[pid] > 0)
+                            for pid, arrival in arrival_of.items()
+                            if arrival < start and left[pid] > 0)
         if end > cursor:
             cursor = end
         if start < previous:
@@ -251,8 +251,8 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], d
         if quantum != logged:
             problems.append(f"slice {pid} [{start},{end}) has quantum {quantum}, "
                             f"but cycle {cycle}'s logged quantum is {logged}")
-        spec = specs.get(pid)
-        if spec is None:
+        arrival = arrival_of.get(pid)
+        if arrival is None:
             problems.append(f"slice for unknown pid {pid!r}")
             continue
         run = end - start
@@ -260,10 +260,10 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], d
             problems.append(f"empty or reversed slice {pid} [{start},{end})")
         if run > quantum:
             problems.append(f"slice {pid} [{start},{end}) exceeds quantum {quantum}")
-        if start < spec.arrival:
-            problems.append(f"slice {pid} starts at {start} before arrival {spec.arrival}")
+        if start < arrival:
+            problems.append(f"slice {pid} starts at {start} before arrival {arrival}")
         rest = left[pid] = left[pid] - run
-        if rest + run == spec.burst:
+        if pid not in first_dispatch:
             first_dispatch[pid] = start
         done = rest <= 0
         if done != (termination == COMPLETED):
@@ -273,8 +273,8 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], d
             finished += 1
             completion[pid] = end
 
-    problems.extend(f"pid {pid}: executed {specs[pid].burst - rest} ms, "
-                    f"burst is {specs[pid].burst} ms" for pid, rest in left.items() if rest)
+    problems.extend(f"pid {pid}: executed {burst - left[pid]} ms, burst is {burst} ms"
+                    for pid, _, burst in workload.processes if left[pid])
     if not log:
         problems.append("empty quantum log")
     problems.extend(f"quantum log lists cycle {b} after cycle {a}"

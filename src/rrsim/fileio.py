@@ -25,26 +25,42 @@ def _json_row_template(keys) -> str:
     return "    {\n" + ",\n".join(f"      {_escape(k)}: %s" for k in keys) + "\n    }"
 
 
+def _scalar(value) -> str:
+    """A str, an int, a float or None as json writes it."""
+    if isinstance(value, str):
+        return _escape(value)
+    return "null" if value is None else repr(value)
+
+
+def _column(values):
+    """One field of every row, as ``%s`` must get it to write json's text;
+    the C escaper alone quotes an all-str column, and ints need nothing."""
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return values
+    return map(_escape if kinds == {str} else _scalar, values)
+
+
 def _indented_json(fields: dict, row_template: str) -> str:
     """``json.dumps(fields, indent=2) + "\\n"``, byte for byte.
 
     ``indent`` makes json fall back to its pure-Python encoder; this writes
     the same text with the C string escaper, ``str`` for ints and ``repr``
-    for floats.  A value is a str, an int, a float, a list of ints, or a
-    list of rows written by ``row_template``: tuples of a str, then ints.
+    for floats.  A value is a str, an int, a float, None, a dict of ints, a
+    list of ints, or a list of rows written by ``row_template``: tuples of
+    strs, ints, floats and None.
     """
     lines = []
     for key, value in fields.items():
-        if isinstance(value, str):
-            text = _escape(value)
-        elif isinstance(value, float):
-            text = repr(value)
+        if isinstance(value, dict):
+            items = [f"    {_escape(k)}: {v}" for k, v in value.items()]
+            text = "{\n" + ",\n".join(items) + "\n  }" if items else "{}"
         elif not isinstance(value, (list, tuple)):
-            text = str(value)
+            text = _scalar(value)
         elif not value:
             text = "[]"
         elif isinstance(value[0], tuple):
-            rows = [row_template % ((_escape(row[0]),) + row[1:]) for row in value]
+            rows = [row_template % row for row in zip(*map(_column, zip(*value)))]
             text = "[\n" + ",\n".join(rows) + "\n  ]"
         else:
             text = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]"

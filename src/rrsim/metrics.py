@@ -6,7 +6,6 @@ away from zero, in integer arithmetic), so golden comparisons never drift.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
@@ -45,8 +44,7 @@ _PROCESS_JSON_ROW = _json_row_template(PROCESS_COLUMNS)
 _COMPARISON_ROW = "{:<14}{:>10}{:>12}{:>10}{:>11}{:>10}"
 
 
-@dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(NamedTuple):
     descriptor: PolicyDescriptor
     workload_label: str
     per_process: tuple[ProcessMetrics, ...]
@@ -141,8 +139,7 @@ def compute_metrics(trace: ExecutionTrace, workload: Workload) -> RunMetrics:
     )
 
 
-@dataclass(frozen=True)
-class AlgorithmComparison:
+class AlgorithmComparison(NamedTuple):
     descriptor: PolicyDescriptor
     per_case: tuple  # the rows it was given, in the report's case_ids order
     waiting_total: Fraction
@@ -152,8 +149,7 @@ class AlgorithmComparison:
     turnaround_gain_pct: Fraction
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Cross-algorithm totals and percentage gains versus a baseline."""
 
     label: str

@@ -2,8 +2,8 @@
 
 All times are integer milliseconds. Values are read-only after
 construction, so they can be shared freely between concurrent simulations:
-records are frozen, and a trace's slices sit behind a view that offers no
-mutator.
+records are named tuples or frozen dataclasses, and a trace's slices sit
+behind a view that offers no mutator.
 """
 from __future__ import annotations
 
@@ -33,29 +33,40 @@ def _check_utf8(text: str, what: str) -> None:
         raise WorkloadError(f"{what} {text!r} holds a lone surrogate") from None
 
 
-@dataclass(frozen=True)
-class ProcessSpec:
-    """One process: identifier, arrival time (ms) and CPU burst (ms)."""
-
+class _ProcessFields(NamedTuple):
     pid: str
     arrival: int
     burst: int
 
-    def __post_init__(self):
-        pid = self.pid
-        if not isinstance(pid, str) or {type(self.arrival), type(self.burst)} != {int}:
-            raise WorkloadError(f"record {(pid, self.arrival, self.burst)!r} needs a "
+
+class ProcessSpec(_ProcessFields):
+    """One process: identifier, arrival time (ms) and CPU burst (ms).
+
+    A named tuple that checks its record however it is built: called,
+    through ``_make`` or through ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, pid: str, arrival: int, burst: int):
+        if not isinstance(pid, str) or type(arrival) is not int or type(burst) is not int:
+            raise WorkloadError(f"record {(pid, arrival, burst)!r} needs a "
                                 f"str pid and int times")
         if not pid:
-            raise WorkloadError(f"empty pid in record {(pid, self.arrival, self.burst)!r}")
+            raise WorkloadError(f"empty pid in record {(pid, arrival, burst)!r}")
         if pid != pid.strip() or "," in pid or "\r" in pid or "\n" in pid:
             raise WorkloadError(f"pid {pid!r} has a comma, a line break or "
                                 f"edge whitespace, so it cannot round-trip through CSV")
         _check_utf8(pid, "pid")
-        if self.arrival < 0:
-            raise WorkloadError(f"process {pid!r} has negative arrival {self.arrival}")
-        if self.burst < 1:
-            raise WorkloadError(f"process {pid!r} has non-positive burst {self.burst}")
+        if arrival < 0:
+            raise WorkloadError(f"process {pid!r} has negative arrival {arrival}")
+        if burst < 1:
+            raise WorkloadError(f"process {pid!r} has non-positive burst {burst}")
+        return tuple.__new__(cls, (pid, arrival, burst))
+
+    @classmethod
+    def _make(cls, iterable):  # ``_replace`` builds through ``_make`` too
+        return cls(*super()._make(iterable))
 
 
 @dataclass(frozen=True)
@@ -91,9 +102,6 @@ class Workload:
 
     def pids(self) -> tuple[str, ...]:
         return tuple(p.pid for p in self.processes)
-
-    def by_pid(self) -> dict[str, ProcessSpec]:
-        return {p.pid: p for p in self.processes}
 
     def total_burst(self) -> int:
         return sum(p.burst for p in self.processes)
@@ -186,8 +194,7 @@ class SliceView(Sequence):
         return f"SliceView({tuple(self)!r})"
 
 
-@dataclass(frozen=True)
-class PolicyDescriptor:
+class PolicyDescriptor(NamedTuple):
     """Names a scheduling policy plus its integer parameters."""
 
     name: str

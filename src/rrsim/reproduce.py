@@ -10,10 +10,10 @@ makes the exit status nonzero.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import simulate
+from .fileio import _indented_json, _json_row_template
 from .metrics import (
     ComparisonReport,
     RunMetrics,
@@ -45,8 +45,7 @@ NONZERO_GROUP = "nonzero_arrival"
 GRAND_GROUP = "grand"
 
 
-@dataclass(frozen=True)
-class CellCheck:
+class CellCheck(NamedTuple):
     """Outcome of comparing one table cell."""
 
     table: str        # e.g. "case III", "group totals", "grand totals"
@@ -58,8 +57,10 @@ class CellCheck:
     erratum_id: str | None = None
 
 
-@dataclass(frozen=True)
-class ReproductionReport:
+_CELL_JSON_ROW = _json_row_template(CellCheck._fields)  # one object per cell
+
+
+class ReproductionReport(NamedTuple):
     checks: tuple[CellCheck, ...]
 
     @property
@@ -94,16 +95,15 @@ class ReproductionReport:
         return "\n".join(lines) + "\n"
 
     def render_json(self) -> str:
-        payload = {
-            "cells": [vars(c) for c in self.checks],
+        return _indented_json({
+            "cells": self.checks,
             "summary": {
                 "match": len(self.matches),
                 "known_erratum": len(self.known_errata),
                 "mismatch": len(self.mismatches),
             },
             "exit_status": self.exit_status,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        }, _CELL_JSON_ROW)
 
 
 def run_case(case_id: str, algorithm: str) -> RunMetrics:

@@ -15,8 +15,8 @@ executor) produces.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import PolicyDescriptor, Workload, validate_workload
 
@@ -46,8 +46,7 @@ def benchmark_case(case_id: str) -> Workload:
     return validate_workload(records, label=f"case {case_id}")
 
 
-@dataclass(frozen=True)
-class ExpectedRow:
+class ExpectedRow(NamedTuple):
     """Published reference values for one (case, algorithm) pair."""
 
     case_id: str
@@ -167,10 +166,7 @@ ALL_ZERO = "all_zero"
 STAGGERED = "staggered"
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Parameters for the seeded random workload generator."""
-
+class _GeneratorFields(NamedTuple):
     n: int
     burst_min: int
     burst_max: int
@@ -179,18 +175,34 @@ class GeneratorSpec:
     max_gap: int = 0               # staggered only: max per-process gap, ms
     seed: int = 0
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 1 <= self.burst_min <= self.burst_max:
+
+class GeneratorSpec(_GeneratorFields):
+    """Parameters for the seeded random workload generator.
+
+    A named tuple that checks its parameters however it is built: called,
+    through ``_make`` or through ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        if spec.n < 1:
+            raise ValueError(f"n must be >= 1, got {spec.n}")
+        if not 1 <= spec.burst_min <= spec.burst_max:
             raise ValueError(
-                f"need 1 <= burst_min <= burst_max, got {self.burst_min}..{self.burst_max}")
-        if self.order not in (ASCENDING, DESCENDING, RANDOM):
-            raise ValueError(f"unknown order {self.order!r}")
-        if self.arrival not in (ALL_ZERO, STAGGERED):
-            raise ValueError(f"unknown arrival mode {self.arrival!r}")
-        if self.arrival == STAGGERED and self.max_gap < 0:
-            raise ValueError(f"max_gap must be >= 0, got {self.max_gap}")
+                f"need 1 <= burst_min <= burst_max, got {spec.burst_min}..{spec.burst_max}")
+        if spec.order not in (ASCENDING, DESCENDING, RANDOM):
+            raise ValueError(f"unknown order {spec.order!r}")
+        if spec.arrival not in (ALL_ZERO, STAGGERED):
+            raise ValueError(f"unknown arrival mode {spec.arrival!r}")
+        if spec.arrival == STAGGERED and spec.max_gap < 0:
+            raise ValueError(f"max_gap must be >= 0, got {spec.max_gap}")
+        return spec
+
+    @classmethod
+    def _make(cls, iterable):  # ``_replace`` builds through ``_make`` too
+        return cls(*super()._make(iterable))
 
 
 def generate_workload(spec: GeneratorSpec) -> Workload:

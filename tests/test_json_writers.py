@@ -1,6 +1,7 @@
-"""Both indented JSON writers, ``RunMetrics.render_json`` and JSON
-``serialize_workload``, against ``json.dumps(payload, indent=2)``, byte for
-byte, on pids and labels that need escaping and on very long quanta.
+"""The indented JSON writers, ``RunMetrics.render_json``, JSON
+``serialize_workload`` and ``ReproductionReport.render_json``, against
+``json.dumps(payload, indent=2)``, byte for byte, on pids, labels and
+cells that need escaping and on very long quanta.
 """
 import json
 
@@ -14,6 +15,7 @@ from rrsim import WorkloadError, simulate, validate_workload
 from rrsim.fileio import JSON, serialize_workload
 from rrsim.metrics import PROCESS_COLUMNS, compute_metrics, format_average, format_percent
 from rrsim.policies import POLICY_NAMES, standard_policy
+from rrsim.reproduce import CellCheck, ReproductionReport
 from rrsim.workloads import STAGGERED, GeneratorSpec, generate_workload
 
 
@@ -112,3 +114,26 @@ def test_writers_match_json_dumps_on_arbitrary_pids_and_labels(middles, label, t
             validate_workload(records, label)
         return
     _assert_writers_match_json_dumps(validate_workload(records, label), name)
+
+
+def _reproduction_json_oracle(report):
+    payload = {
+        "cells": [c._asdict() for c in report.checks],
+        "summary": {
+            "match": len(report.matches),
+            "known_erratum": len(report.known_errata),
+            "mismatch": len(report.mismatches),
+        },
+        "exit_status": report.exit_status,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(CellCheck, *[_label_text] * 5,
+                          st.sampled_from(("match", "mismatch", "known_erratum")),
+                          st.none() | _label_text), max_size=4))
+def test_reproduction_json_matches_json_dumps_on_any_cells(checks):
+    # a cell's fields are any text, lone surrogates included; its erratum may be missing
+    report = ReproductionReport(tuple(checks))
+    assert report.render_json() == _reproduction_json_oracle(report)

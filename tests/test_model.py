@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from rrsim import (
@@ -58,8 +56,9 @@ def test_validate_workload_idempotent():
 
 def test_process_spec_is_immutable():
     w = validate_workload(CASE_I_RECORDS)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         w.processes[0].burst = 1
+    assert w.processes[0].burst == 40
 
 
 @pytest.mark.parametrize("record, field", [
@@ -182,3 +181,25 @@ def test_workload_checks_its_fields_and_converts_nothing(processes, label):
 def test_validate_workload_rejects_a_non_string_label():
     with pytest.raises(WorkloadError):
         validate_workload([("P1", 0, 5)], label=5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ProcessSpec("P1", 0, 5)._replace(burst=-1),
+    lambda: ProcessSpec("P1", 0, 5)._replace(pid=" P1"),
+    lambda: ProcessSpec._make(("", -3, 0)),
+    lambda: ProcessSpec._make(("P1", 0, True)),
+], ids=["replace-burst", "replace-pid", "make-empty-pid", "make-bool-burst"])
+def test_process_spec_copies_are_checked_like_the_constructor(build):
+    with pytest.raises(WorkloadError):
+        build()
+
+
+def test_process_spec_is_a_checked_named_tuple():
+    spec = ProcessSpec("P1", 0, 5)
+    assert spec == ("P1", 0, 5)
+    assert spec._replace(burst=7) == ProcessSpec._make(("P1", 0, 7)) == ("P1", 0, 7)
+    assert type(spec._replace(burst=7)) is ProcessSpec
+    with pytest.raises(TypeError):
+        ProcessSpec._make(("P1", 0))  # the arity check of ``_make`` stays
+    with pytest.raises(TypeError):
+        vars(spec)

@@ -1,0 +1,76 @@
+"""Start-up: ``import rrsim.cli`` loads only what a command needs.
+
+``rrsim.reproduce`` and ``rrsim.gantt`` load on first use, so ``run`` and
+``compare`` never compile them.  This process imported both long ago, so
+each check of what loads runs in a fresh interpreter.
+"""
+import importlib
+import json
+import pkgutil
+import subprocess
+import sys
+
+import rrsim
+from test_golden_outputs import COMMAND_DIGESTS, RUN_OUTPUT_DIGESTS
+
+LOADED_ON_FIRST_USE = {"rrsim.reproduce", "rrsim.gantt"}
+
+# Runs each argv given on its command line through ``rrsim.cli.main`` and
+# prints, per command, its exit status, the SHA-256 of its stdout and the
+# rrsim modules loaded after it; with no argv it only imports rrsim.cli.
+_CHILD = """
+import contextlib, hashlib, io, json, sys
+import rrsim.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("rrsim"))
+
+report = [{"loaded": loaded()}]
+for argv in map(json.loads, sys.argv[1:]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = rrsim.cli.main(argv)
+    report.append({"status": status, "loaded": loaded(),
+                   "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()})
+print(json.dumps(report))
+"""
+
+
+def _fresh(*commands):
+    """Import rrsim.cli in a new interpreter, then run ``commands`` there."""
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *map(json.dumps, commands)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_import_and_run_leave_reproduce_and_gantt_unloaded():
+    imported, ran = _fresh(["run", "--algo", "dabrr", "--workload", "case:I"])
+    assert "rrsim.cli" in imported["loaded"]
+    assert LOADED_ON_FIRST_USE.isdisjoint(imported["loaded"])
+    assert ran["status"] == 0
+    assert LOADED_ON_FIRST_USE.isdisjoint(ran["loaded"])
+
+
+def test_commands_that_need_them_load_them_and_print_their_golden_output():
+    _, gantt, reproduce, figures = _fresh(
+        ["run", "--algo", "rr", "--workload", "case:I", "--gantt"],
+        ["reproduce-paper", "--format", "json"],
+        ["export-figures"])
+    assert (gantt["status"], gantt["sha256"]) == (0, RUN_OUTPUT_DIGESTS["I", "rr", "--gantt"])
+    assert "rrsim.gantt" in gantt["loaded"] and "rrsim.reproduce" not in gantt["loaded"]
+    assert (reproduce["status"], reproduce["sha256"]) == (
+        0, COMMAND_DIGESTS["reproduce-paper --format json"])
+    assert "rrsim.reproduce" in reproduce["loaded"]
+    assert (figures["status"], figures["sha256"]) == (0, COMMAND_DIGESTS["export-figures"])
+
+
+def test_only_three_records_remain_dataclasses():
+    # the rest are named tuples; these three are not: a tracer swaps a
+    # policy's ``plan`` with dataclasses.replace, a trace's slices are
+    # replaced the same way, and a workload iterates over its processes
+    names = {f"rrsim.{info.name}" for info in pkgutil.iter_modules(rrsim.__path__)}
+    modules = [importlib.import_module(name) for name in sorted(names)]
+    dataclasses = {value.__name__ for module in modules for value in vars(module).values()
+                   if isinstance(value, type) and value.__module__ == module.__name__
+                   and hasattr(value, "__dataclass_fields__")}
+    assert dataclasses == {"PolicyBehavior", "ExecutionTrace", "Workload"}

@@ -117,6 +117,26 @@ def test_generator_spec_rejects_bad_parameters(kwargs):
         GeneratorSpec(**kwargs)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: GeneratorSpec(5, 1, 9)._replace(n=0),
+    lambda: GeneratorSpec(5, 1, 9)._replace(burst_min=10),
+    lambda: GeneratorSpec(5, 1, 9, STAGGERED, max_gap=3)._replace(max_gap=-1),
+    lambda: GeneratorSpec._make((5, 1, 9, "sideways", ALL_ZERO, 0, 0)),
+], ids=["replace-n", "replace-burst-min", "replace-max-gap", "make-order"])
+def test_generator_spec_copies_are_checked_like_the_constructor(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_generator_spec_is_a_checked_named_tuple():
+    spec = GeneratorSpec(5, 1, 9)
+    assert spec == (5, 1, 9, RANDOM, ALL_ZERO, 0, 0)
+    assert spec._replace(seed=3) == GeneratorSpec._make((5, 1, 9, RANDOM, ALL_ZERO, 0, 3))
+    assert type(spec._replace(seed=3)) is GeneratorSpec
+    with pytest.raises(TypeError):
+        GeneratorSpec._make((5, 1, 9))  # ``_make`` takes every field, defaults or not
+
+
 @settings(max_examples=200)
 @given(
     n=st.integers(1, 30),
