@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import count, pairwise, repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -37,6 +37,7 @@ from .model import (
     PolicyDescriptor,
     SliceView,
     Workload,
+    record_builder,
 )
 
 CYCLE_BOUNDARY = "cycle_boundary"
@@ -69,6 +70,11 @@ class ReadySnapshot(NamedTuple):
     entries: tuple[SnapshotEntry, ...]
     now: int
     cycle_index: int
+
+
+# records the engine builds in C: neither type checks its fields
+_entry = record_builder(SnapshotEntry)
+_snapshot = record_builder(ReadySnapshot)
 
 
 class CyclePlan(NamedTuple):
@@ -110,6 +116,9 @@ def _checked_plan(policy: PolicyBehavior, snapshot: ReadySnapshot) -> CyclePlan:
         raise PolicyPlanInvalid(
             f"{policy.descriptor.name}: plan order {_pids(order)} is not {kind}'s records "
             f"{_pids(entries)}")
+    if type(plan.quantum) is not int:  # a float or a bool would run, then fail in the metrics
+        raise PolicyPlanInvalid(
+            f"{policy.descriptor.name}: quantum {plan.quantum!r} is not an int")
     if plan.quantum < 1:
         raise PolicyPlanInvalid(
             f"{policy.descriptor.name}: quantum {plan.quantum} < 1")
@@ -131,10 +140,11 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     if policy.ascending and mode == TAIL_REJOIN:  # newcomers join ahead of the preempted one
         raise ValueError(f"arrival mode {mode!r} cannot keep the queue ascending")
     place = (lambda q, e: insort(q, e, key=rank_key)) if policy.ascending else list.append
+    pid_col, arrival_col, burst_col = zip(*workload.processes)
     # sorted() is stable, so equal arrivals keep their submission order
-    incoming = sorted((SnapshotEntry(p.pid, p.burst, p.arrival, i, False)
-                       for i, p in enumerate(workload.processes)), key=attrgetter("arrival"))
-    never = incoming[-1].arrival + workload.total_burst() + 1  # beyond every slice's end
+    incoming = sorted(map(_entry, zip(pid_col, burst_col, arrival_col, count(), repeat(False))),
+                      key=attrgetter("arrival"))
+    never = incoming[-1].arrival + sum(burst_col) + 1  # beyond every slice's end
 
     queue: list[SnapshotEntry] = []
     # the trace's columns: a slice is one entry in each, never a record
@@ -159,7 +169,7 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
             continue
 
         cycle += 1
-        snapshot = ReadySnapshot(tuple(queue), clock, cycle)
+        snapshot = _snapshot((tuple(queue), clock, cycle))
         plan = _checked_plan(policy, snapshot)
         order, quantum = plan.order, plan.quantum
         # A tail-rejoin cycle is one pass over a FIFO queue, not a quantum
@@ -170,7 +180,8 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
 
         queue = []  # the next cycle's queue, filled in execution order
         watch = due if mode != CYCLE_BOUNDARY else never  # an arrival that acts mid-cycle
-        for pos, (pid, remaining, arrival, index, _) in enumerate(order):
+        dispatch = iter(order)
+        for pid, remaining, arrival, index, _ in dispatch:
             left = remaining - quantum
             pids.append(pid)
             starts.append(clock)
@@ -180,9 +191,9 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
             if clock >= watch and mode == TAIL_REJOIN:
                 watch = due = admit(clock)  # same-ms arrivals enqueue before the preempted one
             if left > 0:
-                queue.append(SnapshotEntry(pid, left, arrival, index, True))
+                queue.append(_entry((pid, left, arrival, index, True)))
             if clock >= watch:  # slice-boundary restart: abandon the cycle, replan over all
-                queue.extend(order[pos + 1:])
+                queue.extend(dispatch)  # the records not yet dispatched
                 break
         ran = len(pids) - len(cycles)  # every slice of a cycle shares its index and quantum
         cycles += [cycle] * ran

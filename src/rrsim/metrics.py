@@ -7,11 +7,12 @@ away from zero, in integer arithmetic), so golden comparisons never drift.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 from typing import Mapping, NamedTuple
 
 from .engine import _walk_trace, trace_violations  # noqa: F401 (bench/tracing.py wraps it)
 from .fileio import _indented_json, _json_row_template
-from .model import ExecutionTrace, PolicyDescriptor, Workload
+from .model import ExecutionTrace, PolicyDescriptor, Workload, record_builder
 
 
 class InconsistentTrace(ValueError):
@@ -33,6 +34,8 @@ class ProcessMetrics(NamedTuple):
     waiting: int     # turnaround - burst
     response: int    # first dispatch - arrival
 
+
+_row = record_builder(ProcessMetrics)
 
 # The per-process columns of `run`: its JSON keys and its CSV header.  The
 # text table drops the "_ms".
@@ -116,25 +119,27 @@ def compute_metrics(trace: ExecutionTrace, workload: Workload) -> RunMetrics:
     if problems:
         raise InconsistentTrace("; ".join(problems))
 
-    rows = []
-    for p in workload.processes:
-        turnaround = completion[p.pid] - p.arrival
-        rows.append(ProcessMetrics(p.pid, p.arrival, p.burst, completion[p.pid], turnaround,
-                                   waiting=turnaround - p.burst,
-                                   response=first_dispatch[p.pid] - p.arrival))
+    # column by column: a C call per column, none per process
+    pids, arrivals, bursts = zip(*workload.processes)
+    completions = list(map(completion.__getitem__, pids))
+    turnarounds = list(map(sub, completions, arrivals))
+    waitings = list(map(sub, turnarounds, bursts))
+    responses = list(map(sub, map(first_dispatch.__getitem__, pids), arrivals))
+    rows = tuple(map(_row, zip(pids, arrivals, bursts, completions,
+                               turnarounds, waitings, responses)))
 
     n = len(rows)
     makespan = trace.end_time() - workload.min_arrival()
     return RunMetrics(
         descriptor=trace.algorithm,
         workload_label=workload.label,
-        per_process=tuple(rows),
-        avg_waiting=Fraction(sum(r.waiting for r in rows), n),
-        avg_turnaround=Fraction(sum(r.turnaround for r in rows), n),
-        avg_response=Fraction(sum(r.response for r in rows), n),
+        per_process=rows,
+        avg_waiting=Fraction(sum(waitings), n),
+        avg_turnaround=Fraction(sum(turnarounds), n),
+        avg_response=Fraction(sum(responses), n),
         context_switches=context_switches(trace),
         makespan=makespan,
-        cpu_utilization=Fraction(workload.total_burst() * 100, makespan),
+        cpu_utilization=Fraction(sum(bursts) * 100, makespan),
         quantum_log=trace.quantum_log,
     )
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -24,6 +25,16 @@ def decimal_int(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
+
+
+def record_builder(cls):
+    """A C callable that builds a ``cls`` from one iterable of its fields.
+
+    It is ``tuple.__new__`` bound to ``cls``: no Python ``__new__`` runs and
+    the field count is not checked, so use it only for a named tuple that
+    defines no check of its own, and hand it exactly its fields.
+    """
+    return partial(tuple.__new__, cls)
 
 
 def _check_utf8(text: str, what: str) -> None:
@@ -143,6 +154,9 @@ class Slice(NamedTuple):
         return self.end - self.start
 
 
+_slice = record_builder(Slice)
+
+
 class IdleGap(NamedTuple):
     """An interval during which no admitted process had remaining work."""
 
@@ -176,11 +190,11 @@ class SliceView(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(map(Slice._make, zip(*(column[index] for column in self._columns))))
-        return Slice._make(column[index] for column in self._columns)
+            return tuple(map(_slice, zip(*(column[index] for column in self._columns))))
+        return _slice([column[index] for column in self._columns])
 
     def __iter__(self):
-        return map(Slice._make, zip(*self._columns))
+        return map(_slice, zip(*self._columns))
 
     def __eq__(self, other):
         if isinstance(other, SliceView):

@@ -19,7 +19,13 @@ from rrsim import (
     trace_violations,
     validate_workload,
 )
-from rrsim.engine import SLICE_BOUNDARY_RESTART, CyclePlan, PolicyBehavior, SnapshotEntry
+from rrsim.engine import (
+    SLICE_BOUNDARY_RESTART,
+    CyclePlan,
+    PolicyBehavior,
+    ReadySnapshot,
+    SnapshotEntry,
+)
 from rrsim.model import COMPLETED, PolicyDescriptor, QUANTUM_EXPIRED
 from rrsim.policies import (
     POLICY_NAMES,
@@ -28,7 +34,7 @@ from rrsim.policies import (
     make_round_robin,
     standard_policy,
 )
-from rrsim.workloads import benchmark_case
+from rrsim.workloads import ALL_ZERO, GeneratorSpec, benchmark_case, generate_workload
 
 
 def test_dabrr_case_i_trace():
@@ -170,6 +176,51 @@ def test_plan_quantum_must_be_positive():
     w = benchmark_case("I")
     with pytest.raises(PolicyPlanInvalid):
         simulate(w, _defective(lambda records: records, quantum=0))
+
+
+@pytest.mark.parametrize("quantum", [2.5, 3.0, True], ids=["float", "integral float", "bool"])
+def test_plan_quantum_must_be_an_int(quantum):
+    # each would simulate, then fail in Fraction arithmetic or print as "True"
+    policy = PolicyBehavior(PolicyDescriptor.of("X"), lambda s: CyclePlan(s.entries, quantum))
+    with pytest.raises(PolicyPlanInvalid, match=rf"^X: quantum {quantum!r} is not an int$"):
+        simulate(benchmark_case("I"), policy)
+
+
+def test_survivor_records_skip_the_python_constructor(monkeypatch):
+    # a preempted process's new record is built in C, so a wrapper on the
+    # Python-level __new__ sees at most one call per process, never one per slice
+    workload = generate_workload(GeneratorSpec(n=300, burst_min=1, burst_max=500,
+                                               arrival=ALL_ZERO, seed=0))
+    calls = []
+    original = SnapshotEntry.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(SnapshotEntry, "__new__", staticmethod(counting))
+    assert SnapshotEntry("P1", 1, 0, 0, False) == ("P1", 1, 0, 0, False) and len(calls) == 1
+    calls.clear()
+    trace = simulate(workload, standard_policy("IRRVQ"))
+    survivors = len(trace.slices) - len(workload)  # every other slice preempts
+    assert survivors > 10 * len(workload)
+    assert len(calls) <= len(workload), len(calls)
+
+
+def test_every_planned_record_is_a_snapshot_entry():
+    # the seeds and policies of the checker's seeded sweep below
+    for seed in range(1000):
+        policy = standard_policy(POLICY_NAMES[seed % len(POLICY_NAMES)])
+        snapshots = []
+
+        def plan(snapshot, inner=policy.plan):
+            snapshots.append(snapshot)
+            return inner(snapshot)
+
+        simulate(seeded_workload(seed), dataclasses.replace(policy, plan=plan))
+        assert snapshots and all(type(s) is ReadySnapshot for s in snapshots), seed
+        assert all(type(e) is SnapshotEntry and e.remaining == e[1]
+                   for s in snapshots for e in s.entries), seed
 
 
 def test_replay_check_accepts_all_benchmark_traces():

@@ -11,12 +11,14 @@ from test_engine import CHECKER_MUTATIONS
 from rrsim import (
     InconsistentTrace,
     MismatchedCaseSets,
+    ProcessMetrics,
     compare_runs,
     compute_metrics,
     context_switches,
     simulate,
     validate_workload,
 )
+from rrsim.engine import _walk_trace
 from rrsim.metrics import format_average, format_percent
 from rrsim.policies import POLICY_NAMES, make_dabrr, make_round_robin, standard_policy
 from rrsim.workloads import CASE_IDS, benchmark_case
@@ -102,6 +104,35 @@ def test_compute_metrics_rejects_every_checker_mutation():
                 compute_metrics(bad, workload)
     assert set(applied) == {mutate for mutate, _ in CHECKER_MUTATIONS}
     assert sum(applied.values()) >= 3000
+
+
+def _rows_per_process(trace, workload):
+    """The rows and averages as the per-process loop built them before the
+    rows were built column by column; the loop is kept verbatim."""
+    _, completion, first_dispatch = _walk_trace(trace, workload)
+    rows = []
+    for p in workload.processes:
+        turnaround = completion[p.pid] - p.arrival
+        rows.append(ProcessMetrics(p.pid, p.arrival, p.burst, completion[p.pid], turnaround,
+                                   waiting=turnaround - p.burst,
+                                   response=first_dispatch[p.pid] - p.arrival))
+
+    n = len(rows)
+    return (tuple(rows),
+            Fraction(sum(r.waiting for r in rows), n),
+            Fraction(sum(r.turnaround for r in rows), n),
+            Fraction(sum(r.response for r in rows), n))
+
+
+def test_columnar_rows_equal_the_per_process_loop():
+    for seed in range(200):
+        workload = seeded_workload(seed)
+        for name in POLICY_NAMES:
+            trace = simulate(workload, standard_policy(name))
+            m = compute_metrics(trace, workload)
+            assert all(type(r) is ProcessMetrics for r in m.per_process), (seed, name)
+            assert (m.per_process, m.avg_waiting, m.avg_turnaround, m.avg_response) \
+                == _rows_per_process(trace, workload), (seed, name)
 
 
 def test_waiting_is_turnaround_minus_burst_everywhere():

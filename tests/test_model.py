@@ -1,8 +1,17 @@
+import collections
+import functools
+import importlib
+import pkgutil
+
 import pytest
 
+import rrsim
 from rrsim import (
+    GeneratorSpec,
     PolicyDescriptor,
+    ProcessMetrics,
     ProcessSpec,
+    ReadySnapshot,
     Workload,
     WorkloadError,
     validate_workload,
@@ -203,3 +212,44 @@ def test_process_spec_is_a_checked_named_tuple():
         ProcessSpec._make(("P1", 0))  # the arity check of ``_make`` stays
     with pytest.raises(TypeError):
         vars(spec)
+
+
+def _built_in_c() -> set:
+    """The classes rrsim builds through ``model.record_builder``: the
+    ``tuple.__new__`` partials found among every module's globals."""
+    built = set()
+    for info in pkgutil.iter_modules(rrsim.__path__):
+        module = importlib.import_module(f"rrsim.{info.name}")
+        built.update(value.args[0] for value in vars(module).values()
+                     if isinstance(value, functools.partial) and value.func is tuple.__new__)
+    return built
+
+
+def _checks_nothing(cls) -> bool:
+    """Whether building ``cls`` skips no check: it derives from ``tuple``
+    directly, and its ``__new__`` and ``_make`` are those ``namedtuple``
+    generates, which check only the field count."""
+    reference = collections.namedtuple(cls.__name__, cls._fields)
+    code, expected = cls.__new__.__code__, reference.__new__.__code__
+    return (cls.__mro__ == (cls, tuple, object)
+            and (code.co_code, code.co_names, code.co_varnames)
+            == (expected.co_code, expected.co_names, expected.co_varnames)
+            and cls._make.__func__.__code__ is reference._make.__func__.__code__)
+
+
+def test_records_built_in_c_define_no_check_of_their_own():
+    built = _built_in_c()
+    assert built == {Slice, SnapshotEntry, ReadySnapshot, ProcessMetrics}
+    assert all(_checks_nothing(cls) for cls in built)
+    # a record with a check of its own is told apart
+    assert not _checks_nothing(ProcessSpec) and not _checks_nothing(GeneratorSpec)
+
+    class CheckedSlice(Slice):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            if fields[1] < 0:
+                raise ValueError("negative start")
+            return super().__new__(cls, *fields)
+
+    assert not _checks_nothing(CheckedSlice)
