@@ -20,7 +20,6 @@ from .metrics import (
     RunMetrics,
     compare_runs,
     compute_metrics,
-    context_switches,
 )
 from .model import (
     ExecutionTrace,
@@ -47,7 +46,7 @@ from .policies import (
     parse_policy_spec,
     range_quantum,
 )
-from .workloads import GeneratorSpec, benchmark_case, expected_row, generate_workload
+from .workloads import GeneratorSpec, benchmark_case, generate_workload
 
 __all__ = [name for name, value in globals().items()
            if not name.startswith("_") and not isinstance(value, _types.ModuleType)]

@@ -78,9 +78,11 @@ _snapshot = record_builder(ReadySnapshot)
 
 
 class CyclePlan(NamedTuple):
-    """The cycle quantum plus a dispatch order: the snapshot's own records,
-    each exactly once.  A copied or edited record is rejected, since the
-    engine runs each record's ``remaining`` as it finds it."""
+    """A dispatch order plus the cycle quantum.  The order is a tuple or
+    list of the snapshot's own records, each exactly once.  A copied or
+    edited record is rejected, since the engine runs each record's
+    ``remaining`` as it finds it.  ``plan`` may return any other
+    ``(order, quantum)`` pair in its place."""
 
     order: Sequence[SnapshotEntry]
     quantum: int
@@ -105,24 +107,34 @@ def _pids(records) -> tuple:
     return tuple(getattr(r, "pid", r) for r in records)
 
 
-def _checked_plan(policy: PolicyBehavior, snapshot: ReadySnapshot) -> CyclePlan:
+def _invalid(policy: PolicyBehavior, problem: str) -> PolicyPlanInvalid:
+    return PolicyPlanInvalid(f"{policy.descriptor.name}: {problem}")
+
+
+def _checked_plan(policy: PolicyBehavior, snapshot: ReadySnapshot) -> tuple[Sequence, int]:
     plan = policy.plan(snapshot)
-    order, entries = plan.order, snapshot.entries
-    # the queue's records are distinct objects, so equal lengths and equal
-    # identity sets make a permutation of those very records
-    if order is not entries and (policy.ascending or len(order) != len(entries)
-                                 or set(map(id, order)) != set(map(id, entries))):
-        kind = "the ascending queue" if policy.ascending else "a permutation of the ready queue"
-        raise PolicyPlanInvalid(
-            f"{policy.descriptor.name}: plan order {_pids(order)} is not {kind}'s records "
-            f"{_pids(entries)}")
-    if type(plan.quantum) is not int:  # a float or a bool would run, then fail in the metrics
-        raise PolicyPlanInvalid(
-            f"{policy.descriptor.name}: quantum {plan.quantum!r} is not an int")
-    if plan.quantum < 1:
-        raise PolicyPlanInvalid(
-            f"{policy.descriptor.name}: quantum {plan.quantum} < 1")
-    return plan
+    try:
+        order, quantum = plan  # a CyclePlan or any other pair
+    except (TypeError, ValueError):
+        raise _invalid(policy, f"plan is a {type(plan).__name__}, "
+                               f"not an (order, quantum) pair") from None
+    entries = snapshot.entries
+    if order is not entries:
+        if not isinstance(order, (tuple, list)):
+            raise _invalid(policy, f"plan order is a {type(order).__name__}, "
+                                   f"not a tuple or list")
+        # the queue's records are distinct objects, so equal lengths and
+        # equal identity sets make a permutation of those very records
+        if (policy.ascending or len(order) != len(entries)
+                or set(map(id, order)) != set(map(id, entries))):
+            kind = "the ascending queue" if policy.ascending else "a permutation of the ready queue"
+            raise _invalid(policy, f"plan order {_pids(order)} is not {kind}'s records "
+                                   f"{_pids(entries)}")
+    if type(quantum) is not int:  # a float or a bool would run, then fail in the metrics
+        raise _invalid(policy, f"quantum {quantum!r} is not an int")
+    if quantum < 1:
+        raise _invalid(policy, f"quantum {quantum} < 1")
+    return order, quantum
 
 
 def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
@@ -170,8 +182,7 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
 
         cycle += 1
         snapshot = _snapshot((tuple(queue), clock, cycle))
-        plan = _checked_plan(policy, snapshot)
-        order, quantum = plan.order, plan.quantum
+        order, quantum = _checked_plan(policy, snapshot)
         # A tail-rejoin cycle is one pass over a FIFO queue, not a quantum
         # decision, so only a change of quantum is logged: classic round
         # robin reports its one constant quantum, ((1, q),).

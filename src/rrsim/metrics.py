@@ -99,15 +99,6 @@ class RunMetrics(NamedTuple):
                        for row in (PROCESS_COLUMNS, *self.per_process))
 
 
-def context_switches(trace: ExecutionTrace) -> int:
-    """Dispatch slices minus one.
-
-    Quantum-expiry boundaries count even when the same process is
-    re-dispatched immediately; idle gaps contribute nothing.
-    """
-    return len(trace.slices) - 1
-
-
 def compute_metrics(trace: ExecutionTrace, workload: Workload) -> RunMetrics:
     """Derive all metrics from a trace.
 
@@ -129,7 +120,7 @@ def compute_metrics(trace: ExecutionTrace, workload: Workload) -> RunMetrics:
                                turnarounds, waitings, responses)))
 
     n = len(rows)
-    makespan = trace.end_time() - workload.min_arrival()
+    makespan = trace.end_time() - min(arrivals)
     return RunMetrics(
         descriptor=trace.algorithm,
         workload_label=workload.label,
@@ -137,7 +128,9 @@ def compute_metrics(trace: ExecutionTrace, workload: Workload) -> RunMetrics:
         avg_waiting=Fraction(sum(waitings), n),
         avg_turnaround=Fraction(sum(turnarounds), n),
         avg_response=Fraction(sum(responses), n),
-        context_switches=context_switches(trace),
+        # dispatch slices minus one: a quantum expiry counts even when the
+        # same process is re-dispatched at once, and idle gaps count nothing
+        context_switches=len(trace.slices) - 1,
         makespan=makespan,
         cpu_utilization=Fraction(sum(bursts) * 100, makespan),
         quantum_log=trace.quantum_log,

@@ -111,15 +111,6 @@ class Workload:
     def __iter__(self):
         return iter(self.processes)
 
-    def pids(self) -> tuple[str, ...]:
-        return tuple(p.pid for p in self.processes)
-
-    def total_burst(self) -> int:
-        return sum(p.burst for p in self.processes)
-
-    def min_arrival(self) -> int:
-        return min(p.arrival for p in self.processes)
-
 
 def validate_workload(records, label: str = "") -> Workload:
     """Build a Workload from (pid, arrival, burst) records.
@@ -148,10 +139,6 @@ class Slice(NamedTuple):
     cycle: int
     quantum_in_effect: int
     termination: str  # COMPLETED or QUANTUM_EXPIRED
-
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
 
 
 _slice = record_builder(Slice)

@@ -12,20 +12,17 @@ from reference_executor import unit_step_completions
 
 from rrsim import simulate, trace_violations, validate_workload
 from rrsim.fileio import CSV, JSON, parse_workload, serialize_workload
-from rrsim.metrics import compute_metrics, context_switches, format_percent
+from rrsim.metrics import compute_metrics, format_percent
 from rrsim.model import COMPLETED
 from rrsim.policies import POLICY_NAMES, make_round_robin, standard_policy
-from rrsim.workloads import (
-    CASE_IDS,
-    NONZERO_ARRIVAL_CASES,
+from rrsim.reproduce import (
     PUBLISHED_TURNAROUND_GAINS,
     PUBLISHED_TURNAROUND_TOTALS,
     PUBLISHED_WAITING_GAINS,
     PUBLISHED_WAITING_TOTALS,
-    ZERO_ARRIVAL_CASES,
-    benchmark_case,
     expected_row,
 )
+from rrsim.workloads import CASE_IDS, NONZERO_ARRIVAL_CASES, ZERO_ARRIVAL_CASES, benchmark_case
 
 BENCH_PARAMS = {"RR": {"q": 25}, "RP5": {"base": 25}, "MRR": {"floor": 25}}
 NON_SARR = tuple(n for n in POLICY_NAMES if n != "SARR")
@@ -179,7 +176,7 @@ def test_criterion_5_fuzzed_invariants():
         # contiguity, work conservation, arrival respect, quantum log sanity
         if problems:
             failures.append(f"seed {seed} {name}: {problems[:3]}")
-        if context_switches(trace) != len(trace.slices) - 1:
+        if compute_metrics(trace, workload).context_switches != len(trace.slices) - 1:
             failures.append(f"seed {seed} {name}: context switch rule")
         if name == "IRRVQ" and len(trace.quantum_log) > len(workload):
             failures.append(f"seed {seed}: IRRVQ ran {len(trace.quantum_log)} cycles")
@@ -206,11 +203,11 @@ def test_criterion_5_fuzzed_invariants():
     # RR with quantum >= max burst reduces to FCFS on zero-arrival workloads
     for seed in range(300):
         workload = seeded_workload(seed * 17 + 3)
-        if workload.min_arrival() != 0 or any(p.arrival for p in workload):
+        if any(p.arrival for p in workload):
             workload = validate_workload(
                 [(p.pid, 0, p.burst) for p in workload], label=workload.label)
         trace = simulate(workload, make_round_robin(max(p.burst for p in workload)))
-        if [s.pid for s in trace.slices] != list(workload.pids()):
+        if [s.pid for s in trace.slices] != [p.pid for p in workload]:
             failures.append(f"FCFS reduction order, seed {seed}")
         if not all(s.termination == COMPLETED for s in trace.slices):
             failures.append(f"FCFS reduction split slice, seed {seed}")

@@ -91,7 +91,7 @@ def test_simulation_is_deterministic():
 def test_rr_with_huge_quantum_reduces_to_fcfs():
     w = benchmark_case("II")
     trace = simulate(w, make_round_robin(10_000))
-    assert [s.pid for s in trace.slices] == list(w.pids())
+    assert [s.pid for s in trace.slices] == [p.pid for p in w]
     assert all(s.termination == COMPLETED for s in trace.slices)
 
 
@@ -183,6 +183,36 @@ def test_plan_quantum_must_be_an_int(quantum):
     # each would simulate, then fail in Fraction arithmetic or print as "True"
     policy = PolicyBehavior(PolicyDescriptor.of("X"), lambda s: CyclePlan(s.entries, quantum))
     with pytest.raises(PolicyPlanInvalid, match=rf"^X: quantum {quantum!r} is not an int$"):
+        simulate(benchmark_case("I"), policy)
+
+
+@pytest.mark.parametrize("order_fn, kind", [
+    (iter, "tuple_iterator"),
+    (lambda records: None, "NoneType"),
+], ids=["iterator", "none"])
+def test_plan_order_must_be_a_tuple_or_list(order_fn, kind):
+    with pytest.raises(PolicyPlanInvalid,
+                       match=rf"^BROKEN: plan order is a {kind}, not a tuple or list$"):
+        simulate(benchmark_case("I"), _defective(order_fn))
+
+
+def test_plan_may_return_a_plain_pair():
+    dabrr = make_dabrr()
+    pair = dataclasses.replace(dabrr, plan=lambda s: tuple(dabrr.plan(s)))
+    w = benchmark_case("I")
+    assert simulate(w, pair) == simulate(w, dabrr)
+
+
+@pytest.mark.parametrize("result, kind", [
+    (None, "NoneType"),
+    (5, "int"),
+    ((), "tuple"),
+    (("order", 5, "extra"), "tuple"),
+], ids=["none", "int", "empty", "triple"])
+def test_plan_result_must_be_a_pair(result, kind):
+    policy = PolicyBehavior(PolicyDescriptor.of("X"), lambda s: result)
+    with pytest.raises(PolicyPlanInvalid,
+                       match=rf"^X: plan is a {kind}, not an \(order, quantum\) pair$"):
         simulate(benchmark_case("I"), policy)
 
 
@@ -294,7 +324,7 @@ def test_snapshot_records_match_the_trace(policy, records):
     assert len(snapshots) == trace.slices[-1].cycle
     for snapshot in snapshots:
         done = [s for s in trace.slices if s.end <= snapshot.now]
-        executed = {p.pid: sum(s.duration for s in done if s.pid == p.pid) for p in w}
+        executed = {p.pid: sum(s.end - s.start for s in done if s.pid == p.pid) for p in w}
         expected = {
             p.pid: (p.burst - executed[p.pid], p.arrival, i, any(s.pid == p.pid for s in done))
             for i, p in enumerate(w.processes)
@@ -444,7 +474,7 @@ def _change_one_slices_pid(trace, rng):
 def _lower_one_slices_quantum(trace, rng):
     i = rng.randrange(len(trace.slices))
     s = trace.slices[i]
-    return _with_slices(trace, i, s._replace(quantum_in_effect=rng.randrange(s.duration)))
+    return _with_slices(trace, i, s._replace(quantum_in_effect=rng.randrange(s.end - s.start)))
 
 
 def _inflate_one_slices_quantum(trace, rng):

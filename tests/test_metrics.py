@@ -14,7 +14,6 @@ from rrsim import (
     ProcessMetrics,
     compare_runs,
     compute_metrics,
-    context_switches,
     simulate,
     validate_workload,
 )
@@ -55,11 +54,11 @@ def test_single_process_metrics_are_trivial():
 def test_context_switch_rule_counts_same_pid_expiry():
     w = benchmark_case("I")
     rr_trace = simulate(w, make_round_robin(25))
-    assert context_switches(rr_trace) == 16          # 17 slices
+    assert compute_metrics(rr_trace, w).context_switches == 16      # 17 slices
     dabrr_trace = simulate(w, make_dabrr())
-    assert context_switches(dabrr_trace) == 7        # 8 slices, P5 back to back
-    single = simulate(validate_workload([("P1", 0, 9)]), make_dabrr())
-    assert context_switches(single) == 0
+    assert compute_metrics(dabrr_trace, w).context_switches == 7    # 8 slices, P5 back to back
+    one = validate_workload([("P1", 0, 9)])
+    assert compute_metrics(simulate(one, make_dabrr()), one).context_switches == 0
 
 
 def test_compute_metrics_rejects_inconsistent_trace():

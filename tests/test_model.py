@@ -26,15 +26,13 @@ CASE_I_RECORDS = [("P1", 0, 40), ("P2", 0, 55), ("P3", 0, 60),
 def test_validate_workload_accepts_case_i_records():
     w = validate_workload(CASE_I_RECORDS, label="case I")
     assert len(w) == 5
-    assert w.pids() == ("P1", "P2", "P3", "P4", "P5")
+    assert [p.pid for p in w] == ["P1", "P2", "P3", "P4", "P5"]
     assert [p.burst for p in w] == [40, 55, 60, 90, 102]
-    assert w.total_burst() == 347
-    assert w.min_arrival() == 0
 
 
 def test_validate_workload_preserves_submission_order():
     w = validate_workload([("B", 5, 10), ("A", 0, 10), ("C", 5, 1)])
-    assert w.pids() == ("B", "A", "C")
+    assert [p.pid for p in w] == ["B", "A", "C"]
 
 
 def test_duplicate_pid_rejected():
@@ -133,8 +131,6 @@ def test_public_names_are_pinned():
         "benchmark_case",
         "compare_runs",
         "compute_metrics",
-        "context_switches",
-        "expected_row",
         "generate_workload",
         "make_dabrr",
         "make_dqrrr",

@@ -8,7 +8,8 @@ from reference_executor import unit_step_completions
 
 from rrsim import simulate, validate_workload
 from rrsim.policies import POLICY_NAMES, standard_policy
-from rrsim.workloads import CASE_IDS, benchmark_case, expected_row
+from rrsim.reproduce import expected_row
+from rrsim.workloads import CASE_IDS, benchmark_case
 
 BENCH_PARAMS = {"RR": {"q": 25}, "RP5": {"base": 25}, "MRR": {"floor": 25}}
 

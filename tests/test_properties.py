@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import completion_times, seeded_workload
 
-from rrsim import simulate, trace_violations, validate_workload
-from rrsim.metrics import context_switches
+from rrsim import compute_metrics, simulate, trace_violations, validate_workload
 from rrsim.model import COMPLETED
 from rrsim.policies import POLICY_NAMES, make_round_robin, standard_policy
 from rrsim.workloads import RANDOM, STAGGERED, GeneratorSpec, generate_workload
@@ -24,7 +23,7 @@ def test_generated_traces_satisfy_all_invariants():
         trace = simulate(workload, policy)
         problems = trace_violations(trace, workload)
         assert problems == [], f"seed {seed} {policy.descriptor.name}: {problems}"
-        assert context_switches(trace) == len(trace.slices) - 1
+        assert compute_metrics(trace, workload).context_switches == len(trace.slices) - 1
         assert all(q >= 1 for _, q in trace.quantum_log)
 
 
@@ -57,7 +56,7 @@ def test_rr_with_quantum_at_least_max_burst_is_fcfs(bursts):
     workload = validate_workload(
         [(f"P{i + 1}", 0, b) for i, b in enumerate(bursts)])
     trace = simulate(workload, make_round_robin(max(bursts)))
-    assert [s.pid for s in trace.slices] == list(workload.pids())
+    assert [s.pid for s in trace.slices] == [p.pid for p in workload]
     assert all(s.termination == COMPLETED for s in trace.slices)
     expected_end = 0
     for s, p in zip(trace.slices, workload.processes):

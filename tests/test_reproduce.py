@@ -1,18 +1,22 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from rrsim.metrics import format_average
+from rrsim.policies import POLICY_NAMES
 from rrsim.reproduce import (
     GRAND_GROUP,
     KNOWN_ERRATUM,
     NONZERO_GROUP,
     ZERO_GROUP,
     comparison_reports,
+    expected_row,
     export_figure_data,
     reproduce_paper,
     run_case,
 )
+from rrsim.workloads import CASE_IDS
 
 # every cell whose published value conflicts with the policy's own rule:
 # the two SARR rows plus the aggregate cells they feed
@@ -126,3 +130,41 @@ def test_export_figure_data_requires_all_groups():
     del reports[GRAND_GROUP]
     with pytest.raises(KeyError):
         export_figure_data(reports)
+
+
+def test_expected_row_lookup():
+    row = expected_row("II", "MRR")
+    assert row.quanta == (70, 25, 25)
+    assert row.context_switches == 7
+    assert row.avg_waiting == Fraction("106.8")
+    assert row.avg_turnaround == Fraction("171.4")
+    assert row.erratum is None and row.derived is None
+
+    row = expected_row("V", "DQRRR")
+    assert row.quanta == (95, 51, 16, 8)
+    assert row.avg_turnaround == Fraction("198.2")
+
+
+def test_expected_row_errata_payloads():
+    e1 = expected_row("III", "SARR")
+    assert e1.quanta == (120,)
+    assert e1.context_switches == 4
+    assert e1.avg_waiting == Fraction("177.6")
+    assert e1.erratum == "E1"
+    assert e1.derived.quanta == (75, 37, 8)
+    assert e1.derived.context_switches == 7
+
+    e2 = expected_row("VI", "SARR")
+    assert e2.erratum == "E2"
+    assert e2.quanta == (45, 54, 16, 20)
+    assert e2.derived.quanta == (45, 62, 18, 10)
+
+    rows = [expected_row(c, name) for c in CASE_IDS for name in POLICY_NAMES]
+    errata = [(r.case_id, r.algorithm) for r in rows if r.erratum]
+    assert errata == [("III", "SARR"), ("VI", "SARR")]
+
+
+def test_expected_rows_cover_all_seven_policies():
+    for case_id in CASE_IDS:
+        rows = [expected_row(case_id, name) for name in POLICY_NAMES]
+        assert [r.algorithm for r in rows] == list(POLICY_NAMES)

@@ -1,8 +1,9 @@
 """Start-up: ``import rrsim.cli`` loads only what a command needs.
 
 ``rrsim.reproduce`` and ``rrsim.gantt`` load on first use, so ``run`` and
-``compare`` never compile them.  This process imported both long ago, so
-each check of what loads runs in a fresh interpreter.
+``compare`` never compile them, nor build the paper's published tables,
+which only ``rrsim.reproduce`` holds.  This process imported both long
+ago, so each check of what loads runs in a fresh interpreter.
 """
 import importlib
 import json
@@ -16,21 +17,25 @@ from test_golden_outputs import COMMAND_DIGESTS, RUN_OUTPUT_DIGESTS
 LOADED_ON_FIRST_USE = {"rrsim.reproduce", "rrsim.gantt"}
 
 # Runs each argv given on its command line through ``rrsim.cli.main`` and
-# prints, per command, its exit status, the SHA-256 of its stdout and the
-# rrsim modules loaded after it; with no argv it only imports rrsim.cli.
+# prints, per command, its exit status, the SHA-256 of its stdout, the
+# rrsim modules loaded after it and the loaded modules that hold the
+# published registry; with no argv it only imports rrsim.cli.
 _CHILD = """
 import contextlib, hashlib, io, json, sys
 import rrsim.cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith("rrsim"))
+    registry = [name for name, m in list(sys.modules.items())
+                if {"ExpectedRow", "expected_row"} & getattr(m, "__dict__", {}).keys()]
+    return {"loaded": sorted(m for m in sys.modules if m.startswith("rrsim")),
+            "registry": sorted(registry)}
 
-report = [{"loaded": loaded()}]
+report = [loaded()]
 for argv in map(json.loads, sys.argv[1:]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         status = rrsim.cli.main(argv)
-    report.append({"status": status, "loaded": loaded(),
+    report.append({"status": status, **loaded(),
                    "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()})
 print(json.dumps(report))
 """
@@ -49,6 +54,8 @@ def test_import_and_run_leave_reproduce_and_gantt_unloaded():
     assert LOADED_ON_FIRST_USE.isdisjoint(imported["loaded"])
     assert ran["status"] == 0
     assert LOADED_ON_FIRST_USE.isdisjoint(ran["loaded"])
+    assert "rrsim.workloads" in ran["loaded"]
+    assert imported["registry"] == ran["registry"] == []
 
 
 def test_commands_that_need_them_load_them_and_print_their_golden_output():
@@ -61,6 +68,7 @@ def test_commands_that_need_them_load_them_and_print_their_golden_output():
     assert (reproduce["status"], reproduce["sha256"]) == (
         0, COMMAND_DIGESTS["reproduce-paper --format json"])
     assert "rrsim.reproduce" in reproduce["loaded"]
+    assert reproduce["registry"] == figures["registry"] == ["rrsim.reproduce"]
     assert (figures["status"], figures["sha256"]) == (0, COMMAND_DIGESTS["export-figures"])
 
 

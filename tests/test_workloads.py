@@ -1,11 +1,8 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrsim import validate_workload
-from rrsim.policies import POLICY_NAMES
 from rrsim.workloads import (
     ALL_ZERO,
     ASCENDING,
@@ -15,7 +12,6 @@ from rrsim.workloads import (
     STAGGERED,
     GeneratorSpec,
     benchmark_case,
-    expected_row,
     generate_workload,
 )
 
@@ -47,44 +43,6 @@ def test_unknown_case_raises():
         benchmark_case("VII")
 
 
-def test_expected_row_lookup():
-    row = expected_row("II", "MRR")
-    assert row.quanta == (70, 25, 25)
-    assert row.context_switches == 7
-    assert row.avg_waiting == Fraction("106.8")
-    assert row.avg_turnaround == Fraction("171.4")
-    assert row.erratum is None and row.derived is None
-
-    row = expected_row("V", "DQRRR")
-    assert row.quanta == (95, 51, 16, 8)
-    assert row.avg_turnaround == Fraction("198.2")
-
-
-def test_expected_row_errata_payloads():
-    e1 = expected_row("III", "SARR")
-    assert e1.quanta == (120,)
-    assert e1.context_switches == 4
-    assert e1.avg_waiting == Fraction("177.6")
-    assert e1.erratum == "E1"
-    assert e1.derived.quanta == (75, 37, 8)
-    assert e1.derived.context_switches == 7
-
-    e2 = expected_row("VI", "SARR")
-    assert e2.erratum == "E2"
-    assert e2.quanta == (45, 54, 16, 20)
-    assert e2.derived.quanta == (45, 62, 18, 10)
-
-    rows = [expected_row(c, name) for c in CASE_IDS for name in POLICY_NAMES]
-    errata = [(r.case_id, r.algorithm) for r in rows if r.erratum]
-    assert errata == [("III", "SARR"), ("VI", "SARR")]
-
-
-def test_expected_rows_cover_all_seven_policies():
-    for case_id in CASE_IDS:
-        rows = [expected_row(case_id, name) for name in POLICY_NAMES]
-        assert [r.algorithm for r in rows] == list(POLICY_NAMES)
-
-
 def test_generator_is_deterministic_in_seed():
     spec = GeneratorSpec(n=5, burst_min=20, burst_max=120,
                          order=ASCENDING, arrival=ALL_ZERO, seed=7)
@@ -93,7 +51,7 @@ def test_generator_is_deterministic_in_seed():
     assert first == second
     assert [p.burst for p in first] == sorted(p.burst for p in first)
     assert all(p.arrival == 0 for p in first)
-    assert first.pids() == ("P1", "P2", "P3", "P4", "P5")
+    assert [p.pid for p in first] == ["P1", "P2", "P3", "P4", "P5"]
 
 
 def test_generator_large_staggered_workload_is_valid():
