@@ -4,6 +4,8 @@ Quantum helpers work on the multiset of remaining bursts and always
 return at least 1.  Every dynamic quantum uses floor division.  DABRR,
 IRRVQ and MRR declare an ascending queue, which the engine keeps sorted by
 ``engine.rank_key``, and dispatch it as it stands; DQRRR sorts by that key.
+Every quantum is read from the snapshot's ``entries.remaining`` column, so a
+policy that keeps the queue order never has the engine build a record.
 """
 from __future__ import annotations
 
@@ -20,6 +22,9 @@ from .engine import (
     rank_key,
 )
 from .model import PolicyDescriptor, decimal_int
+
+_remaining = itemgetter(1)
+
 
 class PolicySpecError(ValueError):
     """A policy spec string could not be parsed."""
@@ -65,7 +70,7 @@ def alternating_min_max_order(items: Sequence) -> tuple:
     keep their input order.  Reading the result at even positions and then
     at odd positions reversed gives back the ascending sort.
     """
-    ranked = sorted(items, key=itemgetter(1))  # stable, so ties keep input order
+    ranked = sorted(items, key=_remaining)  # stable, so ties keep input order
     half = (len(ranked) + 1) // 2
     order = list(ranked)
     order[::2], order[1::2] = ranked[:half], ranked[half:][::-1]
@@ -93,7 +98,7 @@ def make_dabrr() -> PolicyBehavior:
     descriptor = PolicyDescriptor.of("DABRR")
 
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
-        return CyclePlan(snapshot.entries, mean_quantum(map(itemgetter(1), snapshot.entries)))
+        return CyclePlan(snapshot.entries, mean_quantum(snapshot.entries.remaining))
 
     return PolicyBehavior(descriptor, plan, SLICE_BOUNDARY_RESTART, ascending=True)
 
@@ -103,8 +108,7 @@ def make_sarr() -> PolicyBehavior:
     descriptor = PolicyDescriptor.of("SARR")
 
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
-        return CyclePlan(snapshot.entries,
-                         median_quantum(e.remaining for e in snapshot.entries))
+        return CyclePlan(snapshot.entries, median_quantum(snapshot.entries.remaining))
 
     return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
 
@@ -119,10 +123,10 @@ def make_dqrrr() -> PolicyBehavior:
     descriptor = PolicyDescriptor.of("DQRRR")
 
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
-        order = snapshot.entries
-        if not all(e.dispatched_before for e in order):
-            order = alternating_min_max_order(sorted(order, key=rank_key))
-        return CyclePlan(order, median_quantum(e.remaining for e in snapshot.entries))
+        entries = order = snapshot.entries
+        if not all(entries.dispatched_before):
+            order = alternating_min_max_order(sorted(entries, key=rank_key))
+        return CyclePlan(order, median_quantum(entries.remaining))
 
     return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
 
@@ -136,7 +140,7 @@ def make_irrvq() -> PolicyBehavior:
     descriptor = PolicyDescriptor.of("IRRVQ")
 
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
-        return CyclePlan(snapshot.entries, snapshot.entries[0].remaining)
+        return CyclePlan(snapshot.entries, snapshot.entries.remaining[0])
 
     return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY, ascending=True)
 
@@ -160,8 +164,7 @@ def make_mrr(floor: int) -> PolicyBehavior:
     descriptor = PolicyDescriptor.of("MRR", floor=floor)
 
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
-        entries = snapshot.entries
-        return CyclePlan(entries, range_quantum(map(itemgetter(1), entries), floor))
+        return CyclePlan(snapshot.entries, range_quantum(snapshot.entries.remaining, floor))
 
     return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY, ascending=True)
 

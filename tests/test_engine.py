@@ -19,6 +19,7 @@ from rrsim import (
     trace_violations,
     validate_workload,
 )
+from rrsim import engine
 from rrsim.engine import (
     SLICE_BOUNDARY_RESTART,
     CyclePlan,
@@ -34,7 +35,7 @@ from rrsim.policies import (
     make_round_robin,
     standard_policy,
 )
-from rrsim.workloads import ALL_ZERO, GeneratorSpec, benchmark_case, generate_workload
+from rrsim.workloads import ALL_ZERO, STAGGERED, GeneratorSpec, benchmark_case, generate_workload
 
 
 def test_dabrr_case_i_trace():
@@ -235,6 +236,62 @@ def test_survivor_records_skip_the_python_constructor(monkeypatch):
     survivors = len(trace.slices) - len(workload)  # every other slice preempts
     assert survivors > 10 * len(workload)
     assert len(calls) <= len(workload), len(calls)
+
+
+def test_records_are_built_only_for_a_plan_that_reads_them(monkeypatch):
+    # the one builder of the engine's records, behind every snapshot view
+    built = []
+    builder = engine._entry
+
+    def counting(fields):
+        built.append(fields)
+        return builder(fields)
+
+    monkeypatch.setattr(engine, "_entry", counting)
+    workload = generate_workload(GeneratorSpec(n=300, burst_min=1, burst_max=500,
+                                               arrival=ALL_ZERO, seed=0))
+    for name in ("RR", "SARR", "RP5", "IRRVQ", "MRR", "DABRR"):
+        simulate(workload, standard_policy(name))
+        assert built == [], name
+    # DQRRR reorders a cycle that holds a newcomer, and only such a cycle
+    dqrrr = make_dqrrr()
+    staggered = generate_workload(GeneratorSpec(n=300, burst_min=1, burst_max=500,
+                                                arrival=STAGGERED, max_gap=300, seed=0))
+    for w in (workload, staggered):
+        snapshots = []
+
+        def plan(snapshot):
+            snapshots.append(snapshot)
+            return dqrrr.plan(snapshot)
+
+        built.clear()
+        simulate(w, dataclasses.replace(dqrrr, plan=plan))
+        arrival_cycles = [s for s in snapshots if not all(s.entries.dispatched_before)]
+        assert 0 < len(arrival_cycles) < len(snapshots), w.label
+        assert len(built) == sum(len(s.entries) for s in arrival_cycles), w.label
+    assert len(arrival_cycles) > 10  # the staggered file has many arrival cycles
+
+
+def test_a_snapshot_view_keeps_the_records_it_builds():
+    views = []
+    rr = make_round_robin(10)
+    simulate(benchmark_case("I"), dataclasses.replace(
+        rr, plan=lambda s: views.append(s.entries) or rr.plan(s)))
+    entries = views[0]
+    records = tuple(entries)
+    assert len(entries) == len(records) == 5
+    assert all(a is b for a, b in zip(entries, records))
+    assert entries[-1] is records[-1] and entries[1:3] == records[1:3]
+    assert type(entries[1:3]) is tuple
+    assert entries == records and hash(entries) == hash(records)
+    assert entries.remaining == [r.remaining for r in records]
+    assert entries.dispatched_before == [False] * 5
+    # a hand-built snapshot hands out the very records it was given
+    snapshot = ReadySnapshot.of(records[::-1], now=0, cycle_index=1)
+    assert all(a is b for a, b in zip(snapshot.entries, records[::-1]))
+    assert snapshot.entries.dispatched_before == [False] * 5
+    ran = records[0]._replace(remaining=1, dispatched_before=True)
+    assert ReadySnapshot.of((ran,), 0, 1).entries.dispatched_before == [True]
 
 
 def test_every_planned_record_is_a_snapshot_entry():

@@ -1,4 +1,5 @@
 import collections
+import copy
 import dataclasses
 import random
 
@@ -128,7 +129,7 @@ def test_alternating_order_structural(values):
 
 
 snapshots = st.builds(
-    lambda items, now, cycle: ReadySnapshot(
+    lambda items, now, cycle: ReadySnapshot.of(
         entries=tuple(SnapshotEntry(f"P{i + 1}", rem, arr, i, seen)
                       for i, (rem, arr, seen) in enumerate(items)),
         now=now,
@@ -158,8 +159,8 @@ def test_every_plan_is_a_permutation_with_positive_quantum(snapshot, idx):
 
 def _ascending(snapshot):
     """``snapshot`` as the engine hands it to an ascending policy."""
-    return ReadySnapshot(tuple(sorted(snapshot.entries, key=rank_key)),
-                         snapshot.now, snapshot.cycle_index)
+    return ReadySnapshot.of(tuple(sorted(snapshot.entries, key=rank_key)),
+                            snapshot.now, snapshot.cycle_index)
 
 
 @settings(max_examples=200)
@@ -167,12 +168,12 @@ def _ascending(snapshot):
 def test_quantum_depends_only_on_remaining_multiset(snapshot, rng):
     permuted = list(snapshot.entries)
     rng.shuffle(permuted)
-    shuffled = ReadySnapshot(tuple(permuted), snapshot.now, snapshot.cycle_index)
+    shuffled = ReadySnapshot.of(tuple(permuted), snapshot.now, snapshot.cycle_index)
     # An ascending policy is only ever handed a sorted queue, so it gets two
     # sorted snapshots with the same remaining multiset: the drawn one, and
     # one whose processes hold those remainings in the shuffled order.
     remainings = (e.remaining for e in permuted)
-    relabelled = ReadySnapshot(
+    relabelled = ReadySnapshot.of(
         tuple(e._replace(remaining=r) for e, r in zip(snapshot.entries, remainings)),
         snapshot.now, snapshot.cycle_index)
     for policy in ALL_FACTORIES:
@@ -182,11 +183,14 @@ def test_quantum_depends_only_on_remaining_multiset(snapshot, rng):
 
 
 # Seeded generator shapes after the benchmark's files, at test sizes.  On
-# *busy* DABRR abandons cycles for arrivals; *sparse* leaves idle gaps.
+# *busy* DABRR abandons cycles for arrivals; *sparse* leaves idle gaps.  On
+# *ties* most newcomers join an ascending queue that already holds their
+# remaining work, so the tie-break of each insertion is tested.
 SHAPES = {
     "busy": dict(n=150, burst_max=50, arrival=STAGGERED, max_gap=8),
     "dense": dict(n=40, burst_max=500, arrival=ALL_ZERO, max_gap=0),
     "sparse": dict(n=60, burst_max=500, arrival=STAGGERED, max_gap=2000),
+    "ties": dict(n=60, burst_max=3, arrival=STAGGERED, max_gap=1),
 }
 
 
@@ -231,10 +235,31 @@ def test_busy_runs_make_dabrr_restart_over_sorted_snapshots():
     assert restarts >= 100
 
 
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_a_snapshot_never_changes_once_handed_off(shape, name):
+    # A snapshot's view shares columns that the engine has just filled.  The
+    # copy is taken through a twin of the view, so the kept view builds its
+    # records only after simulate returns, from its columns as they are then.
+    policy = standard_policy(name)
+    kept = []
+
+    def plan(snapshot):
+        kept.append((snapshot, tuple(copy.copy(snapshot.entries))))
+        return policy.plan(snapshot)
+
+    simulate(_shaped(shape, 0), dataclasses.replace(policy, plan=plan))
+    assert kept
+    for snapshot, entries in kept:
+        assert snapshot.entries == entries, f"cycle {snapshot.cycle_index}"
+        assert snapshot.entries.remaining == [e.remaining for e in entries]
+        assert snapshot.entries.dispatched_before == [e.dispatched_before for e in entries]
+
+
 def test_dqrrr_keeps_queue_order_without_new_arrivals():
     entries = tuple(SnapshotEntry(pid, rem, 0, i, True)
                     for i, (pid, rem) in enumerate([("P5", 42), ("P4", 30)]))
-    snapshot = ReadySnapshot(entries, now=275, cycle_index=2)
+    snapshot = ReadySnapshot.of(entries, now=275, cycle_index=2)
     assert _pids(make_dqrrr().plan(snapshot).order) == ("P5", "P4")
 
 
@@ -242,7 +267,7 @@ def test_dqrrr_alternates_when_new_arrivals_present():
     entries = tuple(SnapshotEntry(pid, rem, arr, i, False)
                     for i, (pid, rem, arr) in enumerate(
                         [("P2", 75, 2), ("P3", 60, 4), ("P4", 43, 8), ("P5", 26, 16)]))
-    snapshot = ReadySnapshot(entries, now=95, cycle_index=2)
+    snapshot = ReadySnapshot.of(entries, now=95, cycle_index=2)
     assert _pids(make_dqrrr().plan(snapshot).order) == ("P5", "P2", "P4", "P3")
 
 
@@ -250,7 +275,7 @@ def test_rp5_quantum_doubles_with_cycle_index():
     policy = make_rp5(25)
     entry = (SnapshotEntry("P1", 1000, 0, 0, True),)
     for cycle, expected in [(1, 25), (2, 50), (3, 100), (4, 200)]:
-        snapshot = ReadySnapshot(entry, now=0, cycle_index=cycle)
+        snapshot = ReadySnapshot.of(entry, now=0, cycle_index=cycle)
         assert policy.plan(snapshot).quantum == expected
 
 
