@@ -8,7 +8,6 @@ from .engine import (
     PolicyBehavior,
     PolicyPlanInvalid,
     ReadySnapshot,
-    SnapshotEntry,
     simulate,
     trace_violations,
 )

@@ -2,24 +2,15 @@
 
 Every policy runs on one cycle loop over one ready queue, stored as two
 columns: each queued process's submission index and its remaining work.
-A process's pid, arrival and burst are read from the workload by that
-index, and it has been dispatched before exactly when its remaining work
-is below its burst, since every slice runs at least 1 ms.  A slice that
-preempts a process appends its index and remaining work to the next
-cycle's columns; the loop builds no record.
-
-At each cycle start the policy receives a snapshot whose ``entries`` is a
-read-only view of the queue (:class:`ReadyQueue`), and answers with a
-quantum for the whole cycle and a dispatch order.  A policy reads its
-quantum inputs from ``entries.remaining``.  Indexing or iterating the view
-builds one :class:`SnapshotEntry` per queued process, once, and keeps
-them, so an order made of records is made of the snapshot's own records.
-An order that is ``entries`` itself is dispatched straight from the
-columns; a reordered one is mapped back to them.  Completed processes
-leave; survivors keep the order in which they ran, so an ``ascending``
-policy's queue stays sorted by :data:`rank_key` (each lost the same
-quantum) as newcomers are inserted in place.  ``arrival_mode`` decides
-when arrivals join the queue:
+A slice that preempts a process appends both to the next cycle's
+columns; the loop builds no record.  At each cycle start the policy gets
+a snapshot whose ``entries`` is a read-only :class:`ReadyQueue` view of
+the columns, and answers with a quantum for the whole cycle and an order:
+``entries`` itself, or the queue positions ``0..n-1`` in dispatch order.
+Completed processes leave; survivors keep the order in which they ran,
+so an ``ascending`` policy's queue stays in :func:`rank_order` (each lost
+the same quantum) as newcomers are inserted in place.  ``arrival_mode``
+decides when arrivals join the queue:
 
 * ``cycle_boundary``: new processes are appended once the cycle has
   finished.
@@ -40,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import pairwise
-from operator import attrgetter, itemgetter
+from operator import itemgetter, lt
 from typing import Callable, Iterable, NamedTuple
 
 from .model import (
@@ -57,96 +48,72 @@ CYCLE_BOUNDARY = "cycle_boundary"
 SLICE_BOUNDARY_RESTART = "slice_boundary_restart"
 TAIL_REJOIN = "tail_rejoin"
 ARRIVAL_MODES = (CYCLE_BOUNDARY, SLICE_BOUNDARY_RESTART, TAIL_REJOIN)
-# A total order.  The engine inserts a newcomer into an ascending queue at
-# ``bisect_right`` on remaining work alone, which ranks it exactly as this key
-# does: every queued process was admitted before it, in (arrival, submission
-# index) order, so on a tie of remaining work each one ranks ahead of it.
-rank_key = attrgetter("remaining", "arrival", "submission_index")
 
 
 class PolicyPlanInvalid(ValueError):
     """The policy returned a defective plan (bad order or quantum)."""
 
 
-class SnapshotEntry(NamedTuple):
-    pid: str
-    remaining: int
-    arrival: int
-    submission_index: int
-    dispatched_before: bool
+class ReadyQueue:
+    """The ready queue, in queue order, as columns with one value per process.
 
-
-class ReadyQueue(Sequence):
-    """A read-only sequence of :class:`SnapshotEntry`: the ready queue, in
-    queue order, stored as two columns.
-
-    ``remaining`` is the list of the queue's remaining work, and the one
-    way a policy reads its quantum inputs; it is shared with the engine, so
-    never change it.  ``dispatched_before`` is a new list of that field of
-    every entry.  Neither builds a record.  Indexing or iterating the view
-    builds its records on first use and keeps them, so it always hands out
-    the same objects; a slice of it (``view[a:b]``) is a ``tuple`` of them.
-    It compares equal to the tuple of its records.
+    ``remaining`` (work left) and ``submission_index`` (the process's place
+    in its workload) are the engine's own lists: read them, never change
+    them.  ``pid``, ``arrival`` and ``dispatched_before`` build a new list on
+    each read: a process has run exactly when its remaining work is below
+    its burst, since every slice runs at least 1 ms.
     """
 
-    __slots__ = ("_index", "_remaining", "_columns", "_records")
+    __slots__ = ("submission_index", "remaining", "_columns")
 
-    def __init__(self, index: Sequence[int], remaining: Sequence[int],
-                 columns: tuple[Sequence, Sequence, Sequence], records=None):
-        self._index = index          # each entry's key into the columns
-        self._remaining = remaining
-        self._columns = columns      # pid, arrival and burst, by key
-        self._records = records
+    def __init__(self, submission_index: list[int], remaining: list[int],
+                 columns: tuple[Sequence, Sequence, Sequence]):
+        self.submission_index = submission_index
+        self.remaining = remaining
+        self._columns = columns  # pid, arrival and burst, by submission index
+
+    def __len__(self) -> int:
+        return len(self.remaining)
 
     @property
-    def remaining(self) -> list[int]:
-        return self._remaining
+    def pid(self) -> list[str]:
+        return list(map(self._columns[0].__getitem__, self.submission_index))
+
+    @property
+    def arrival(self) -> list[int]:
+        return list(map(self._columns[1].__getitem__, self.submission_index))
 
     @property
     def dispatched_before(self) -> list[bool]:
-        burst = self._columns[2]
-        return [left < burst[k] for k, left in zip(self._index, self._remaining)]
+        burst = map(self._columns[2].__getitem__, self.submission_index)
+        return list(map(lt, self.remaining, burst))
 
-    def _entries(self) -> tuple[SnapshotEntry, ...]:
-        if self._records is None:
-            pid, arrival, burst = self._columns
-            records = []
-            for k, left in zip(self._index, self._remaining):
-                records.append(_entry((pid[k], left, arrival[k], k, left < burst[k])))
-            self._records = tuple(records)
-        return self._records
 
-    def __len__(self) -> int:
-        return len(self._remaining)
+class _GivenQueue(ReadyQueue):
+    """A hand-built queue: it holds ``dispatched_before`` as given."""
+    __slots__ = ("dispatched_before",)
 
-    def __getitem__(self, index):
-        return self._entries()[index]
 
-    def __iter__(self):
-        return iter(self._entries())
+def rank_order(entries: ReadyQueue) -> list[int]:
+    """The queue positions of ``entries`` ranked by remaining work, then
+    arrival, then submission index: a total order.
 
-    def __add__(self, other):
-        return self._entries() + other
-
-    def __eq__(self, other):
-        if isinstance(other, ReadyQueue):
-            other = other._entries()
-        return self._entries() == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._entries())  # equal to the tuple it equals
-
-    def __repr__(self) -> str:
-        return f"ReadyQueue({self._entries()!r})"
+    The engine inserts a newcomer into an ascending queue at
+    ``bisect_right`` on remaining work alone, which ranks it exactly as
+    this order does: every queued process was admitted before it, in
+    (arrival, submission index) order, so on a tie of remaining work each
+    one ranks ahead of it.
+    """
+    keys = list(zip(entries.remaining, entries.arrival, entries.submission_index))
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 class ReadySnapshot(NamedTuple):
     """State of the ready queue handed to a policy at cycle start.
 
-    ``entries`` is a :class:`ReadyQueue` view of the engine's queue, in
-    queue order: sorted by :data:`rank_key` for an ``ascending`` policy,
-    else as the ``arrival_mode`` leaves it.  Build one by hand with
-    :meth:`of`.
+    ``entries`` is a :class:`ReadyQueue` view of the engine's queue: sorted
+    by :func:`rank_order` for an ``ascending`` policy, else as the
+    ``arrival_mode`` leaves it.  Build one by hand with :meth:`of`.
     """
 
     entries: ReadyQueue
@@ -154,30 +121,28 @@ class ReadySnapshot(NamedTuple):
     cycle_index: int
 
     @classmethod
-    def of(cls, entries: Iterable[SnapshotEntry], now: int, cycle_index: int) -> "ReadySnapshot":
-        """A snapshot of ``entries``, in their order; its view hands out those
-        very records."""
-        records = tuple(entries)
-        remaining = [r.remaining for r in records]
-        # keyed by position; a burst above ``remaining`` marks a record that has run
-        columns = ([r.pid for r in records], [r.arrival for r in records],
-                   [r.remaining + r.dispatched_before for r in records])
-        return cls(ReadyQueue(range(len(records)), remaining, columns, records), now, cycle_index)
+    def of(cls, pid: Iterable[str], remaining: Iterable[int], arrival: Iterable[int],
+           dispatched_before: Iterable[bool], now: int, cycle_index: int) -> "ReadySnapshot":
+        """A snapshot of a queue given as columns, in queue order; each
+        process's submission index is its position."""
+        pid, remaining, arrival, ran = columns = tuple(
+            map(list, (pid, remaining, arrival, dispatched_before)))
+        if len(set(map(len, columns))) != 1:
+            raise ValueError(f"columns of unequal length {tuple(map(len, columns))}")
+        entries = _GivenQueue(list(range(len(pid))), remaining, (pid, arrival, None))
+        entries.dispatched_before = ran
+        return cls(entries, now, cycle_index)
 
 
-# records the engine builds in C: neither type checks its fields
-_entry = record_builder(SnapshotEntry)
-_snapshot = record_builder(ReadySnapshot)
+_snapshot = record_builder(ReadySnapshot)  # built in C: checks no field
 
 
 class CyclePlan(NamedTuple):
     """A dispatch order plus the cycle quantum.  The order is the snapshot's
-    ``entries`` or a tuple or list of its records, each exactly once.  A
-    copied or edited record is rejected, since the engine runs each
-    record's ``remaining`` as it finds it.  ``plan`` may return any other
-    ``(order, quantum)`` pair in its place."""
+    ``entries`` or a tuple or list of its queue positions, each exactly
+    once; ``plan`` may return any other ``(order, quantum)`` pair instead."""
 
-    order: Sequence[SnapshotEntry]
+    order: ReadyQueue | Sequence[int]
     quantum: int
 
 
@@ -196,19 +161,12 @@ class PolicyBehavior:
     ascending: bool = False
 
 
-def _pids(records) -> tuple:
-    return tuple(getattr(r, "pid", r) for r in records)
-
-
 def _invalid(policy: PolicyBehavior, problem: str) -> PolicyPlanInvalid:
     return PolicyPlanInvalid(f"{policy.descriptor.name}: {problem}")
 
 
-_index_of, _remaining_of = itemgetter(3), itemgetter(1)  # a record's two dispatched fields
-
-
 def _checked_plan(policy: PolicyBehavior,
-                  snapshot: ReadySnapshot) -> tuple[Sequence[int], Sequence[int], int]:
+                  snapshot: ReadySnapshot) -> tuple[list[int], list[int], int]:
     """The policy's plan for ``snapshot``, checked: its order as the index and
     remaining columns of the queue it dispatches, and its quantum."""
     plan = policy.plan(snapshot)
@@ -218,21 +176,21 @@ def _checked_plan(policy: PolicyBehavior,
         raise _invalid(policy, f"plan is a {type(plan).__name__}, "
                                f"not an (order, quantum) pair") from None
     entries = snapshot.entries
-    if order is entries:
-        index, remaining = entries._index, entries._remaining
-    else:
+    index, remaining = entries.submission_index, entries.remaining
+    if order is not entries:
         if not isinstance(order, (tuple, list)):
             raise _invalid(policy, f"plan order is a {type(order).__name__}, "
                                    f"not a tuple or list")
-        # the queue's records are distinct objects, so an order of equal
-        # length that holds each of them is a permutation of those very records
-        records = entries._entries()
-        if (policy.ascending or len(order) != len(records)
-                or not set(map(id, order)).issuperset(map(id, records))):
-            kind = "the ascending queue" if policy.ascending else "a permutation of the ready queue"
-            raise _invalid(policy, f"plan order {_pids(order)} is not {kind}'s records "
-                                   f"{_pids(records)}")
-        index, remaining = list(map(_index_of, order)), list(map(_remaining_of, order))
+        n = len(remaining)
+        # ints only, before the set test: True and 1.0 equal and index like
+        # 1, and an unhashable position would make set() raise
+        if (policy.ascending or len(order) != n or set(map(type, order)) != {int}
+                or set(order) != set(range(n))):
+            kind = "the ascending queue's entries" if policy.ascending \
+                else f"a permutation of the queue positions 0..{n - 1}"
+            raise _invalid(policy, f"plan order {order!r} is not {kind}")
+        index = list(map(index.__getitem__, order))
+        remaining = list(map(remaining.__getitem__, order))
     if type(quantum) is not int:  # a float or a bool would run, then fail in the metrics
         raise _invalid(policy, f"quantum {quantum!r} is not an int")
     if quantum < 1:
@@ -277,7 +235,7 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
         while arrivals[ptr] <= upto:
             k, burst = incoming[ptr], bursts[ptr]
             if ascending:
-                at = bisect_right(remaining, burst)  # ranks as rank_key does
+                at = bisect_right(remaining, burst)  # ranks as rank_order does
                 index.insert(at, k)
                 remaining.insert(at, burst)
             else:

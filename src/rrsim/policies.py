@@ -1,15 +1,14 @@
 """The seven scheduling policies and their quantum/ordering rules.
 
 Quantum helpers work on the multiset of remaining bursts and always
-return at least 1.  Every dynamic quantum uses floor division.  DABRR,
+return at least 1.  Every dynamic quantum uses floor division, and every
+quantum is read from the snapshot's ``entries.remaining`` column.  DABRR,
 IRRVQ and MRR declare an ascending queue, which the engine keeps sorted by
-``engine.rank_key``, and dispatch it as it stands; DQRRR sorts by that key.
-Every quantum is read from the snapshot's ``entries.remaining`` column, so a
-policy that keeps the queue order never has the engine build a record.
+``engine.rank_order``, and dispatch it as it stands; DQRRR ranks the queue
+positions in that order.
 """
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .engine import (
@@ -19,21 +18,18 @@ from .engine import (
     CyclePlan,
     PolicyBehavior,
     ReadySnapshot,
-    rank_key,
+    rank_order,
 )
 from .model import PolicyDescriptor, decimal_int
-
-_remaining = itemgetter(1)
 
 
 class PolicySpecError(ValueError):
     """A policy spec string could not be parsed."""
 
 
-def mean_quantum(remaining: Iterable[int]) -> int:
+def mean_quantum(remaining: Sequence[int]) -> int:
     """Floor of the mean remaining burst, at least 1."""
-    values = list(remaining)
-    return max(1, sum(values) // len(values))
+    return max(1, sum(remaining) // len(remaining))
 
 
 def median_quantum(remaining: Iterable[int]) -> int:
@@ -50,31 +46,27 @@ def median_quantum(remaining: Iterable[int]) -> int:
     return max(1, result)
 
 
-def range_quantum(remaining: Iterable[int], floor: int) -> int:
+def range_quantum(remaining: Sequence[int], floor: int) -> int:
     """Max minus min remaining burst, never below ``floor``.
 
     A single survivor gets the larger of its remaining burst and the
     floor, so it finishes in one slice whenever it can.
     """
-    values = list(remaining)
-    if len(values) == 1:
-        return max(values[0], floor)
-    return max(max(values) - min(values), floor)
+    if len(remaining) == 1:
+        return max(remaining[0], floor)
+    return max(max(remaining) - min(remaining), floor)
 
 
-def alternating_min_max_order(items: Sequence) -> tuple:
-    """Reorder ``items`` as lowest, highest, 2nd lowest, 2nd highest, ...
+def alternating_min_max_order(ranked: Sequence) -> list:
+    """Reorder an ascending ``ranked`` as lowest, highest, 2nd lowest, ...
 
-    Each item's ``[1]`` is its remaining burst, as in a
-    :class:`SnapshotEntry` or a (pid, remaining) pair; equal remainings
-    keep their input order.  Reading the result at even positions and then
-    at odd positions reversed gives back the ascending sort.
+    Reading the result at even positions and then at odd positions
+    reversed gives back ``ranked``.
     """
-    ranked = sorted(items, key=_remaining)  # stable, so ties keep input order
     half = (len(ranked) + 1) // 2
     order = list(ranked)
     order[::2], order[1::2] = ranked[:half], ranked[half:][::-1]
-    return tuple(order)
+    return order
 
 
 def make_round_robin(q: int) -> PolicyBehavior:
@@ -124,8 +116,9 @@ def make_dqrrr() -> PolicyBehavior:
 
     def plan(snapshot: ReadySnapshot) -> CyclePlan:
         entries = order = snapshot.entries
-        if not all(entries.dispatched_before):
-            order = alternating_min_max_order(sorted(entries, key=rank_key))
+        # a queue of one has no other order to take
+        if len(entries) > 1 and not all(entries.dispatched_before):
+            order = alternating_min_max_order(rank_order(entries))
         return CyclePlan(order, median_quantum(entries.remaining))
 
     return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)

@@ -19,13 +19,12 @@ from rrsim import (
     trace_violations,
     validate_workload,
 )
-from rrsim import engine
 from rrsim.engine import (
     SLICE_BOUNDARY_RESTART,
     CyclePlan,
     PolicyBehavior,
+    ReadyQueue,
     ReadySnapshot,
-    SnapshotEntry,
 )
 from rrsim.model import COMPLETED, PolicyDescriptor, QUANTUM_EXPIRED
 from rrsim.policies import (
@@ -35,7 +34,7 @@ from rrsim.policies import (
     make_round_robin,
     standard_policy,
 )
-from rrsim.workloads import ALL_ZERO, STAGGERED, GeneratorSpec, benchmark_case, generate_workload
+from rrsim.workloads import benchmark_case
 
 
 def test_dabrr_case_i_trace():
@@ -109,39 +108,39 @@ def test_dabrr_restart_replans_when_arrivals_interrupt_a_cycle():
 
 
 def _defective(order_fn, quantum=10):
-    def plan(snapshot):
-        return CyclePlan(order_fn(snapshot.entries), quantum)
+    def plan(snapshot):  # ``order_fn`` maps the queue positions to the plan's order
+        return CyclePlan(order_fn(tuple(range(len(snapshot.entries)))), quantum)
     return PolicyBehavior(PolicyDescriptor.of("BROKEN"), plan)
 
 
 def test_plan_must_be_a_permutation():
-    w = benchmark_case("I")
-    with pytest.raises(PolicyPlanInvalid):
-        simulate(w, _defective(lambda records: records[:-1]))
-    with pytest.raises(PolicyPlanInvalid):
-        simulate(w, _defective(lambda records: records + (records[0],)))
-    with pytest.raises(PolicyPlanInvalid):
-        simulate(w, _defective(lambda records: records[:-1] + (records[0],)))
-    with pytest.raises(PolicyPlanInvalid, match=r"\('P1', 'P2', 'P3', 'P4', 'P99'\)"):
-        simulate(w, _defective(
-            lambda records: records[:-1] + (SnapshotEntry("P99", 5, 0, 5, False),)))
-    # the right pid with less work left: a check of pids alone would run it
-    with pytest.raises(PolicyPlanInvalid):
-        simulate(w, _defective(lambda records: records[:-1] + (
-            records[-1]._replace(remaining=records[-1].remaining - 1),)))
-    # an equal copy is not the queue's own record either
-    with pytest.raises(PolicyPlanInvalid):
-        simulate(w, _defective(lambda records: records[:-1] + (SnapshotEntry(*records[-1]),)))
+    # Case I queues all five processes at once, so its first plan orders
+    # positions 0..4.  True, 1.0 and -1 would each index a list, and
+    # [True, 0, 2, 3, 4] even makes the set {0, 1, 2, 3, 4}.
+    for order in ([0, 1, 2, 3],            # a position dropped
+                  [0, 1, 2, 3, 4, 0],      # one repeated, one too many
+                  (0, 1, 2, 3, 0),         # one repeated, one dropped
+                  [0, 1, 2, 3, 5],         # past the end
+                  [-1, 0, 1, 2, 3],        # negative
+                  [True, 0, 2, 3, 4],      # a bool
+                  [0, 1.0, 2, 3, 4],       # a float
+                  ["0", 1, 2, 3, 4],       # a str
+                  [[0], 1, 2, 3, 4]):      # unhashable
+        message = (rf"^BROKEN: plan order {re.escape(repr(order))} is not a permutation "
+                   rf"of the queue positions 0\.\.4$")
+        with pytest.raises(PolicyPlanInvalid, match=message):
+            simulate(benchmark_case("I"), _defective(lambda positions: order))
 
 
 @pytest.mark.parametrize("order_fn", [
-    list,                                      # the same records, but a copy of the queue
-    lambda records: records[::-1],             # a permutation out of rank order
-    lambda records: records[:-1],              # a record short
+    list,                                      # the queue order, but as positions
+    lambda positions: positions[::-1],         # a permutation out of rank order
+    lambda positions: positions[:-1],          # a position short
 ])
 def test_ascending_plan_must_be_the_snapshot_entries(order_fn):
     policy = dataclasses.replace(_defective(order_fn), ascending=True)
-    with pytest.raises(PolicyPlanInvalid, match="not the ascending queue's records"):
+    with pytest.raises(PolicyPlanInvalid, match="^BROKEN: plan order .* is not the "
+                                                "ascending queue's entries$"):
         simulate(benchmark_case("I"), policy)
 
 
@@ -163,7 +162,7 @@ def test_rr_plans_once_per_pass():
     snapshots = []
 
     def plan(snapshot):
-        snapshots.append(tuple(e.pid for e in snapshot.entries))
+        snapshots.append(tuple(snapshot.entries.pid))
         return rr.plan(snapshot)
 
     trace = simulate(w, dataclasses.replace(rr, plan=plan))
@@ -176,7 +175,7 @@ def test_rr_plans_once_per_pass():
 def test_plan_quantum_must_be_positive():
     w = benchmark_case("I")
     with pytest.raises(PolicyPlanInvalid):
-        simulate(w, _defective(lambda records: records, quantum=0))
+        simulate(w, _defective(lambda positions: positions, quantum=0))
 
 
 @pytest.mark.parametrize("quantum", [2.5, 3.0, True], ids=["float", "integral float", "bool"])
@@ -189,7 +188,7 @@ def test_plan_quantum_must_be_an_int(quantum):
 
 @pytest.mark.parametrize("order_fn, kind", [
     (iter, "tuple_iterator"),
-    (lambda records: None, "NoneType"),
+    (lambda positions: None, "NoneType"),
 ], ids=["iterator", "none"])
 def test_plan_order_must_be_a_tuple_or_list(order_fn, kind):
     with pytest.raises(PolicyPlanInvalid,
@@ -217,84 +216,34 @@ def test_plan_result_must_be_a_pair(result, kind):
         simulate(benchmark_case("I"), policy)
 
 
-def test_survivor_records_skip_the_python_constructor(monkeypatch):
-    # a preempted process's new record is built in C, so a wrapper on the
-    # Python-level __new__ sees at most one call per process, never one per slice
-    workload = generate_workload(GeneratorSpec(n=300, burst_min=1, burst_max=500,
-                                               arrival=ALL_ZERO, seed=0))
-    calls = []
-    original = SnapshotEntry.__new__
-
-    def counting(cls, *args, **kwargs):
-        calls.append(args)
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(SnapshotEntry, "__new__", staticmethod(counting))
-    assert SnapshotEntry("P1", 1, 0, 0, False) == ("P1", 1, 0, 0, False) and len(calls) == 1
-    calls.clear()
-    trace = simulate(workload, standard_policy("IRRVQ"))
-    survivors = len(trace.slices) - len(workload)  # every other slice preempts
-    assert survivors > 10 * len(workload)
-    assert len(calls) <= len(workload), len(calls)
-
-
-def test_records_are_built_only_for_a_plan_that_reads_them(monkeypatch):
-    # the one builder of the engine's records, behind every snapshot view
-    built = []
-    builder = engine._entry
-
-    def counting(fields):
-        built.append(fields)
-        return builder(fields)
-
-    monkeypatch.setattr(engine, "_entry", counting)
-    workload = generate_workload(GeneratorSpec(n=300, burst_min=1, burst_max=500,
-                                               arrival=ALL_ZERO, seed=0))
-    for name in ("RR", "SARR", "RP5", "IRRVQ", "MRR", "DABRR"):
-        simulate(workload, standard_policy(name))
-        assert built == [], name
-    # DQRRR reorders a cycle that holds a newcomer, and only such a cycle
-    dqrrr = make_dqrrr()
-    staggered = generate_workload(GeneratorSpec(n=300, burst_min=1, burst_max=500,
-                                                arrival=STAGGERED, max_gap=300, seed=0))
-    for w in (workload, staggered):
-        snapshots = []
-
-        def plan(snapshot):
-            snapshots.append(snapshot)
-            return dqrrr.plan(snapshot)
-
-        built.clear()
-        simulate(w, dataclasses.replace(dqrrr, plan=plan))
-        arrival_cycles = [s for s in snapshots if not all(s.entries.dispatched_before)]
-        assert 0 < len(arrival_cycles) < len(snapshots), w.label
-        assert len(built) == sum(len(s.entries) for s in arrival_cycles), w.label
-    assert len(arrival_cycles) > 10  # the staggered file has many arrival cycles
-
-
-def test_a_snapshot_view_keeps_the_records_it_builds():
+def test_a_snapshot_view_reads_the_queue_columns():
     views = []
     rr = make_round_robin(10)
-    simulate(benchmark_case("I"), dataclasses.replace(
-        rr, plan=lambda s: views.append(s.entries) or rr.plan(s)))
-    entries = views[0]
-    records = tuple(entries)
-    assert len(entries) == len(records) == 5
-    assert all(a is b for a, b in zip(entries, records))
-    assert entries[-1] is records[-1] and entries[1:3] == records[1:3]
-    assert type(entries[1:3]) is tuple
-    assert entries == records and hash(entries) == hash(records)
-    assert entries.remaining == [r.remaining for r in records]
-    assert entries.dispatched_before == [False] * 5
-    # a hand-built snapshot hands out the very records it was given
-    snapshot = ReadySnapshot.of(records[::-1], now=0, cycle_index=1)
-    assert all(a is b for a, b in zip(snapshot.entries, records[::-1]))
-    assert snapshot.entries.dispatched_before == [False] * 5
-    ran = records[0]._replace(remaining=1, dispatched_before=True)
-    assert ReadySnapshot.of((ran,), 0, 1).entries.dispatched_before == [True]
+    w = validate_workload([("P1", 0, 30), ("P2", 0, 10), ("P3", 10, 20)])
+    simulate(w, dataclasses.replace(rr, plan=lambda s: views.append(s.entries) or rr.plan(s)))
+    # pass 2: P3 arrived as P1 was preempted and queued ahead of it; P2 finished
+    entries = views[1]
+    assert type(entries) is ReadyQueue and len(entries) == 2
+    assert entries.pid == ["P3", "P1"]
+    assert entries.remaining == [20, 20]
+    assert entries.arrival == [10, 0]
+    assert entries.submission_index == [2, 0]
+    assert entries.dispatched_before == [False, True]
+    # columns only: no record is built, so none can be indexed, iterated or compared
+    assert not {"__getitem__", "__iter__", "__eq__", "__hash__", "__add__"} & set(vars(ReadyQueue))
+    # a hand-built snapshot reads back its columns; submission indexes are positions
+    given = ReadySnapshot.of(("P3", "P1"), (20, 20), (10, 0), (False, True),
+                             now=10, cycle_index=2).entries
+    assert (given.pid, given.remaining, given.arrival, given.submission_index,
+            given.dispatched_before) == (["P3", "P1"], [20, 20], [10, 0], [0, 1], [False, True])
+    columns = [["P1", "P2"], [5, 5], [0, 0], [False, False]]
+    for short in range(4):  # zip would drop the second process without a word
+        uneven = [column[:1] if i == short else column for i, column in enumerate(columns)]
+        with pytest.raises(ValueError, match=r"^columns of unequal length"):
+            ReadySnapshot.of(*uneven, now=0, cycle_index=1)
 
 
-def test_every_planned_record_is_a_snapshot_entry():
+def test_every_snapshot_is_a_ready_queue_of_equal_columns():
     # the seeds and policies of the checker's seeded sweep below
     for seed in range(1000):
         policy = standard_policy(POLICY_NAMES[seed % len(POLICY_NAMES)])
@@ -305,9 +254,12 @@ def test_every_planned_record_is_a_snapshot_entry():
             return inner(snapshot)
 
         simulate(seeded_workload(seed), dataclasses.replace(policy, plan=plan))
-        assert snapshots and all(type(s) is ReadySnapshot for s in snapshots), seed
-        assert all(type(e) is SnapshotEntry and e.remaining == e[1]
-                   for s in snapshots for e in s.entries), seed
+        assert snapshots, seed
+        for s in snapshots:
+            e = s.entries
+            assert type(s) is ReadySnapshot and type(e) is ReadyQueue, seed
+            assert {len(e.pid), len(e.remaining), len(e.arrival), len(e.submission_index),
+                    len(e.dispatched_before)} == {len(e)}, seed
 
 
 def test_replay_check_accepts_all_benchmark_traces():
@@ -386,12 +338,13 @@ def test_snapshot_records_match_the_trace(policy, records):
             p.pid: (p.burst - executed[p.pid], p.arrival, i, any(s.pid == p.pid for s in done))
             for i, p in enumerate(w.processes)
             if p.arrival <= snapshot.now and executed[p.pid] < p.burst}
-        actual = {e.pid: (e.remaining, e.arrival, e.submission_index, e.dispatched_before)
-                  for e in snapshot.entries}
-        assert len(snapshot.entries) == len(actual)
+        e = snapshot.entries
+        actual = dict(zip(e.pid, zip(e.remaining, e.arrival, e.submission_index,
+                                     e.dispatched_before)))
+        assert len(e) == len(actual)
         assert actual == expected, f"cycle {snapshot.cycle_index} at {snapshot.now}"
     # each case reaches a snapshot that mixes dispatched and new processes
-    assert any(len({e.dispatched_before for e in s.entries}) == 2 for s in snapshots)
+    assert any(len(set(s.entries.dispatched_before)) == 2 for s in snapshots)
     abandoned = any(sum(s.cycle == snap.cycle_index for s in trace.slices) < len(snap.entries)
                     for snap in snapshots)
     assert abandoned == (policy.arrival_mode == SLICE_BOUNDARY_RESTART)

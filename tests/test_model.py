@@ -16,7 +16,6 @@ from rrsim import (
     WorkloadError,
     validate_workload,
 )
-from rrsim.engine import SnapshotEntry
 from rrsim.model import COMPLETED, IdleGap, Slice
 
 CASE_I_RECORDS = [("P1", 0, 40), ("P2", 0, 55), ("P3", 0, 60),
@@ -71,8 +70,7 @@ def test_process_spec_is_immutable():
 @pytest.mark.parametrize("record, field", [
     (Slice("P1", 0, 10, 1, 10, COMPLETED), "end"),
     (IdleGap(10, 20), "start"),
-    (SnapshotEntry("P1", 10, 0, 0, False), "remaining"),
-], ids=["Slice", "IdleGap", "SnapshotEntry"])
+], ids=["Slice", "IdleGap"])
 def test_trace_records_are_immutable_named_tuples(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, 1)
@@ -124,7 +122,6 @@ def test_public_names_are_pinned():
         "ReadySnapshot",
         "RunMetrics",
         "Slice",
-        "SnapshotEntry",
         "Workload",
         "WorkloadError",
         "alternating_min_max_order",
@@ -235,7 +232,7 @@ def _checks_nothing(cls) -> bool:
 
 def test_records_built_in_c_define_no_check_of_their_own():
     built = _built_in_c()
-    assert built == {Slice, SnapshotEntry, ReadySnapshot, ProcessMetrics}
+    assert built == {Slice, ReadySnapshot, ProcessMetrics}
     assert all(_checks_nothing(cls) for cls in built)
     # a record with a check of its own is told apart
     assert not _checks_nothing(ProcessSpec) and not _checks_nothing(GeneratorSpec)

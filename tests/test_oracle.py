@@ -29,7 +29,7 @@ def test_engine_matches_oracle_on_fixtures(case_id, name):
 
 # DQRRR's alternating cycle 3 leaves P6 and then P4 with 3 ms each, and P7
 # arrives during it.  Arrival cycle 4 must break that tie by arrival (P4
-# first), i.e. by the full ``rank_key``, not by remaining time alone.
+# first), i.e. by the full ``rank_order``, not by remaining time alone.
 TIED_SURVIVORS = validate_workload([
     ("P1", 10, 20), ("P2", 11, 20), ("P3", 29, 10), ("P4", 34, 10),
     ("P5", 37, 5), ("P6", 40, 10), ("P7", 65, 10)])

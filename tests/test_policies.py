@@ -1,5 +1,4 @@
 import collections
-import copy
 import dataclasses
 import random
 
@@ -9,15 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import seeded_workload
 
-from rrsim import simulate
+from rrsim import engine, simulate
 from rrsim.engine import (
     CYCLE_BOUNDARY,
     SLICE_BOUNDARY_RESTART,
     CyclePlan,
     PolicyBehavior,
     ReadySnapshot,
-    SnapshotEntry,
-    rank_key,
+    rank_order,
 )
 from rrsim.policies import (
     POLICY_NAMES,
@@ -84,16 +82,11 @@ def test_range_quantum_golden(remaining, floor, expected):
     assert range_quantum(remaining, floor) == expected
 
 
-def _pids(items):
-    return tuple(item[0] for item in items)
-
-
 def test_alternating_min_max_order_golden():
-    entries = [("P1", 105), ("P2", 60), ("P3", 120), ("P4", 48), ("P5", 75)]
-    assert _pids(alternating_min_max_order(entries)) == ("P4", "P3", "P2", "P1", "P5")
-    entries = [("P5", 26), ("P2", 75), ("P4", 43), ("P3", 60)]
-    assert _pids(alternating_min_max_order(entries)) == ("P5", "P2", "P4", "P3")
-    assert alternating_min_max_order([("P1", 10)]) == (("P1", 10),)
+    # the remaining work of P4, P2, P5, P1, P3, ranked
+    assert alternating_min_max_order([48, 60, 75, 105, 120]) == [48, 120, 60, 105, 75]
+    assert alternating_min_max_order([26, 43, 60, 75]) == [26, 75, 43, 60]
+    assert alternating_min_max_order([10]) == [10]
 
 
 @given(bursts)
@@ -119,22 +112,14 @@ def test_quantum_helpers_at_least_one(values):
 
 @given(bursts)
 def test_alternating_order_structural(values):
-    entries = [(f"P{i}", v) for i, v in enumerate(values)]
-    order = list(alternating_min_max_order(entries))
-    unfolded = order[0::2] + order[1::2][::-1]
-    expected = sorted(entries, key=lambda e: (e[1],))
-    # ties keep input order, matching the stable ascending sort
-    assert sorted(order) == sorted(entries)
-    assert unfolded == expected
+    ranked = sorted(values)
+    order = alternating_min_max_order(ranked)
+    assert order[0::2] + order[1::2][::-1] == ranked
 
 
 snapshots = st.builds(
     lambda items, now, cycle: ReadySnapshot.of(
-        entries=tuple(SnapshotEntry(f"P{i + 1}", rem, arr, i, seen)
-                      for i, (rem, arr, seen) in enumerate(items)),
-        now=now,
-        cycle_index=cycle,
-    ),
+        [f"P{i + 1}" for i in range(len(items))], *zip(*items), now=now, cycle_index=cycle),
     st.lists(st.tuples(st.integers(1, 500), st.integers(0, 100), st.booleans()),
              min_size=1, max_size=12),
     st.integers(0, 1000),
@@ -150,32 +135,38 @@ ALL_FACTORIES = [
 @settings(max_examples=300)
 @given(snapshots, st.sampled_from(range(len(ALL_FACTORIES))))
 def test_every_plan_is_a_permutation_with_positive_quantum(snapshot, idx):
-    policy = ALL_FACTORIES[idx]
-    plan = policy.plan(snapshot)
-    assert sorted(plan.order) == sorted(snapshot.entries)
-    assert {id(e) for e in plan.order} == {id(e) for e in snapshot.entries}
-    assert plan.quantum >= 1
+    # the engine's own check raises PolicyPlanInvalid on any other plan
+    engine._checked_plan(ALL_FACTORIES[idx], snapshot)
+
+
+def _columns(entries):
+    return entries.pid, entries.remaining, entries.arrival, entries.dispatched_before
+
+
+def _reordered(snapshot, order, remaining=None):
+    """``snapshot`` with its processes in the given order of positions; with
+    ``remaining``, they hold that remaining work instead, in that order."""
+    pid, given, arrival, ran = ([column[p] for p in order] for column in _columns(snapshot.entries))
+    return ReadySnapshot.of(pid, given if remaining is None else remaining, arrival, ran,
+                            snapshot.now, snapshot.cycle_index)
 
 
 def _ascending(snapshot):
     """``snapshot`` as the engine hands it to an ascending policy."""
-    return ReadySnapshot.of(tuple(sorted(snapshot.entries, key=rank_key)),
-                            snapshot.now, snapshot.cycle_index)
+    return _reordered(snapshot, rank_order(snapshot.entries))
 
 
 @settings(max_examples=200)
 @given(snapshots, st.randoms())
 def test_quantum_depends_only_on_remaining_multiset(snapshot, rng):
-    permuted = list(snapshot.entries)
-    rng.shuffle(permuted)
-    shuffled = ReadySnapshot.of(tuple(permuted), snapshot.now, snapshot.cycle_index)
+    permutation = list(range(len(snapshot.entries)))
+    rng.shuffle(permutation)
+    shuffled = _reordered(snapshot, permutation)
     # An ascending policy is only ever handed a sorted queue, so it gets two
     # sorted snapshots with the same remaining multiset: the drawn one, and
     # one whose processes hold those remainings in the shuffled order.
-    remainings = (e.remaining for e in permuted)
-    relabelled = ReadySnapshot.of(
-        tuple(e._replace(remaining=r) for e, r in zip(snapshot.entries, remainings)),
-        snapshot.now, snapshot.cycle_index)
+    relabelled = _reordered(snapshot, range(len(permutation)),
+                            remaining=shuffled.entries.remaining)
     for policy in ALL_FACTORIES:
         a, b = (_ascending(snapshot), _ascending(relabelled)) if policy.ascending \
             else (snapshot, shuffled)
@@ -205,7 +196,7 @@ def _assert_ascending_snapshots(policy, workload):
     snapshots = []
 
     def plan(snapshot):
-        assert list(snapshot.entries) == sorted(snapshot.entries, key=rank_key), \
+        assert rank_order(snapshot.entries) == list(range(len(snapshot.entries))), \
             f"{policy.descriptor.name}: cycle {snapshot.cycle_index} at {snapshot.now}"
         snapshots.append(snapshot)
         return policy.plan(snapshot)
@@ -238,44 +229,40 @@ def test_busy_runs_make_dabrr_restart_over_sorted_snapshots():
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("name", POLICY_NAMES)
 def test_a_snapshot_never_changes_once_handed_off(shape, name):
-    # A snapshot's view shares columns that the engine has just filled.  The
-    # copy is taken through a twin of the view, so the kept view builds its
-    # records only after simulate returns, from its columns as they are then.
+    # A snapshot's view shares the columns that the engine has just filled.
+    # Its columns, copied at plan time, must read the same once simulate returns.
     policy = standard_policy(name)
     kept = []
 
     def plan(snapshot):
-        kept.append((snapshot, tuple(copy.copy(snapshot.entries))))
+        e = snapshot.entries
+        kept.append((snapshot, [list(column) for column in (*_columns(e), e.submission_index)]))
         return policy.plan(snapshot)
 
     simulate(_shaped(shape, 0), dataclasses.replace(policy, plan=plan))
     assert kept
-    for snapshot, entries in kept:
-        assert snapshot.entries == entries, f"cycle {snapshot.cycle_index}"
-        assert snapshot.entries.remaining == [e.remaining for e in entries]
-        assert snapshot.entries.dispatched_before == [e.dispatched_before for e in entries]
+    for snapshot, columns in kept:
+        e = snapshot.entries
+        assert [*_columns(e), e.submission_index] == columns, f"cycle {snapshot.cycle_index}"
 
 
 def test_dqrrr_keeps_queue_order_without_new_arrivals():
-    entries = tuple(SnapshotEntry(pid, rem, 0, i, True)
-                    for i, (pid, rem) in enumerate([("P5", 42), ("P4", 30)]))
-    snapshot = ReadySnapshot.of(entries, now=275, cycle_index=2)
-    assert _pids(make_dqrrr().plan(snapshot).order) == ("P5", "P4")
+    snapshot = ReadySnapshot.of(["P5", "P4"], [42, 30], [0, 0], [True, True],
+                                now=275, cycle_index=2)
+    assert make_dqrrr().plan(snapshot).order is snapshot.entries
 
 
 def test_dqrrr_alternates_when_new_arrivals_present():
-    entries = tuple(SnapshotEntry(pid, rem, arr, i, False)
-                    for i, (pid, rem, arr) in enumerate(
-                        [("P2", 75, 2), ("P3", 60, 4), ("P4", 43, 8), ("P5", 26, 16)]))
-    snapshot = ReadySnapshot.of(entries, now=95, cycle_index=2)
-    assert _pids(make_dqrrr().plan(snapshot).order) == ("P5", "P2", "P4", "P3")
+    snapshot = ReadySnapshot.of(["P2", "P3", "P4", "P5"], [75, 60, 43, 26], [2, 4, 8, 16],
+                                [False] * 4, now=95, cycle_index=2)
+    # P5, P2, P4, P3: lowest, highest, 2nd lowest, 2nd highest
+    assert make_dqrrr().plan(snapshot).order == [3, 0, 2, 1]
 
 
 def test_rp5_quantum_doubles_with_cycle_index():
     policy = make_rp5(25)
-    entry = (SnapshotEntry("P1", 1000, 0, 0, True),)
     for cycle, expected in [(1, 25), (2, 50), (3, 100), (4, 200)]:
-        snapshot = ReadySnapshot.of(entry, now=0, cycle_index=cycle)
+        snapshot = ReadySnapshot.of(["P1"], [1000], [0], [True], now=0, cycle_index=cycle)
         assert policy.plan(snapshot).quantum == expected
 
 
@@ -331,19 +318,22 @@ def _sorting_planners():
     ascending: each sorts every snapshot itself.  None declares an ascending
     queue, so the engine checks each order as a permutation of the queue."""
     def ranked(snapshot):
-        return sorted(snapshot.entries, key=lambda e: (e.remaining, e.arrival, e.submission_index))
+        e = snapshot.entries
+        order = sorted(range(len(e)), key=lambda p: (e.remaining[p], e.arrival[p],
+                                                     e.submission_index[p]))
+        return order, [e.remaining[p] for p in order]
 
     def dabrr(snapshot):
-        order = ranked(snapshot)
-        return CyclePlan(order, mean_quantum(e.remaining for e in order))
+        order, remaining = ranked(snapshot)
+        return CyclePlan(order, mean_quantum(remaining))
 
     def irrvq(snapshot):
-        order = ranked(snapshot)
-        return CyclePlan(order, order[0].remaining)
+        order, remaining = ranked(snapshot)
+        return CyclePlan(order, remaining[0])
 
     def mrr(snapshot):
-        order = ranked(snapshot)
-        return CyclePlan(order, range_quantum((e.remaining for e in order), 25))
+        order, remaining = ranked(snapshot)
+        return CyclePlan(order, range_quantum(remaining, 25))
 
     return [
         (make_dabrr(), PolicyBehavior(make_dabrr().descriptor, dabrr, SLICE_BOUNDARY_RESTART)),
