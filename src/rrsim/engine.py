@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import pairwise, repeat
 from operator import itemgetter, lt
 from typing import Callable, Iterable, NamedTuple
 
@@ -213,7 +213,7 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     ascending = policy.ascending
     if ascending and mode == TAIL_REJOIN:  # newcomers join ahead of the preempted one
         raise ValueError(f"arrival mode {mode!r} cannot keep the queue ascending")
-    columns = pid_col, arrival_col, burst_col = tuple(zip(*workload.processes))
+    columns = pid_col, arrival_col, burst_col = workload.columns
     # sorted() is stable, so equal arrivals keep their submission order
     incoming = sorted(range(len(arrival_col)), key=arrival_col.__getitem__)
     bursts = [burst_col[k] for k in incoming]  # in admission order, like ``arrivals``
@@ -303,38 +303,57 @@ def trace_violations(trace: ExecutionTrace, workload: Workload) -> list[str]:
     or 1 per slice, and each slice runs at the quantum of the latest
     ``quantum_log`` entry at or before its cycle.  The log's cycles strictly
     increase and each names a cycle that some slice ran.
+
+    The walk finds each slice's process by its pid, as its place in the
+    workload's columns; a slice whose pid the workload lacks is reported
+    and checked no further.  Messages come in slice order.  A slice's come
+    in this order: an overlap or idle gap, time order, cycle, quantum,
+    unknown pid, length, arrival, completion mark.  After the slices come
+    the processes whose executed work is not their burst, in submission
+    order, then the quantum log's defects.
     """
     return _walk_trace(trace, workload)[0]
 
 
-def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], dict, dict]:
-    """:func:`trace_violations`' messages, plus each pid's completion time and
-    first dispatch; the two maps are complete only when there are no messages."""
+def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], list, list]:
+    """:func:`trace_violations`' messages, plus each process's completion time
+    and first dispatch, in submission order; the two lists are complete only
+    when there are no messages.
+
+    The walk reads each slice's process by its submission index ``k``, into
+    lists.  Each group of checks sits behind one test that a valid slice
+    passes, so a valid trace pays a few comparisons per slice; the detailed
+    tests, and their messages, run only when a group's test trips.
+    """
     problems: list[str] = []
-    # each process's arrival and the work it has left, read off its record
-    # once: the walk reads plain dicts per slice, not record fields
-    arrival_of = {pid: arrival for pid, arrival, _ in workload.processes}
-    left = {pid: burst for pid, _, burst in workload.processes}
-    completion, first_dispatch = {}, {}
-    arrivals = sorted(arrival_of.values())
+    pid_col, arrival_col, burst_col = workload.columns
+    n = len(pid_col)
+    position = dict(zip(pid_col, range(n)))
+    arrival = [*arrival_col, float("inf")]  # a pid the workload lacks maps to n
+    left = list(burst_col)  # the work each process has left
+    completion, first_dispatch = [None] * n, [None] * n
+    arrivals = sorted(arrival_col)
     finished = 0
     cursor = arrivals[0]
     previous = float("-inf")  # the start of the previous slice
     log = trace.quantum_log
     last_cycle = logged = None  # the previous slice's cycle and its logged quantum
-    for pid, start, end, cycle, quantum, termination in zip(*trace.slices.columns):
-        if start < cursor:
-            problems.append(f"interval [{start},{end}) overlaps the previous one")
-        # an idle gap [cursor, start): finished processes ran before it, so
-        # they arrived before its end
-        elif start > cursor and bisect_left(arrivals, start) != finished:
-            problems.extend(f"idle gap [{cursor},{start}) while {pid} is runnable"
-                            for pid, arrival in arrival_of.items()
-                            if arrival < start and left[pid] > 0)
+    pids, starts, ends, cycles, quanta, terminations = trace.slices.columns
+    for pid, k, start, end, cycle, quantum, termination in zip(
+            pids, map(position.get, pids, repeat(n)), starts, ends, cycles, quanta, terminations):
+        if start != cursor or start < previous:
+            if start < cursor:
+                problems.append(f"interval [{start},{end}) overlaps the previous one")
+            # an idle gap [cursor, start): finished processes ran before it, so
+            # they arrived before its end
+            elif start > cursor and bisect_left(arrivals, start) != finished:
+                problems.extend(f"idle gap [{cursor},{start}) while {other} is runnable"
+                                for other, arrived, rest in zip(pid_col, arrival_col, left)
+                                if arrived < start and rest > 0)
+            if start < previous:
+                problems.append(f"slice {pid} [{start},{end}) listed out of time order")
         if end > cursor:
             cursor = end
-        if start < previous:
-            problems.append(f"slice {pid} [{start},{end}) listed out of time order")
         previous = start
         if cycle != last_cycle:
             expected = 1 if last_cycle is None else last_cycle + 1
@@ -347,30 +366,31 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], d
         if quantum != logged:
             problems.append(f"slice {pid} [{start},{end}) has quantum {quantum}, "
                             f"but cycle {cycle}'s logged quantum is {logged}")
-        arrival = arrival_of.get(pid)
-        if arrival is None:
-            problems.append(f"slice for unknown pid {pid!r}")
-            continue
         run = end - start
-        if run <= 0:
-            problems.append(f"empty or reversed slice {pid} [{start},{end})")
-        if run > quantum:
-            problems.append(f"slice {pid} [{start},{end}) exceeds quantum {quantum}")
-        if start < arrival:
-            problems.append(f"slice {pid} starts at {start} before arrival {arrival}")
-        rest = left[pid] = left[pid] - run
-        if pid not in first_dispatch:
-            first_dispatch[pid] = start
-        done = rest <= 0
-        if done != (termination == COMPLETED):
-            problems.append(f"last slice of {pid} not marked completed" if done
-                            else f"non-final slice of {pid} marked completed")
-        if done and rest + run > 0:  # this slice used up the last of the burst
-            finished += 1
-            completion[pid] = end
+        if not (0 < run <= quantum and arrival[k] <= start):  # NaN trips it too
+            if k == n:
+                problems.append(f"slice for unknown pid {pid!r}")
+                continue
+            if run <= 0:
+                problems.append(f"empty or reversed slice {pid} [{start},{end})")
+            if run > quantum:
+                problems.append(f"slice {pid} [{start},{end}) exceeds quantum {quantum}")
+            if start < arrival[k]:
+                problems.append(f"slice {pid} starts at {start} before arrival {arrival[k]}")
+        if first_dispatch[k] is None:
+            first_dispatch[k] = start
+        rest = left[k] = left[k] - run
+        if rest <= 0:
+            if termination != COMPLETED:
+                problems.append(f"last slice of {pid} not marked completed")
+            if rest + run > 0:  # this slice used up the last of the burst
+                finished += 1
+                completion[k] = end
+        elif termination == COMPLETED:
+            problems.append(f"non-final slice of {pid} marked completed")
 
-    problems.extend(f"pid {pid}: executed {burst - left[pid]} ms, burst is {burst} ms"
-                    for pid, _, burst in workload.processes if left[pid])
+    problems.extend(f"pid {pid}: executed {burst - rest} ms, burst is {burst} ms"
+                    for pid, burst, rest in zip(pid_col, burst_col, left) if rest)
     if not log:
         problems.append("empty quantum log")
     problems.extend(f"quantum log lists cycle {b} after cycle {a}"

@@ -5,12 +5,21 @@ without a BOM, LF or CRLF).  JSON is an object with an optional string
 ``label`` and a ``processes`` array of objects with the string ``pid`` and
 the integers ``arrival_ms`` and ``burst_ms``.  Serialization is
 normalized, so parse/serialize round trips are byte-stable.
+
+A JSON array, and a CSV file whose rows are all three fields with
+ASCII-digit times, are read into the workload's pid, arrival and burst
+columns, not one record per row; the CSV is split column by column in C.
+``model._validate_columns`` checks them without building a record.
+Any other CSV file is read line by line into records, so the first
+malformed line is the one a ``ParseError`` names.  Every ``ParseError``
+comes before any record error, which comes before a duplicate pid.
 """
 from __future__ import annotations
 
 import json
+from itertools import repeat
 
-from .model import Workload, decimal_int, validate_workload
+from .model import Workload, _validate_columns, decimal_int, validate_workload
 
 CSV_HEADER = "pid,arrival_ms,burst_ms"
 CSV = "csv"
@@ -96,6 +105,23 @@ def _parse_csv(text: str, label: str) -> Workload:
     lines = text.replace("\r\n", "\n").split("\n")
     if not lines or lines[0].strip() != CSV_HEADER:
         raise ParseError(f"expected header {CSV_HEADER!r}", line=1)
+    # Column by column, in C: the rows that are not blank, their fields
+    # stripped.  Stripping a row before it is split leaves each field as
+    # stripping it alone would.
+    rows = list(filter(None, map(str.strip, lines[1:])))
+    fields = list(map(str.strip, ",".join(rows).split(",")))
+    arrival, burst = fields[1::3], fields[2::3]
+    digits = "".join(arrival) + "".join(burst)
+    if (set(map(str.count, rows, repeat(","))) == {2} and all(arrival) and all(burst)
+            and digits.isascii() and digits.isdigit()):
+        try:
+            arrival, burst = list(map(int, arrival)), list(map(int, burst))
+        except ValueError:  # a time too long for int(): the line loop words it
+            pass
+        else:
+            return _validate_columns(fields[0::3], arrival, burst, label)
+    # a row that is not three fields of a pid and two ASCII-digit times:
+    # read line by line, so the first malformed line is the one named
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -124,7 +150,7 @@ def _parse_json(text: str, label: str) -> Workload:
     procs = payload["processes"]
     if not isinstance(procs, list):
         raise ParseError("'processes' must be an array")
-    records = []
+    pids, arrivals, bursts = [], [], []
     for i, item in enumerate(procs):
         if not isinstance(item, dict):
             raise ParseError(f"process #{i + 1} is not an object")
@@ -135,10 +161,12 @@ def _parse_json(text: str, label: str) -> Workload:
         pid = _string(pid, f"process #{i + 1}: pid")
         if type(arrival) is not int or type(burst) is not int:
             raise ParseError(f"process #{i + 1}: arrival_ms and burst_ms must be integers")
-        records.append((pid, arrival, burst))
+        pids.append(pid)
+        arrivals.append(arrival)
+        bursts.append(burst)
     if "label" in payload:
         label = _string(payload["label"], "'label'")
-    return validate_workload(records, label=label)
+    return _validate_columns(pids, arrivals, bursts, label)
 
 
 def parse_workload(data: bytes | str, format: str = CSV, label: str = "") -> Workload:
@@ -166,10 +194,10 @@ def serialize_workload(workload: Workload, format: str = CSV) -> bytes:
     """
     if format == CSV:
         lines = [CSV_HEADER]
-        lines.extend(f"{p.pid},{p.arrival},{p.burst}" for p in workload.processes)
+        lines.extend(f"{pid},{arrival},{burst}" for pid, arrival, burst in zip(*workload.columns))
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == JSON:
-        rows = [(p.pid, p.arrival, p.burst) for p in workload.processes]
+        rows = list(zip(*workload.columns))
         return _indented_json({"label": workload.label, "processes": rows},
                               _WORKLOAD_ROW).encode()
     raise ValueError(f"unknown workload format {format!r}")

@@ -110,13 +110,12 @@ def compute_metrics(trace: ExecutionTrace, workload: Workload) -> RunMetrics:
     if problems:
         raise InconsistentTrace("; ".join(problems))
 
-    # column by column: a C call per column, none per process
-    pids, arrivals, bursts = zip(*workload.processes)
-    completions = list(map(completion.__getitem__, pids))
-    turnarounds = list(map(sub, completions, arrivals))
+    # column by column, in submission order: a C call per column, none per process
+    pids, arrivals, bursts = workload.columns
+    turnarounds = list(map(sub, completion, arrivals))
     waitings = list(map(sub, turnarounds, bursts))
-    responses = list(map(sub, map(first_dispatch.__getitem__, pids), arrivals))
-    rows = tuple(map(_row, zip(pids, arrivals, bursts, completions,
+    responses = list(map(sub, first_dispatch, arrivals))
+    rows = tuple(map(_row, zip(pids, arrivals, bursts, completion,
                                turnarounds, waitings, responses)))
 
     n = len(rows)

@@ -2,8 +2,16 @@
 
 All times are integer milliseconds. Values are read-only after
 construction, so they can be shared freely between concurrent simulations:
-records are named tuples or frozen dataclasses, and a trace's slices sit
-behind a view that offers no mutator.
+records are named tuples, a trace is a frozen dataclass whose slices sit
+behind a view that offers no mutator, and a workload refuses assignment.
+
+A workload stores its processes as three columns, pid, arrival and burst,
+in submission order; the engine, the trace check and the metrics read
+those.  Validity of a record is defined once, by ``ProcessSpec``'s own
+check.  A workload that is parsed, generated or a built-in fixture
+builds no ``ProcessSpec`` unless its ``processes`` are read:
+``_validate_columns`` screens the columns in C and leaves any wording
+of a rejection to that check.
 """
 from __future__ import annotations
 
@@ -37,11 +45,17 @@ def record_builder(cls):
     return partial(tuple.__new__, cls)
 
 
-def _check_utf8(text: str, what: str) -> None:
-    try:  # a lone surrogate has no UTF-8 form, so no workload file can hold it
+def _has_utf8_form(text: str) -> bool:
+    try:  # a lone surrogate has none, so no workload file can hold it
         text.encode("utf-8")
     except UnicodeEncodeError:
-        raise WorkloadError(f"{what} {text!r} holds a lone surrogate") from None
+        return False
+    return True
+
+
+def _check_utf8(text: str, what: str) -> None:
+    if not _has_utf8_form(text):
+        raise WorkloadError(f"{what} {text!r} holds a lone surrogate")
 
 
 class _ProcessFields(NamedTuple):
@@ -80,36 +94,71 @@ class ProcessSpec(_ProcessFields):
         return cls(*super()._make(iterable))
 
 
-@dataclass(frozen=True)
 class Workload:
     """An ordered, validated collection of processes.
 
     The sequence order is the submission order and is authoritative for
     FCFS/arrival tie-breaking; construction never re-sorts or converts it.
+    ``columns`` holds the processes' pids, arrivals and bursts as three
+    tuples in that order, computed once; ``processes`` is the tuple of
+    ``ProcessSpec``, built from the columns on first read when the
+    workload came from ``_validate_columns``.  A workload compares
+    equal to, and hashes like, any other with the same processes and
+    label.  Assigning an attribute raises ``AttributeError``.
     """
 
-    processes: tuple[ProcessSpec, ...]
-    label: str = ""
+    __slots__ = ("columns", "label", "_processes")
 
-    def __post_init__(self):
-        procs = self.processes
-        if (not isinstance(procs, tuple) or not isinstance(self.label, str)
-                or not all(isinstance(p, ProcessSpec) for p in procs)):
+    def __init__(self, processes: tuple[ProcessSpec, ...], label: str = ""):
+        if (not isinstance(processes, tuple) or not isinstance(label, str)
+                or not all(isinstance(p, ProcessSpec) for p in processes)):
             raise WorkloadError("a Workload needs a tuple of ProcessSpec and a str label")
-        _check_utf8(self.label, "label")
-        if not procs:
+        _check_utf8(label, "label")
+        if not processes:
             raise WorkloadError("workload contains no processes")
         seen = set()
-        for proc in procs:
+        for proc in processes:
             if proc.pid in seen:
                 raise WorkloadError(f"duplicate pid {proc.pid!r}")
             seen.add(proc.pid)
+        _set(self, "columns", tuple(zip(*processes)))
+        _set(self, "label", label)
+        _set(self, "_processes", processes)
+
+    @property
+    def processes(self) -> tuple[ProcessSpec, ...]:
+        if self._processes is None:  # checked again, by the record's own constructor
+            _set(self, "_processes", tuple(map(ProcessSpec, *self.columns)))
+        return self._processes
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Workload.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete Workload.{name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.columns, self.label) == (other.columns, other.label)
+
+    def __hash__(self) -> int:
+        return hash((self.columns, self.label))
+
+    def __repr__(self) -> str:
+        return f"Workload(processes={self.processes!r}, label={self.label!r})"
+
+    def __reduce__(self):  # copy and pickle through the checked constructor
+        return Workload, (self.processes, self.label)
 
     def __len__(self) -> int:
-        return len(self.processes)
+        return len(self.columns[0])
 
     def __iter__(self):
         return iter(self.processes)
+
+
+_set = object.__setattr__
 
 
 def validate_workload(records, label: str = "") -> Workload:
@@ -124,6 +173,31 @@ def validate_workload(records, label: str = "") -> Workload:
     """
     procs = tuple(ProcessSpec(pid, arrival, burst) for pid, arrival, burst in records)
     return Workload(processes=procs, label=label)
+
+
+def _validate_columns(pid: list[str], arrival: list[int], burst: list[int],
+                      label: str = "") -> Workload:
+    """``validate_workload(zip(pid, arrival, burst), label)``, built from
+    three columns without a ``ProcessSpec`` when every record is valid.
+
+    The package's parsers, generator and fixtures are its only callers:
+    the three columns must have one length, each pid must be a ``str``
+    and each time an ``int``, which the screen does not test.  A screen
+    of a few C calls per column passes only columns that
+    ``validate_workload`` accepts; whatever it doubts goes through
+    ``validate_workload``, so the record check words every rejection.
+    """
+    text = "".join(pid)
+    if not (isinstance(label, str) and pid and all(pid) and len(set(pid)) == len(pid)
+            and min(arrival) >= 0 and min(burst) >= 1
+            and "," not in text and "\r" not in text and "\n" not in text
+            and list(map(str.strip, pid)) == pid and _has_utf8_form(text + label)):
+        return validate_workload(zip(pid, arrival, burst), label)
+    workload = Workload.__new__(Workload)
+    _set(workload, "columns", (tuple(pid), tuple(arrival), tuple(burst)))
+    _set(workload, "label", label)
+    _set(workload, "_processes", None)
+    return workload
 
 
 COMPLETED = "completed"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .model import Workload, validate_workload
+from .model import Workload, _validate_columns
 
 CASE_IDS = ("I", "II", "III", "IV", "V", "VI")
 ZERO_ARRIVAL_CASES = ("I", "II", "III")
@@ -36,7 +36,7 @@ def benchmark_case(case_id: str) -> Workload:
     except KeyError:
         raise KeyError(f"unknown case {case_id!r}; expected one of "
                        f"{', '.join(_CASES)}") from None
-    return validate_workload(records, label=f"case {case_id}")
+    return _validate_columns(*map(list, zip(*records)), label=f"case {case_id}")
 
 
 ASCENDING = "ascending"
@@ -108,7 +108,7 @@ def generate_workload(spec: GeneratorSpec) -> Workload:
             t += rng.randint(0, spec.max_gap)
             arrivals.append(t)
 
-    records = [(f"P{i + 1}", arrivals[i], bursts[i]) for i in range(spec.n)]
+    pids = [f"P{i + 1}" for i in range(spec.n)]
     label = (f"generated n={spec.n} burst={spec.burst_min}..{spec.burst_max} "
              f"{spec.order} {spec.arrival} seed={spec.seed}")
-    return validate_workload(records, label=label)
+    return _validate_columns(pids, arrivals, bursts, label)

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from rrsim import ProcessSpec
 from rrsim.cli import main
+from rrsim.fileio import parse_workload
 
 
 def rrsim(*args):
@@ -194,6 +196,27 @@ def _json_workload(*records):
 
 def _csv_workload(*records):
     return "pid,arrival_ms,burst_ms\n" + "".join(f"{p},{a},{b}\n" for p, a, b in records)
+
+
+@pytest.mark.parametrize("suffix, render", [(".csv", _csv_workload),
+                                            (".json", _json_workload)])
+def test_run_on_a_workload_file_builds_no_process_spec(tmp_path, monkeypatch, suffix, render):
+    # a parsed workload is columns and ``run`` reads no record: a checked
+    # record per row would be most of what parsing costs
+    built = []
+    checked = ProcessSpec.__new__
+
+    def counted(cls, *fields):
+        built.append(fields)
+        return checked(cls, *fields)
+
+    monkeypatch.setattr(ProcessSpec, "__new__", counted)
+    path = tmp_path / f"w{suffix}"
+    path.write_text(render(*[(f"P{i}", i % 7, 1 + i % 5) for i in range(50)]))
+    proc = rrsim("run", "--algo", "dabrr", "--workload", str(path), "--format", "json")
+    assert (proc.returncode, len(json.loads(proc.stdout)["per_process"])) == (0, 50)
+    assert built == []
+    assert len(parse_workload(path.read_bytes(), suffix[1:]).processes) == len(built) == 50
 
 
 @pytest.mark.parametrize("records, message", [

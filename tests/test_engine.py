@@ -7,6 +7,7 @@ import time
 import pytest
 
 from conftest import completion_times, seeded_workload
+from reference_walk import walk_trace as reference_walk
 
 from rrsim import (
     ExecutionTrace,
@@ -21,6 +22,7 @@ from rrsim import (
 )
 from rrsim.engine import (
     SLICE_BOUNDARY_RESTART,
+    _walk_trace,
     CyclePlan,
     PolicyBehavior,
     ReadyQueue,
@@ -481,6 +483,11 @@ def _change_one_slices_pid(trace, rng):
     return _with_slices(trace, i, trace.slices[i]._replace(pid=rng.choice(others)))
 
 
+def _rename_one_slice_to_an_unknown_pid(trace, rng):
+    i = rng.randrange(len(trace.slices))  # generated pids are P1..Pn
+    return _with_slices(trace, i, trace.slices[i]._replace(pid=f"X{rng.randrange(100)}"))
+
+
 def _lower_one_slices_quantum(trace, rng):
     i = rng.randrange(len(trace.slices))
     s = trace.slices[i]
@@ -537,6 +544,7 @@ CHECKER_MUTATIONS = [
     (_delete_one_slice, _SHORT_OR_LONG),  # its process runs less than its burst
     (_duplicate_one_slice, _SHORT_OR_LONG),  # its process runs more than its burst
     (_change_one_slices_pid, _SHORT_OR_LONG),  # one process runs less, another more
+    (_rename_one_slice_to_an_unknown_pid, r"slice for unknown pid 'X\d+'"),
     (_lower_one_slices_quantum, "exceeds quantum"),
     # every slice of a cycle runs at the quantum logged for it
     (_inflate_one_slices_quantum, r"has quantum \d+, but cycle \d+'s logged quantum is"),
@@ -548,20 +556,45 @@ CHECKER_MUTATIONS = [
 
 
 def test_seeded_mutated_traces_are_all_flagged():
+    # every list of messages is also the pid-keyed reference walk's, order included
     applied = collections.Counter()
     for seed in range(1000):
         rng = random.Random(seed)
         workload = seeded_workload(seed)
         trace = simulate(workload, standard_policy(POLICY_NAMES[seed % len(POLICY_NAMES)]))
+        problems, completion, first_dispatch = _walk_trace(trace, workload)
+        reference = reference_walk(trace, workload)
+        assert (problems, completion, first_dispatch) == (
+            [], *([found[p.pid] for p in workload] for found in reference[1:])), seed
         for mutate, violation in CHECKER_MUTATIONS:
             bad = mutate(trace, rng)
             if bad is None:
                 continue
             applied[mutate] += 1
-            problems = "; ".join(trace_violations(bad, workload))
+            problems = trace_violations(bad, workload)
+            assert problems == reference_walk(bad, workload)[0], \
+                f"seed {seed}: {mutate.__name__}"
+            problems = "; ".join(problems)
             assert re.search(violation, problems), f"seed {seed}: {mutate.__name__}: {problems}"
     # a swap needs two slices, a pid change two pids, a gap an abutting pair
     assert len(applied) == len(CHECKER_MUTATIONS) and min(applied.values()) >= 900
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("slices", [
+    # a reversed slice after a gap, then one that starts where the gap's cursor is
+    [Slice("P1", 20, 5, 1, 10, QUANTUM_EXPIRED), Slice("P2", 5, 15, 1, 10, COMPLETED)],
+    [Slice("P1", 0, 5.0, 1, 10, QUANTUM_EXPIRED), Slice("P1", 5, 10.5, 1, 10, COMPLETED)],
+    [Slice("P1", _NAN, 10, 1, 10, COMPLETED), Slice("P2", 10, _NAN, 1, 10, COMPLETED)],
+    [Slice("P3", _INF, _INF, 1, 10, COMPLETED), Slice("P1", 0, _INF, 1, _INF, COMPLETED)],
+    [Slice("P1", 0, 10, 1, 10, "done"), Slice("P2", 10, 20, 1, 10, COMPLETED)],
+], ids=["reversed-after-gap", "floats", "nan", "inf-unknown", "unknown-termination"])
+def test_odd_hand_built_traces_get_the_reference_walks_messages(slices):
+    w = validate_workload(_TWO)
+    trace = _hand_trace(slices)
+    assert trace_violations(trace, w) == reference_walk(trace, w)[0]
 
 
 def test_slices_listed_out_of_time_order_are_flagged():

@@ -2,6 +2,7 @@ import json
 import re
 
 import pytest
+import reference_parse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -217,3 +218,122 @@ def test_every_valid_workload_round_trips_through_both_formats(built):
     # CSV has no label, so the caller supplies it
     assert parse_workload(serialize_workload(workload, CSV), CSV, label=label) == workload
     assert parse_workload(serialize_workload(workload, JSON), JSON) == workload
+
+
+def _outcome(parse, data, fmt, label):
+    """What ``parse`` makes of ``data``: its records and label, or its
+    error's type, message and line."""
+    try:
+        parsed = parse(data, fmt, label=label)
+    except (ParseError, WorkloadError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    if isinstance(parsed, tuple):  # the reference's (records, label)
+        return parsed
+    return parsed.processes, parsed.label
+
+
+def _assert_parses_as_the_reference(data, label=""):
+    for fmt in (CSV, JSON):
+        assert _outcome(parse_workload, data, fmt, label) \
+            == _outcome(reference_parse.parse_workload, data, fmt, label), fmt
+
+
+# Many valid rows with at most two defective ones among them: a pid that
+# repeats or breaks a record, a time only int() would take, a row of the
+# wrong width or a blank one.  A defective row has one defect.
+_ROW_PIDS = ["P1", "P2", " P3", "a\rb", "a b", "\u00e9", "\ud800", "", "x\x85"]
+_ROW_TIMES = ["0", "7", "007", "-0", "-1", "+5", "1_0", "\u0663", " 3", "", "x", "1.5"]
+_bad_row = st.one_of(
+    st.tuples(st.sampled_from(_ROW_PIDS), st.just("1"), st.just("2")),
+    st.tuples(st.just("P0"), st.sampled_from(_ROW_TIMES), st.just("2")),
+    st.tuples(st.just("P0"), st.just("1"), st.sampled_from(_ROW_TIMES)),
+    st.sampled_from([("P0", "1"), ("P0", "1", "2", "3"), ("",), (" ",)]))
+_good_rows = st.lists(st.tuples(st.integers(1, 60).map("P{}".format),
+                                st.integers(0, 99).map(str), st.integers(1, 99).map(str)),
+                      min_size=1, max_size=30, unique_by=lambda row: row[0])
+
+
+def _with_defects(rows_and_defects):
+    rows, defects = rows_and_defects
+    for at, row in defects:
+        rows.insert(at % (len(rows) + 1), row)
+    return rows
+
+
+_many_rows = st.tuples(_good_rows, st.lists(st.tuples(st.integers(0, 30), _bad_row),
+                                             max_size=2)).map(_with_defects)
+_JSON_DEFECTS = {"1.5": "1.5", "x": "true", "": "null", " 3": '"3"'}
+
+
+def _csv_text(rows):
+    return CSV_HEADER + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+def _json_text(rows):
+    """The rows of three fields as a JSON workload, each CSV-only defect
+    of a time turned into a JSON one."""
+    return '{"processes": [%s]}' % ", ".join(
+        '{"pid": %s, "arrival_ms": %s, "burst_ms": %s}' % (
+            json.dumps(pid), *(_JSON_DEFECTS.get(t, t.strip("+").replace("_", ""))
+                               for t in times))
+        for pid, *times in rows if len(times) == 2)
+
+
+_many_rows_csv = _many_rows.map(_csv_text)
+_many_rows_json = _many_rows.map(_json_text)
+
+
+def _as_bytes(text):
+    return text.encode("utf-8", "surrogatepass")  # a lone surrogate makes it invalid UTF-8
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.binary(max_size=80), _near_csv, _near_json,
+                 _many_rows_csv, _many_rows_csv.map(_as_bytes),
+                 _many_rows_json, _many_rows_json.map(_as_bytes)),
+       st.one_of(st.just(""), st.just("label"), st.sampled_from(["bad\udcff", None])))
+def test_parsing_matches_the_record_by_record_reference(data, label):
+    _assert_parses_as_the_reference(data, label)
+
+
+@pytest.mark.parametrize("text", [str, _as_bytes], ids=["str", "bytes"])
+def test_each_single_defect_among_valid_rows_parses_as_the_reference(text):
+    good = [("P1", "0", "5"), ("P2", "3", "1"), ("P3", "9", "40")]
+    defects = [(pid, "1", "2") for pid in _ROW_PIDS] + [
+        row for time in _ROW_TIMES for row in (("P0", time, "2"), ("P0", "1", time))]
+    for defect in defects:
+        rows = good[:2] + [defect] + good[2:]
+        for data in (_csv_text(rows), _json_text(rows)):
+            _assert_parses_as_the_reference(text(data))
+
+
+@pytest.mark.parametrize("data, error, message", [
+    (f"{CSV_HEADER}\n,0,4\nP3,0,4\nP4,0,4\nP5,0,x\n", ParseError,
+     "line 5: non-integer time in 'P5,0,x'"),
+    (f"{CSV_HEADER}\nP1,0,4\nP\r2,0,4\n", WorkloadError,
+     "pid 'P\\r2' has a comma, a line break or edge whitespace, "
+     "so it cannot round-trip through CSV"),
+    (f"{CSV_HEADER}\nP1,+5,4\n", ParseError, "line 2: non-integer time in 'P1,+5,4'"),
+    (f"{CSV_HEADER}\nP1,0,1_0\n", ParseError, "line 2: non-integer time in 'P1,0,1_0'"),
+    (f"{CSV_HEADER}\nP1,\u0663,4\n", ParseError, "line 2: non-integer time in 'P1,\u0663,4'"),
+    (f"{CSV_HEADER}\nP1,0,4\nP\ud800,0,4\n", WorkloadError,
+     "pid 'P\\ud800' holds a lone surrogate"),
+    (f"{CSV_HEADER}\nP1,0,4\nP2,0,0\nP1,0,4\n", WorkloadError,
+     "process 'P2' has non-positive burst 0"),
+    ('{"processes": [{"pid": "P1", "arrival_ms": 0, "burst_ms": -3},'
+     ' {"pid": "P1", "arrival_ms": 0, "burst_ms": 4}]}', WorkloadError,
+     "process 'P1' has non-positive burst -3"),
+    ('{"processes": [{"pid": "", "arrival_ms": 0, "burst_ms": 4}, 5]}', ParseError,
+     "process #2 is not an object"),
+    # more digits than int() converts (sys.get_int_max_str_digits(), 4300 by default)
+    (f"{CSV_HEADER}\nP1,0,4\nP2,{'9' * 5000},4\n", ParseError,
+     f"line 3: non-integer time in 'P2,{'9' * 5000},4'"),
+], ids=["parse-error-on-a-later-line-wins", "lone-cr-in-pid", "plus-sign", "underscore",
+        "arabic-indic-digit", "lone-surrogate-in-str", "duplicate-after-bad-burst",
+        "json-duplicate-after-bad-burst", "json-parse-error-after-empty-pid",
+        "time-too-long-for-int"])
+def test_which_error_wins_is_the_references(data, error, message):
+    with pytest.raises(error) as exc:
+        parse_workload(data, CSV if data.startswith(CSV_HEADER) else JSON)
+    assert str(exc.value) == message
+    _assert_parses_as_the_reference(data)

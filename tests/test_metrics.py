@@ -107,14 +107,16 @@ def test_compute_metrics_rejects_every_checker_mutation():
 
 def _rows_per_process(trace, workload):
     """The rows and averages as the per-process loop built them before the
-    rows were built column by column; the loop is kept verbatim."""
+    rows were built column by column; the loop is kept as it was, except
+    that it reads the walk's completion and first-dispatch lists by each
+    process's submission index ``k``."""
     _, completion, first_dispatch = _walk_trace(trace, workload)
     rows = []
-    for p in workload.processes:
-        turnaround = completion[p.pid] - p.arrival
-        rows.append(ProcessMetrics(p.pid, p.arrival, p.burst, completion[p.pid], turnaround,
+    for k, p in enumerate(workload.processes):
+        turnaround = completion[k] - p.arrival
+        rows.append(ProcessMetrics(p.pid, p.arrival, p.burst, completion[k], turnaround,
                                    waiting=turnaround - p.burst,
-                                   response=first_dispatch[p.pid] - p.arrival))
+                                   response=first_dispatch[k] - p.arrival))
 
     n = len(rows)
     return (tuple(rows),

@@ -1,6 +1,8 @@
 import collections
+import copy
 import functools
 import importlib
+import pickle
 import pkgutil
 
 import pytest
@@ -16,6 +18,7 @@ from rrsim import (
     WorkloadError,
     validate_workload,
 )
+from rrsim.fileio import parse_workload
 from rrsim.model import COMPLETED, IdleGap, Slice
 
 CASE_I_RECORDS = [("P1", 0, 40), ("P2", 0, 55), ("P3", 0, 60),
@@ -65,6 +68,23 @@ def test_process_spec_is_immutable():
     with pytest.raises(AttributeError):
         w.processes[0].burst = 1
     assert w.processes[0].burst == 40
+
+
+def test_workload_compares_by_processes_and_label_and_refuses_assignment():
+    built = validate_workload(CASE_I_RECORDS, label="case I")
+    parsed = parse_workload("pid,arrival_ms,burst_ms\n" + "".join(
+        f"{pid},{arrival},{burst}\n" for pid, arrival, burst in CASE_I_RECORDS), label="case I")
+    assert parsed == built and hash(parsed) == hash(built) and repr(parsed) == repr(built)
+    assert parsed.columns == built.columns == tuple(zip(*CASE_I_RECORDS))
+    assert parsed != validate_workload(CASE_I_RECORDS, label="other")
+    assert parsed != tuple(CASE_I_RECORDS) and len(parsed) == 5
+    for copied in (copy.copy(parsed), copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed))):
+        assert copied == parsed and copied.processes == built.processes
+    with pytest.raises(AttributeError):
+        parsed.label = "x"
+    with pytest.raises(AttributeError):
+        del parsed.columns
+    assert parsed.label == "case I"
 
 
 @pytest.mark.parametrize("record, field", [
