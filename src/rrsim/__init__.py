@@ -4,7 +4,6 @@ dynamic time quanta (RR, DQRRR, IRRVQ, SARR, RP-5, MRR, DABRR)."""
 import types as _types
 
 from .engine import (
-    CyclePlan,
     PolicyBehavior,
     PolicyPlanInvalid,
     ReadySnapshot,

@@ -5,8 +5,9 @@ columns: each queued process's submission index and its remaining work.
 A slice that preempts a process appends both to the next cycle's
 columns; the loop builds no record.  At each cycle start the policy gets
 a snapshot whose ``entries`` is a read-only :class:`ReadyQueue` view of
-the columns, and answers with a quantum for the whole cycle and an order:
-``entries`` itself, or the queue positions ``0..n-1`` in dispatch order.
+the columns, and answers with a plain ``(order, quantum)`` pair: a quantum
+for the whole cycle and an order, ``entries`` itself or the queue
+positions ``0..n-1`` in dispatch order.
 Completed processes leave; survivors keep the order in which they ran,
 so an ``ascending`` policy's queue stays in :func:`rank_order` (each lost
 the same quantum) as newcomers are inserted in place.  ``arrival_mode``
@@ -89,11 +90,6 @@ class ReadyQueue:
         return list(map(lt, self.remaining, burst))
 
 
-class _GivenQueue(ReadyQueue):
-    """A hand-built queue: it holds ``dispatched_before`` as given."""
-    __slots__ = ("dispatched_before",)
-
-
 def rank_order(entries: ReadyQueue) -> list[int]:
     """The queue positions of ``entries`` ranked by remaining work, then
     arrival, then submission index: a total order.
@@ -122,41 +118,34 @@ class ReadySnapshot(NamedTuple):
 
     @classmethod
     def of(cls, pid: Iterable[str], remaining: Iterable[int], arrival: Iterable[int],
-           dispatched_before: Iterable[bool], now: int, cycle_index: int) -> "ReadySnapshot":
+           burst: Iterable[int], now: int, cycle_index: int) -> "ReadySnapshot":
         """A snapshot of a queue given as columns, in queue order; each
-        process's submission index is its position."""
-        pid, remaining, arrival, ran = columns = tuple(
-            map(list, (pid, remaining, arrival, dispatched_before)))
+        process's submission index is its position, and its
+        ``dispatched_before`` is ``remaining < burst``."""
+        pid, remaining, arrival, burst = columns = tuple(
+            map(list, (pid, remaining, arrival, burst)))
         if len(set(map(len, columns))) != 1:
             raise ValueError(f"columns of unequal length {tuple(map(len, columns))}")
-        entries = _GivenQueue(list(range(len(pid))), remaining, (pid, arrival, None))
-        entries.dispatched_before = ran
-        return cls(entries, now, cycle_index)
+        return cls(ReadyQueue(list(range(len(pid))), remaining, (pid, arrival, burst)),
+                   now, cycle_index)
 
 
 _snapshot = record_builder(ReadySnapshot)  # built in C: checks no field
-
-
-class CyclePlan(NamedTuple):
-    """A dispatch order plus the cycle quantum.  The order is the snapshot's
-    ``entries`` or a tuple or list of its queue positions, each exactly
-    once; ``plan`` may return any other ``(order, quantum)`` pair instead."""
-
-    order: ReadyQueue | Sequence[int]
-    quantum: int
 
 
 @dataclass(frozen=True)
 class PolicyBehavior:
     """The policy contract consumed by :func:`simulate`.
 
-    ``plan`` must be pure and deterministic: the same snapshot always
+    ``plan`` returns an ``(order, quantum)`` pair whose order is the
+    snapshot's ``entries`` or a tuple or list of its queue positions, each
+    once.  It must be pure and deterministic: the same snapshot always
     yields the same plan.  An ``ascending`` policy gets a sorted snapshot
     and must return its ``entries`` unchanged as the order.
     """
 
     descriptor: PolicyDescriptor
-    plan: Callable[[ReadySnapshot], CyclePlan]
+    plan: Callable[[ReadySnapshot], tuple[ReadyQueue | Sequence[int], int]]
     arrival_mode: str = CYCLE_BOUNDARY
     ascending: bool = False
 
@@ -171,7 +160,7 @@ def _checked_plan(policy: PolicyBehavior,
     remaining columns of the queue it dispatches, and its quantum."""
     plan = policy.plan(snapshot)
     try:
-        order, quantum = plan  # a CyclePlan or any other pair
+        order, quantum = plan
     except (TypeError, ValueError):
         raise _invalid(policy, f"plan is a {type(plan).__name__}, "
                                f"not an (order, quantum) pair") from None

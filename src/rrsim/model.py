@@ -168,11 +168,17 @@ def validate_workload(records, label: str = "") -> Workload:
     a ``str`` and times must be ``int`` (not ``bool``).
 
     Raises:
-        WorkloadError: no records were given, or a record is invalid; the
-            message names the offender.
+        WorkloadError: no records were given, or a record is invalid or not
+            a triple; the message names the offender.
     """
-    procs = tuple(ProcessSpec(pid, arrival, burst) for pid, arrival, burst in records)
-    return Workload(processes=procs, label=label)
+    procs = []
+    for record in records:
+        try:
+            pid, arrival, burst = record
+        except (TypeError, ValueError):
+            raise WorkloadError(f"record {record!r} is not a (pid, arrival, burst) triple") from None
+        procs.append(ProcessSpec(pid, arrival, burst))
+    return Workload(processes=tuple(procs), label=label)
 
 
 def _validate_columns(pid: list[str], arrival: list[int], burst: list[int],

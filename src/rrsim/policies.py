@@ -1,5 +1,6 @@
 """The seven scheduling policies and their quantum/ordering rules.
 
+Each policy's ``plan`` returns a plain ``(order, quantum)`` tuple.
 Quantum helpers work on the multiset of remaining bursts and always
 return at least 1.  Every dynamic quantum uses floor division, and every
 quantum is read from the snapshot's ``entries.remaining`` column.  DABRR,
@@ -15,7 +16,6 @@ from .engine import (
     CYCLE_BOUNDARY,
     SLICE_BOUNDARY_RESTART,
     TAIL_REJOIN,
-    CyclePlan,
     PolicyBehavior,
     ReadySnapshot,
     rank_order,
@@ -75,8 +75,8 @@ def make_round_robin(q: int) -> PolicyBehavior:
         raise PolicySpecError(f"rr quantum must be >= 1, got {q}")
     descriptor = PolicyDescriptor.of("RR", q=q)
 
-    def plan(snapshot: ReadySnapshot) -> CyclePlan:
-        return CyclePlan(snapshot.entries, q)
+    def plan(snapshot: ReadySnapshot) -> tuple:
+        return snapshot.entries, q
 
     return PolicyBehavior(descriptor, plan, TAIL_REJOIN)
 
@@ -89,8 +89,8 @@ def make_dabrr() -> PolicyBehavior:
     """
     descriptor = PolicyDescriptor.of("DABRR")
 
-    def plan(snapshot: ReadySnapshot) -> CyclePlan:
-        return CyclePlan(snapshot.entries, mean_quantum(snapshot.entries.remaining))
+    def plan(snapshot: ReadySnapshot) -> tuple:
+        return snapshot.entries, mean_quantum(snapshot.entries.remaining)
 
     return PolicyBehavior(descriptor, plan, SLICE_BOUNDARY_RESTART, ascending=True)
 
@@ -99,8 +99,8 @@ def make_sarr() -> PolicyBehavior:
     """Median-of-remaining quantum over the FIFO queue order."""
     descriptor = PolicyDescriptor.of("SARR")
 
-    def plan(snapshot: ReadySnapshot) -> CyclePlan:
-        return CyclePlan(snapshot.entries, median_quantum(snapshot.entries.remaining))
+    def plan(snapshot: ReadySnapshot) -> tuple:
+        return snapshot.entries, median_quantum(snapshot.entries.remaining)
 
     return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
 
@@ -114,12 +114,12 @@ def make_dqrrr() -> PolicyBehavior:
     """
     descriptor = PolicyDescriptor.of("DQRRR")
 
-    def plan(snapshot: ReadySnapshot) -> CyclePlan:
+    def plan(snapshot: ReadySnapshot) -> tuple:
         entries = order = snapshot.entries
         # a queue of one has no other order to take
         if len(entries) > 1 and not all(entries.dispatched_before):
             order = alternating_min_max_order(rank_order(entries))
-        return CyclePlan(order, median_quantum(entries.remaining))
+        return order, median_quantum(entries.remaining)
 
     return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
 
@@ -132,8 +132,8 @@ def make_irrvq() -> PolicyBehavior:
     """
     descriptor = PolicyDescriptor.of("IRRVQ")
 
-    def plan(snapshot: ReadySnapshot) -> CyclePlan:
-        return CyclePlan(snapshot.entries, snapshot.entries.remaining[0])
+    def plan(snapshot: ReadySnapshot) -> tuple:
+        return snapshot.entries, snapshot.entries.remaining[0]
 
     return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY, ascending=True)
 
@@ -144,8 +144,8 @@ def make_rp5(base: int) -> PolicyBehavior:
         raise PolicySpecError(f"rp5 base must be >= 1, got {base}")
     descriptor = PolicyDescriptor.of("RP5", base=base)
 
-    def plan(snapshot: ReadySnapshot) -> CyclePlan:
-        return CyclePlan(snapshot.entries, base << (snapshot.cycle_index - 1))
+    def plan(snapshot: ReadySnapshot) -> tuple:
+        return snapshot.entries, base << (snapshot.cycle_index - 1)
 
     return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY)
 
@@ -156,8 +156,8 @@ def make_mrr(floor: int) -> PolicyBehavior:
         raise PolicySpecError(f"mrr floor must be >= 1, got {floor}")
     descriptor = PolicyDescriptor.of("MRR", floor=floor)
 
-    def plan(snapshot: ReadySnapshot) -> CyclePlan:
-        return CyclePlan(snapshot.entries, range_quantum(snapshot.entries.remaining, floor))
+    def plan(snapshot: ReadySnapshot) -> tuple:
+        return snapshot.entries, range_quantum(snapshot.entries.remaining, floor)
 
     return PolicyBehavior(descriptor, plan, CYCLE_BOUNDARY, ascending=True)
 

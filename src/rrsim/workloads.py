@@ -60,13 +60,17 @@ class GeneratorSpec(_GeneratorFields):
     """Parameters for the seeded random workload generator.
 
     A named tuple that checks its parameters however it is built: called,
-    through ``_make`` or through ``_replace``.
+    through ``_make`` or through ``_replace``.  Every field but ``order``
+    and ``arrival`` must be an ``int``, not a ``bool`` or ``None``.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         spec = super().__new__(cls, *args, **kwargs)
+        for name in ("n", "burst_min", "burst_max", "max_gap", "seed"):
+            if type(getattr(spec, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(spec, name)!r}")
         if spec.n < 1:
             raise ValueError(f"n must be >= 1, got {spec.n}")
         if not 1 <= spec.burst_min <= spec.burst_max:

@@ -23,7 +23,6 @@ from rrsim import (
 from rrsim.engine import (
     SLICE_BOUNDARY_RESTART,
     _walk_trace,
-    CyclePlan,
     PolicyBehavior,
     ReadyQueue,
     ReadySnapshot,
@@ -111,7 +110,7 @@ def test_dabrr_restart_replans_when_arrivals_interrupt_a_cycle():
 
 def _defective(order_fn, quantum=10):
     def plan(snapshot):  # ``order_fn`` maps the queue positions to the plan's order
-        return CyclePlan(order_fn(tuple(range(len(snapshot.entries)))), quantum)
+        return order_fn(tuple(range(len(snapshot.entries)))), quantum
     return PolicyBehavior(PolicyDescriptor.of("BROKEN"), plan)
 
 
@@ -183,7 +182,7 @@ def test_plan_quantum_must_be_positive():
 @pytest.mark.parametrize("quantum", [2.5, 3.0, True], ids=["float", "integral float", "bool"])
 def test_plan_quantum_must_be_an_int(quantum):
     # each would simulate, then fail in Fraction arithmetic or print as "True"
-    policy = PolicyBehavior(PolicyDescriptor.of("X"), lambda s: CyclePlan(s.entries, quantum))
+    policy = PolicyBehavior(PolicyDescriptor.of("X"), lambda s: (s.entries, quantum))
     with pytest.raises(PolicyPlanInvalid, match=rf"^X: quantum {quantum!r} is not an int$"):
         simulate(benchmark_case("I"), policy)
 
@@ -233,12 +232,15 @@ def test_a_snapshot_view_reads_the_queue_columns():
     assert entries.dispatched_before == [False, True]
     # columns only: no record is built, so none can be indexed, iterated or compared
     assert not {"__getitem__", "__iter__", "__eq__", "__hash__", "__add__"} & set(vars(ReadyQueue))
-    # a hand-built snapshot reads back its columns; submission indexes are positions
-    given = ReadySnapshot.of(("P3", "P1"), (20, 20), (10, 0), (False, True),
+    # a hand-built snapshot is an engine queue that reads back its columns:
+    # submission indexes are positions, and P1 has run since its remaining
+    # work is below its burst
+    given = ReadySnapshot.of(("P3", "P1"), (20, 20), (10, 0), (20, 30),
                              now=10, cycle_index=2).entries
+    assert type(given) is ReadyQueue
     assert (given.pid, given.remaining, given.arrival, given.submission_index,
             given.dispatched_before) == (["P3", "P1"], [20, 20], [10, 0], [0, 1], [False, True])
-    columns = [["P1", "P2"], [5, 5], [0, 0], [False, False]]
+    columns = [["P1", "P2"], [5, 5], [0, 0], [5, 9]]
     for short in range(4):  # zip would drop the second process without a word
         uneven = [column[:1] if i == short else column for i, column in enumerate(columns)]
         with pytest.raises(ValueError, match=r"^columns of unequal length"):
@@ -246,14 +248,17 @@ def test_a_snapshot_view_reads_the_queue_columns():
 
 
 def test_every_snapshot_is_a_ready_queue_of_equal_columns():
-    # the seeds and policies of the checker's seeded sweep below
+    # the seeds and policies of the checker's seeded sweep below; every
+    # shipped plan is a plain (order, quantum) tuple
     for seed in range(1000):
         policy = standard_policy(POLICY_NAMES[seed % len(POLICY_NAMES)])
         snapshots = []
 
         def plan(snapshot, inner=policy.plan):
             snapshots.append(snapshot)
-            return inner(snapshot)
+            result = inner(snapshot)
+            assert type(result) is tuple and len(result) == 2, seed
+            return result
 
         simulate(seeded_workload(seed), dataclasses.replace(policy, plan=plan))
         assert snapshots, seed

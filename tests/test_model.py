@@ -127,7 +127,6 @@ def test_public_names_are_pinned():
     import rrsim
     assert sorted(rrsim.__all__) == [
         "ComparisonReport",
-        "CyclePlan",
         "ExecutionTrace",
         "GeneratorSpec",
         "IdleGap",
@@ -177,6 +176,9 @@ def test_public_names_are_pinned():
     (None, 0, 3),
     (5, 0, 1),
     (b"P1", 0, 1),
+    ("P1", 0),
+    ("P1", 0, 5, 9),
+    5,
 ])
 def test_record_types_are_checked_not_coerced(record):
     with pytest.raises(WorkloadError):

@@ -12,7 +12,6 @@ from rrsim import engine, simulate
 from rrsim.engine import (
     CYCLE_BOUNDARY,
     SLICE_BOUNDARY_RESTART,
-    CyclePlan,
     PolicyBehavior,
     ReadySnapshot,
     rank_order,
@@ -117,11 +116,16 @@ def test_alternating_order_structural(values):
     assert order[0::2] + order[1::2][::-1] == ranked
 
 
+# a process's remaining work, arrival and burst: its burst is its remaining
+# work if it has never run, and more if it has
+processes = st.builds(lambda remaining, arrival, ran: (remaining, arrival, remaining + ran),
+                      st.integers(1, 500), st.integers(0, 100),
+                      st.one_of(st.just(0), st.integers(1, 500)))
+
 snapshots = st.builds(
     lambda items, now, cycle: ReadySnapshot.of(
         [f"P{i + 1}" for i in range(len(items))], *zip(*items), now=now, cycle_index=cycle),
-    st.lists(st.tuples(st.integers(1, 500), st.integers(0, 100), st.booleans()),
-             min_size=1, max_size=12),
+    st.lists(processes, min_size=1, max_size=12),
     st.integers(0, 1000),
     st.integers(1, 20),
 )
@@ -145,10 +149,12 @@ def _columns(entries):
 
 def _reordered(snapshot, order, remaining=None):
     """``snapshot`` with its processes in the given order of positions; with
-    ``remaining``, they hold that remaining work instead, in that order."""
+    ``remaining``, they hold that remaining work instead, in that order.
+    A process that has run states a burst 1 ms above its remaining work."""
     pid, given, arrival, ran = ([column[p] for p in order] for column in _columns(snapshot.entries))
-    return ReadySnapshot.of(pid, given if remaining is None else remaining, arrival, ran,
-                            snapshot.now, snapshot.cycle_index)
+    remaining = given if remaining is None else remaining
+    burst = [work + 1 if dispatched else work for work, dispatched in zip(remaining, ran)]
+    return ReadySnapshot.of(pid, remaining, arrival, burst, snapshot.now, snapshot.cycle_index)
 
 
 def _ascending(snapshot):
@@ -170,7 +176,8 @@ def test_quantum_depends_only_on_remaining_multiset(snapshot, rng):
     for policy in ALL_FACTORIES:
         a, b = (_ascending(snapshot), _ascending(relabelled)) if policy.ascending \
             else (snapshot, shuffled)
-        assert policy.plan(a).quantum == policy.plan(b).quantum
+        (_, quantum_a), (_, quantum_b) = policy.plan(a), policy.plan(b)
+        assert quantum_a == quantum_b
 
 
 # Seeded generator shapes after the benchmark's files, at test sizes.  On
@@ -247,23 +254,28 @@ def test_a_snapshot_never_changes_once_handed_off(shape, name):
 
 
 def test_dqrrr_keeps_queue_order_without_new_arrivals():
-    snapshot = ReadySnapshot.of(["P5", "P4"], [42, 30], [0, 0], [True, True],
+    # case I after cycle 1's quantum of 60: both survivors have run
+    snapshot = ReadySnapshot.of(["P5", "P4"], [42, 30], [0, 0], [102, 90],
                                 now=275, cycle_index=2)
-    assert make_dqrrr().plan(snapshot).order is snapshot.entries
+    order, _ = make_dqrrr().plan(snapshot)
+    assert order is snapshot.entries
 
 
 def test_dqrrr_alternates_when_new_arrivals_present():
+    # none has run: each holds its whole burst
     snapshot = ReadySnapshot.of(["P2", "P3", "P4", "P5"], [75, 60, 43, 26], [2, 4, 8, 16],
-                                [False] * 4, now=95, cycle_index=2)
+                                [75, 60, 43, 26], now=95, cycle_index=2)
     # P5, P2, P4, P3: lowest, highest, 2nd lowest, 2nd highest
-    assert make_dqrrr().plan(snapshot).order == [3, 0, 2, 1]
+    order, _ = make_dqrrr().plan(snapshot)
+    assert order == [3, 0, 2, 1]
 
 
 def test_rp5_quantum_doubles_with_cycle_index():
     policy = make_rp5(25)
     for cycle, expected in [(1, 25), (2, 50), (3, 100), (4, 200)]:
-        snapshot = ReadySnapshot.of(["P1"], [1000], [0], [True], now=0, cycle_index=cycle)
-        assert policy.plan(snapshot).quantum == expected
+        snapshot = ReadySnapshot.of(["P1"], [1000], [0], [2000], now=0, cycle_index=cycle)
+        _, quantum = policy.plan(snapshot)
+        assert quantum == expected
 
 
 def test_parse_policy_spec_round_trip():
@@ -325,15 +337,15 @@ def _sorting_planners():
 
     def dabrr(snapshot):
         order, remaining = ranked(snapshot)
-        return CyclePlan(order, mean_quantum(remaining))
+        return order, mean_quantum(remaining)
 
     def irrvq(snapshot):
         order, remaining = ranked(snapshot)
-        return CyclePlan(order, remaining[0])
+        return order, remaining[0]
 
     def mrr(snapshot):
         order, remaining = ranked(snapshot)
-        return CyclePlan(order, range_quantum(remaining, 25))
+        return order, range_quantum(remaining, 25)
 
     return [
         (make_dabrr(), PolicyBehavior(make_dabrr().descriptor, dabrr, SLICE_BOUNDARY_RESTART)),

@@ -69,6 +69,13 @@ def test_generator_large_staggered_workload_is_valid():
     dict(n=3, burst_min=6, burst_max=5),
     dict(n=3, burst_min=1, burst_max=5, order="sideways"),
     dict(n=3, burst_min=1, burst_max=5, arrival="sometime"),
+    dict(n=2.5, burst_min=1, burst_max=9),
+    dict(n=True, burst_min=1, burst_max=9),
+    dict(n=3, burst_min=1.5, burst_max=9),
+    dict(n=3, burst_min=1, burst_max=9.0),
+    dict(n=3, burst_min=1, burst_max=5, arrival=STAGGERED, max_gap=2.0),
+    dict(n=3, burst_min=1, burst_max=5, seed=None),
+    dict(n=3, burst_min=1, burst_max=5, seed=False),
 ])
 def test_generator_spec_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
@@ -80,7 +87,10 @@ def test_generator_spec_rejects_bad_parameters(kwargs):
     lambda: GeneratorSpec(5, 1, 9)._replace(burst_min=10),
     lambda: GeneratorSpec(5, 1, 9, STAGGERED, max_gap=3)._replace(max_gap=-1),
     lambda: GeneratorSpec._make((5, 1, 9, "sideways", ALL_ZERO, 0, 0)),
-], ids=["replace-n", "replace-burst-min", "replace-max-gap", "make-order"])
+    lambda: GeneratorSpec(5, 1, 9)._replace(seed=None),
+    lambda: GeneratorSpec._make((5.0, 1, 9, RANDOM, ALL_ZERO, 0, 0)),
+], ids=["replace-n", "replace-burst-min", "replace-max-gap", "make-order", "replace-seed-none",
+        "make-float-n"])
 def test_generator_spec_copies_are_checked_like_the_constructor(build):
     with pytest.raises(ValueError):
         build()
