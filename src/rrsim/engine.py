@@ -2,16 +2,16 @@
 
 Every policy runs on one cycle loop over one ready queue, stored as two
 columns: each queued process's submission index and its remaining work.
-A slice that preempts a process appends both to the next cycle's
-columns; the loop builds no record.  At each cycle start the policy gets
-a snapshot whose ``entries`` is a read-only :class:`ReadyQueue` view of
-the columns, and answers with a plain ``(order, quantum)`` pair: a quantum
-for the whole cycle and an order, ``entries`` itself or the queue
-positions ``0..n-1`` in dispatch order.
-Completed processes leave; survivors keep the order in which they ran,
-so an ``ascending`` policy's queue stays in :func:`rank_order` (each lost
-the same quantum) as newcomers are inserted in place.  ``arrival_mode``
-decides when arrivals join the queue:
+A slice that preempts a process appends both to the next cycle's columns;
+the loop builds no record, and its trace stores each cycle's quantum once.
+At each cycle start the policy gets a snapshot whose ``entries`` is a
+read-only :class:`ReadyQueue` view of the columns, and answers with a
+plain ``(order, quantum)`` pair: a quantum for the whole cycle and an
+order, ``entries`` itself or the queue positions ``0..n-1`` in dispatch
+order.  Completed processes leave; survivors keep the order in which
+they ran, so an ``ascending`` policy's queue stays in :func:`rank_order`
+(each lost the same quantum) as newcomers are inserted in place.
+``arrival_mode`` decides when arrivals join the queue:
 
 * ``cycle_boundary``: new processes are appended once the cycle has
   finished.
@@ -31,8 +31,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import pairwise, repeat
-from operator import itemgetter, lt
+from itertools import repeat
+from operator import lt
 from typing import Callable, Iterable, NamedTuple
 
 from .model import (
@@ -212,11 +212,9 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
 
     index: list[int] = []       # the queue: each process's submission index
     remaining: list[int] = []   # and its remaining work
-    # the trace's columns: a slice is one entry in each, never a record
-    pids, starts, ends, cycles, quanta, terminations = [], [], [], [], [], []
-    quantum_log: list[tuple[int, int]] = []
+    # the trace's columns: one entry per slice in four, per cycle in two; no record
+    pids, starts, ends, terminations, quanta, counts = [], [], [], [], [], []
     clock = arrivals[0]
-    cycle = 0
     ptr = 0
 
     def admit(upto: int) -> int:  # enqueue arrivals up to ``upto``; return the next one's time
@@ -240,14 +238,10 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
             due = admit(clock)
             continue
 
-        cycle += 1
-        snapshot = _snapshot((ReadyQueue(index, remaining, columns), clock, cycle))
+        snapshot = _snapshot((ReadyQueue(index, remaining, columns), clock, len(quanta) + 1))
         run_index, run_remaining, quantum = _checked_plan(policy, snapshot)
-        # A tail-rejoin cycle is one pass over a FIFO queue, not a quantum
-        # decision, so only a change of quantum is logged: classic round
-        # robin reports its one constant quantum, ((1, q),).
-        if mode != TAIL_REJOIN or not quantum_log or quantum_log[-1][1] != quantum:
-            quantum_log.append((cycle, quantum))
+        quanta.append(quantum)
+        first = len(pids)  # the cycle's first slice
 
         index, remaining = [], []  # the next cycle's queue, filled in execution order
         watch = due if mode != CYCLE_BOUNDARY else never  # an arrival that acts mid-cycle
@@ -264,21 +258,16 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
                 index.append(k)
                 remaining.append(left)
             if clock >= watch:  # slice-boundary restart: abandon the cycle, replan over all
-                ran = len(pids) - len(cycles)
-                index += run_index[ran:]  # the processes not yet dispatched
-                remaining += run_remaining[ran:]
+                index += run_index[len(pids) - first:]  # the processes not yet dispatched
+                remaining += run_remaining[len(pids) - first:]
                 break
-        ran = len(pids) - len(cycles)  # every slice of a cycle shares its index and quantum
-        cycles += [cycle] * ran
-        quanta += [quantum] * ran
+        counts.append(len(pids) - first)
         if clock >= due:
             due = admit(clock)
 
-    return ExecutionTrace(
-        algorithm=policy.descriptor,
-        slices=SliceView(pids, starts, ends, cycles, quanta, terminations),
-        quantum_log=tuple(quantum_log),
-    )
+    return ExecutionTrace(policy.descriptor,
+                          SliceView(pids, starts, ends, terminations, quanta, counts),
+                          passes=mode == TAIL_REJOIN)
 
 
 def trace_violations(trace: ExecutionTrace, workload: Workload) -> list[str]:
@@ -288,18 +277,15 @@ def trace_violations(trace: ExecutionTrace, workload: Workload) -> list[str]:
     its process's remaining work.  A hole before a slice is an idle gap,
     and every process that arrived before its end must already be
     finished.  The slices must be in time order, as ``simulate`` writes
-    them: the walk does not sort them.  Their cycles count up from 1 by 0
-    or 1 per slice, and each slice runs at the quantum of the latest
-    ``quantum_log`` entry at or before its cycle.  The log's cycles strictly
-    increase and each names a cycle that some slice ran.
+    them: the walk does not sort them.  Each slice runs within the quantum
+    that its trace stores once for its cycle, so no quantum below 1 passes.
 
     The walk finds each slice's process by its pid, as its place in the
     workload's columns; a slice whose pid the workload lacks is reported
     and checked no further.  Messages come in slice order.  A slice's come
-    in this order: an overlap or idle gap, time order, cycle, quantum,
-    unknown pid, length, arrival, completion mark.  After the slices come
-    the processes whose executed work is not their burst, in submission
-    order, then the quantum log's defects.
+    in this order: an overlap or idle gap, time order, unknown pid,
+    length, arrival, completion mark.  After the slices come the processes
+    whose executed work is not their burst, in submission order.
     """
     return _walk_trace(trace, workload)[0]
 
@@ -325,11 +311,9 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], l
     finished = 0
     cursor = arrivals[0]
     previous = float("-inf")  # the start of the previous slice
-    log = trace.quantum_log
-    last_cycle = logged = None  # the previous slice's cycle and its logged quantum
-    pids, starts, ends, cycles, quanta, terminations = trace.slices.columns
-    for pid, k, start, end, cycle, quantum, termination in zip(
-            pids, map(position.get, pids, repeat(n)), starts, ends, cycles, quanta, terminations):
+    pids, starts, ends, _, quanta, terminations = trace.slices.columns
+    for pid, k, start, end, quantum, termination in zip(
+            pids, map(position.get, pids, repeat(n)), starts, ends, quanta, terminations):
         if start != cursor or start < previous:
             if start < cursor:
                 problems.append(f"interval [{start},{end}) overlaps the previous one")
@@ -344,17 +328,6 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], l
         if end > cursor:
             cursor = end
         previous = start
-        if cycle != last_cycle:
-            expected = 1 if last_cycle is None else last_cycle + 1
-            if cycle != expected:
-                problems.append(f"slice {pid} [{start},{end}) in cycle {cycle}, "
-                                f"not cycle {expected}")
-            last_cycle = cycle
-            at = bisect_right(log, cycle, key=itemgetter(0))
-            logged = log[at - 1][1] if at else None
-        if quantum != logged:
-            problems.append(f"slice {pid} [{start},{end}) has quantum {quantum}, "
-                            f"but cycle {cycle}'s logged quantum is {logged}")
         run = end - start
         if not (0 < run <= quantum and arrival[k] <= start):  # NaN trips it too
             if k == n:
@@ -380,13 +353,4 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], l
 
     problems.extend(f"pid {pid}: executed {burst - rest} ms, burst is {burst} ms"
                     for pid, burst, rest in zip(pid_col, burst_col, left) if rest)
-    if not log:
-        problems.append("empty quantum log")
-    problems.extend(f"quantum log lists cycle {b} after cycle {a}"
-                    for (a, _), (b, _) in pairwise(log) if b <= a)
-    ran = last_cycle or 0
-    problems.extend(f"quantum log names cycle {cyc}, but the slices ran cycles 1..{ran}"
-                    for cyc, _ in log if not 1 <= cyc <= ran)
-    problems.extend(f"cycle {cyc} logged quantum {q} < 1" for cyc, q in log if q < 1)
-
     return problems, completion, first_dispatch

@@ -15,10 +15,11 @@ of a rejection to that check.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import accumulate, chain, count, islice, repeat
 from typing import NamedTuple
 
 
@@ -168,9 +169,13 @@ def validate_workload(records, label: str = "") -> Workload:
     a ``str`` and times must be ``int`` (not ``bool``).
 
     Raises:
-        WorkloadError: no records were given, or a record is invalid or not
-            a triple; the message names the offender.
+        WorkloadError: ``records`` is not iterable or empty, or a record is
+            invalid or not a triple; the message names the offender.
     """
+    try:
+        records = iter(records)
+    except TypeError:
+        raise WorkloadError(f"records {records!r} are not iterable") from None
     procs = []
     for record in records:
         try:
@@ -211,7 +216,7 @@ QUANTUM_EXPIRED = "quantum_expired"
 
 
 class Slice(NamedTuple):
-    """One contiguous dispatch of a process."""
+    """One contiguous dispatch of a process, in its cycle, at that cycle's quantum."""
 
     pid: str
     start: int
@@ -232,40 +237,65 @@ class IdleGap(NamedTuple):
 
 
 class SliceView(Sequence):
-    """A read-only sequence of :class:`Slice`, stored as one list per field.
-
-    A ``Slice`` is built only when the view is indexed or iterated, and a
-    slice of the view (``view[a:b]``) is a ``tuple`` of them, so the cyclic
-    collector has six lists to walk instead of one record per slice.
-    ``columns`` gives the lists themselves, in ``Slice`` field order, to
-    readers that walk every slice; they are shared, so never change them.
-    Values are kept exactly as given, ints of any size included.
+    """A read-only sequence of :class:`Slice`, stored as four lists of one
+    value per slice (pid, start, end, termination) and two of one value per
+    cycle (quantum, number of slices).  A ``Slice`` is built only when the
+    view is indexed or iterated; ``view[a:b]`` is a ``tuple`` of them.
+    ``columns`` gives, in ``Slice`` field order, the shared per-slice lists
+    (never change them) and each slice's cycle and quantum as one-shot
+    iterators.  Values are kept exactly as given, ints of any size included.
     """
 
-    __slots__ = ("_columns",)
+    __slots__ = ("_lists", "_ends")
 
-    def __init__(self, pid: list, start: list, end: list, cycle: list,
-                 quantum_in_effect: list, termination: list):
-        self._columns = (pid, start, end, cycle, quantum_in_effect, termination)
+    def __init__(self, pid: list, start: list, end: list, termination: list,
+                 quanta: list, counts: list):
+        self._lists = (pid, start, end, termination, quanta, counts)
+        self._ends = None  # the running sum of ``counts``, built on first index
+
+    @classmethod
+    def of(cls, slices: Iterable[Slice]) -> "SliceView":
+        """The view of ``slices``, each run of one ``cycle`` being that cycle.
+        ``ValueError`` names the first slice whose cycle is neither the last
+        one nor the next, counting from 1, or whose quantum is not its cycle's."""
+        pid, start, end, cycle, quantum, termination = (
+            [list(column) for column in zip(*slices)] or [[] for _ in Slice._fields])
+        quanta, counts = [], []
+        for i, (c, q) in enumerate(zip(cycle, quantum)):
+            if c == len(counts) + 1:  # the next cycle
+                quanta.append(q)
+                counts.append(0)
+            elif not (counts and c == len(counts) and q == quanta[-1]):
+                raise ValueError(f"slice {i} in cycle {c!r} at quantum {q!r} cannot follow cycle "
+                                 f"{len(counts)}" + (f" at quantum {quanta[-1]!r}" if quanta else ""))
+            counts[-1] += 1
+        return cls(pid, start, end, termination, quanta, counts)
 
     @property
-    def columns(self) -> tuple[list, ...]:
-        return self._columns
+    def columns(self) -> tuple:
+        pid, start, end, termination, quanta, counts = self._lists
+        return (pid, start, end, chain.from_iterable(map(repeat, count(1), counts)),
+                chain.from_iterable(map(repeat, quanta, counts)), termination)
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self._lists[0])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(map(_slice, zip(*(column[index] for column in self._columns))))
-        return _slice([column[index] for column in self._columns])
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        pid, start, end, termination, quanta, counts = self._lists
+        i = range(len(pid))[index]  # an index as a list takes it, negative ones too
+        if self._ends is None:
+            self._ends = list(accumulate(counts))
+        c = bisect_right(self._ends, i)  # the number of cycles before slice i's
+        return _slice((pid[i], start[i], end[i], c + 1, quanta[c], termination[i]))
 
     def __iter__(self):
-        return map(_slice, zip(*self._columns))
+        return map(_slice, zip(*self.columns))
 
     def __eq__(self, other):
         if isinstance(other, SliceView):
-            return self._columns == other._columns
+            return self._lists == other._lists
         return tuple(self) == other if isinstance(other, tuple) else NotImplemented
 
     def __hash__(self) -> int:
@@ -297,18 +327,26 @@ class PolicyDescriptor(NamedTuple):
 class ExecutionTrace:
     """Everything one simulation run produced; slices in time order.
 
-    ``slices`` may be given as any sequence of ``Slice``; it is stored as a
-    :class:`SliceView`.
+    ``slices`` may be given as any sequence of ``Slice``; it is stored
+    through :meth:`SliceView.of`.  ``passes`` marks a trace whose cycles are
+    passes over one FIFO queue (``tail_rejoin``), not quantum decisions.
     """
 
     algorithm: PolicyDescriptor
     slices: SliceView
-    quantum_log: tuple[tuple[int, int], ...] = ()  # (cycle index, quantum ms)
+    passes: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
         if not isinstance(self.slices, SliceView):
-            columns = [list(column) for column in zip(*self.slices)] or [[] for _ in Slice._fields]
-            object.__setattr__(self, "slices", SliceView(*columns))
+            object.__setattr__(self, "slices", SliceView.of(self.slices))
+
+    @property
+    def quantum_log(self) -> tuple[tuple[int, int], ...]:
+        """(cycle index, quantum ms) per cycle; for passes, per change of
+        quantum only, so classic round robin logs ``((1, q),)``."""
+        quanta = self.slices._lists[4]
+        return tuple((c, q) for c, q, before in zip(count(1), quanta, [None, *quanta])
+                     if not self.passes or q != before)
 
     def end_time(self) -> int:
         ends = self.slices.columns[2]

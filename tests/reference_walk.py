@@ -1,6 +1,7 @@
 """Reference trace check: ``engine._walk_trace`` as it was when it keyed
 each process's arrival, work left, first dispatch and completion by pid in
-dicts, kept verbatim.
+dicts, kept verbatim but for its cycle and quantum-log rules, which went
+when a trace came to store each cycle's quantum once.
 
 It returns the violation messages, plus each pid's completion time and
 first dispatch.  The differential check in ``test_engine.py`` requires
@@ -10,9 +11,7 @@ this module.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from itertools import pairwise
-from operator import itemgetter
+from bisect import bisect_left
 
 from rrsim.model import COMPLETED, ExecutionTrace, Workload
 
@@ -30,9 +29,7 @@ def walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], di
     finished = 0
     cursor = arrivals[0]
     previous = float("-inf")  # the start of the previous slice
-    log = trace.quantum_log
-    last_cycle = logged = None  # the previous slice's cycle and its logged quantum
-    for pid, start, end, cycle, quantum, termination in zip(*trace.slices.columns):
+    for pid, start, end, _, quantum, termination in zip(*trace.slices.columns):
         if start < cursor:
             problems.append(f"interval [{start},{end}) overlaps the previous one")
         # an idle gap [cursor, start): finished processes ran before it, so
@@ -46,17 +43,6 @@ def walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], di
         if start < previous:
             problems.append(f"slice {pid} [{start},{end}) listed out of time order")
         previous = start
-        if cycle != last_cycle:
-            expected = 1 if last_cycle is None else last_cycle + 1
-            if cycle != expected:
-                problems.append(f"slice {pid} [{start},{end}) in cycle {cycle}, "
-                                f"not cycle {expected}")
-            last_cycle = cycle
-            at = bisect_right(log, cycle, key=itemgetter(0))
-            logged = log[at - 1][1] if at else None
-        if quantum != logged:
-            problems.append(f"slice {pid} [{start},{end}) has quantum {quantum}, "
-                            f"but cycle {cycle}'s logged quantum is {logged}")
         arrival = arrival_of.get(pid)
         if arrival is None:
             problems.append(f"slice for unknown pid {pid!r}")
@@ -81,13 +67,4 @@ def walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], di
 
     problems.extend(f"pid {pid}: executed {burst - left[pid]} ms, burst is {burst} ms"
                     for pid, _, burst in workload.processes if left[pid])
-    if not log:
-        problems.append("empty quantum log")
-    problems.extend(f"quantum log lists cycle {b} after cycle {a}"
-                    for (a, _), (b, _) in pairwise(log) if b <= a)
-    ran = last_cycle or 0
-    problems.extend(f"quantum log names cycle {cyc}, but the slices ran cycles 1..{ran}"
-                    for cyc, _ in log if not 1 <= cyc <= ran)
-    problems.extend(f"cycle {cyc} logged quantum {q} < 1" for cyc, q in log if q < 1)
-
     return problems, completion, first_dispatch

@@ -12,7 +12,6 @@ from reference_walk import walk_trace as reference_walk
 from rrsim import (
     ExecutionTrace,
     IdleGap,
-    InconsistentTrace,
     PolicyPlanInvalid,
     Slice,
     compute_metrics,
@@ -199,7 +198,7 @@ def test_plan_order_must_be_a_tuple_or_list(order_fn, kind):
 
 def test_plan_may_return_a_plain_pair():
     dabrr = make_dabrr()
-    pair = dataclasses.replace(dabrr, plan=lambda s: tuple(dabrr.plan(s)))
+    pair = dataclasses.replace(dabrr, plan=lambda s: list(dabrr.plan(s)))
     w = benchmark_case("I")
     assert simulate(w, pair) == simulate(w, dabrr)
 
@@ -281,8 +280,7 @@ def test_replay_check_flags_slice_before_arrival():
     w = validate_workload([("P1", 5, 10)])
     trace = ExecutionTrace(
         algorithm=PolicyDescriptor.of("RR", q=25),
-        slices=(Slice("P1", 0, 10, 1, 25, COMPLETED),),
-        quantum_log=((1, 25),))
+        slices=(Slice("P1", 0, 10, 1, 25, COMPLETED),))
     problems = trace_violations(trace, w)
     assert any("before arrival" in p for p in problems)
     assert problems
@@ -305,8 +303,7 @@ def test_replay_check_flags_idle_while_work_pending():
     trace = ExecutionTrace(
         algorithm=PolicyDescriptor.of("RR", q=10),
         slices=(Slice("P1", 0, 10, 1, 10, QUANTUM_EXPIRED),
-                Slice("P1", 15, 25, 2, 10, COMPLETED)),
-        quantum_log=((1, 10),))
+                Slice("P1", 15, 25, 2, 10, COMPLETED)))
     problems = trace_violations(trace, w)
     assert any("runnable" in p for p in problems)
 
@@ -357,8 +354,8 @@ def test_snapshot_records_match_the_trace(policy, records):
     assert abandoned == (policy.arrival_mode == SLICE_BOUNDARY_RESTART)
 
 
-def _hand_trace(slices, quantum_log=((1, 10),)):
-    return ExecutionTrace(PolicyDescriptor.of("RR", q=10), tuple(slices), quantum_log)
+def _hand_trace(slices):
+    return ExecutionTrace(PolicyDescriptor.of("RR", q=10), tuple(slices))
 
 
 _ONE = [("P1", 0, 10)]
@@ -369,71 +366,77 @@ def test_hand_built_trace_without_defects_passes():
     w = validate_workload([("P1", 0, 10), ("P2", 15, 5)])
     trace = _hand_trace([Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED),
                          Slice("P1", 5, 10, 2, 5, COMPLETED),
-                         Slice("P2", 15, 20, 3, 5, COMPLETED)],
-                        quantum_log=((1, 5),))
+                         Slice("P2", 15, 20, 3, 5, COMPLETED)])
     assert trace_violations(trace, w) == []
 
 
-# One minimal trace per invariant; each is valid except for that defect.
-@pytest.mark.parametrize("records, slices, quantum_log, message", [
+def _flagged(records, slices):
+    """The checker's messages on a hand-built trace, or the refusal of a
+    list of slices that no trace can hold."""
+    try:
+        trace = _hand_trace(slices)
+    except ValueError as refused:
+        return [f"refused: {refused}"]
+    return trace_violations(trace, validate_workload(records))
+
+
+# One minimal trace per invariant; each is valid except for that defect.  A
+# trace stores each cycle's quantum once, so a list of slices whose cycles
+# do not count up from 1 by 0 or 1, or whose quantum changes inside a cycle,
+# is refused when the trace is built, naming the first such slice.
+@pytest.mark.parametrize("records, slices, message", [
     pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P9", 10, 15, 2, 10, COMPLETED)],
-                 ((1, 10),), "unknown pid", id="unknown-pid"),
+                 "unknown pid", id="unknown-pid"),
     pytest.param(_ONE, [Slice("P1", 0, 0, 1, 10, QUANTUM_EXPIRED), Slice("P1", 0, 10, 1, 10, COMPLETED)],
-                 ((1, 10),), "empty or reversed slice", id="empty-slice"),
+                 "empty or reversed slice", id="empty-slice"),
     pytest.param(_ONE, [Slice("P1", 0, 10, 1, 5, COMPLETED)],
-                 ((1, 5),), "exceeds quantum", id="over-quantum"),
+                 "exceeds quantum", id="over-quantum"),
     pytest.param([("P1", 5, 10)], [Slice("P1", 0, 10, 1, 10, COMPLETED)],
-                 ((1, 10),), "before arrival", id="before-arrival"),
+                 "before arrival", id="before-arrival"),
     pytest.param(_ONE, [Slice("P1", 0, 5, 1, 10, COMPLETED)],
-                 ((1, 10),), "burst", id="under-executed"),
+                 "burst", id="under-executed"),
     pytest.param(_ONE, [Slice("P1", 0, 15, 1, 15, COMPLETED)],
-                 ((1, 15),), "burst", id="over-executed"),
+                 "burst", id="over-executed"),
     pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, QUANTUM_EXPIRED)],
-                 ((1, 10),), "not marked completed", id="final-not-completed"),
+                 "not marked completed", id="final-not-completed"),
     pytest.param(_ONE, [Slice("P1", 0, 5, 1, 5, COMPLETED), Slice("P1", 5, 10, 2, 5, COMPLETED)],
-                 ((1, 5),), "non-final slice of P1 marked completed", id="non-final-completed"),
+                 "non-final slice of P1 marked completed", id="non-final-completed"),
     pytest.param(_TWO, [Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P2", 5, 15, 1, 10, COMPLETED)],
-                 ((1, 10),), "overlaps", id="overlap"),
+                 "overlaps", id="overlap"),
     pytest.param(_TWO, [Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P2", 12, 22, 1, 10, COMPLETED)],
-                 ((1, 10),), "runnable", id="hole"),
+                 "runnable", id="hole"),
     pytest.param([("P1", 0, 20)],
                  [Slice("P1", 0, 10, 1, 10, QUANTUM_EXPIRED), Slice("P1", 15, 25, 2, 10, COMPLETED)],
-                 ((1, 10),), "runnable", id="idle-while-runnable"),
-    pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED)],
-                 (), "empty quantum log", id="empty-quantum-log"),
+                 "runnable", id="idle-while-runnable"),
     pytest.param(_ONE, [Slice("P1", 0, 10, 2, 10, COMPLETED)],
-                 ((1, 10),), "in cycle 2, not cycle 1", id="first-cycle-not-one"),
+                 "refused: slice 0 in cycle 2 at quantum 10 cannot follow cycle 0",
+                 id="first-cycle-not-one"),
     pytest.param(_ONE, [Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED), Slice("P1", 5, 10, 3, 5, COMPLETED)],
-                 ((1, 5),), "in cycle 3, not cycle 2", id="cycle-skipped"),
-    pytest.param(_ONE, [Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED), Slice("P1", 5, 10, 2, 5, COMPLETED)],
-                 ((1, 5), (2, 6)), "cycle 2's logged quantum is 6", id="quantum-not-logged"),
-    pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED)],
-                 ((1, 10), (2, 0)), "< 1", id="quantum-below-one"),
-    pytest.param(_ONE, [Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED), Slice("P1", 5, 10, 2, 5, COMPLETED)],
-                 ((1, 5), (1, 5)), "quantum log lists cycle 1 after cycle 1",
-                 id="log-entry-repeated"),
-    pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED)],
-                 ((1, 10), (2, 10)), "quantum log names cycle 2, but the slices ran cycles 1..1",
-                 id="log-entry-past-last-cycle"),
+                 "refused: slice 1 in cycle 3 at quantum 5 cannot follow cycle 1 at quantum 5",
+                 id="cycle-skipped"),
+    pytest.param(_TWO, [Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED), Slice("P2", 5, 10, 2, 5, QUANTUM_EXPIRED),
+                        Slice("P1", 10, 15, 1, 5, COMPLETED), Slice("P2", 15, 20, 2, 5, COMPLETED)],
+                 "refused: slice 2 in cycle 1 at quantum 5 cannot follow cycle 2 at quantum 5",
+                 id="cycle-goes-back"),
+    pytest.param(_ONE, [Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED), Slice("P1", 5, 10, 1, 6, COMPLETED)],
+                 "refused: slice 1 in cycle 1 at quantum 6 cannot follow cycle 1 at quantum 5",
+                 id="quantum-changes-in-cycle"),
+    # a slice runs at least 1 ms, so no valid slice fits a quantum below 1
+    pytest.param(_ONE, [Slice("P1", 0, 10, 1, 0, COMPLETED)],
+                 "exceeds quantum 0", id="quantum-below-one"),
 ])
-def test_each_trace_invariant_is_flagged(records, slices, quantum_log, message):
-    problems = trace_violations(_hand_trace(slices, quantum_log),
-                                validate_workload(records))
+def test_each_trace_invariant_is_flagged(records, slices, message):
+    problems = _flagged(records, slices)
     assert any(message in p for p in problems), problems
 
 
-@pytest.mark.parametrize("corrupt, message", [
-    (lambda log: log + ((9, 5),), "quantum log names cycle 9, but the slices ran cycles 1..3"),
-    (lambda log: log[:2] + log[1:], "quantum log lists cycle 2 after cycle 2"),
-], ids=["cycle-never-ran", "entry-repeated"])
-def test_quantum_log_defects_on_case_i_are_flagged(corrupt, message):
+def test_quantum_log_is_read_off_the_cycles():
     w = benchmark_case("I")
-    good = simulate(w, make_dabrr())
-    assert good.quantum_log == ((1, 69), (2, 27), (3, 6))
-    bad = dataclasses.replace(good, quantum_log=corrupt(good.quantum_log))
-    assert trace_violations(bad, w) == [message]
-    with pytest.raises(InconsistentTrace, match=re.escape(message)):
-        compute_metrics(bad, w)
+    trace = simulate(w, make_dabrr())
+    assert trace.quantum_log == ((1, 69), (2, 27), (3, 6)) and not trace.passes
+    assert compute_metrics(trace, w).quanta() == (69, 27, 6)
+    rr = simulate(w, make_round_robin(25))  # a trace of passes logs changes of quantum
+    assert rr.passes and rr.quantum_log == ((1, 25),) and rr.slices[-1].cycle > 1
 
 
 def _shorten_one_slice(trace, rng):
@@ -466,13 +469,12 @@ def _swap_adjacent_slices(trace, rng):
         return None
     i = rng.randrange(len(trace.slices) - 1)
     first, second = trace.slices[i:i + 2]
-    return dataclasses.replace(
-        trace, slices=trace.slices[:i] + (second, first) + trace.slices[i + 2:])
+    return _in_its_cycles(trace, trace.slices[:i] + (second, first) + trace.slices[i + 2:])
 
 
 def _delete_one_slice(trace, rng):
     i = rng.randrange(len(trace.slices))
-    return dataclasses.replace(trace, slices=trace.slices[:i] + trace.slices[i + 1:])
+    return _in_its_cycles(trace, trace.slices[:i] + trace.slices[i + 1:])
 
 
 def _duplicate_one_slice(trace, rng):
@@ -493,48 +495,26 @@ def _rename_one_slice_to_an_unknown_pid(trace, rng):
     return _with_slices(trace, i, trace.slices[i]._replace(pid=f"X{rng.randrange(100)}"))
 
 
-def _lower_one_slices_quantum(trace, rng):
-    i = rng.randrange(len(trace.slices))
-    s = trace.slices[i]
-    return _with_slices(trace, i, s._replace(quantum_in_effect=rng.randrange(s.end - s.start)))
-
-
-def _inflate_one_slices_quantum(trace, rng):
-    i = rng.randrange(len(trace.slices))
-    s = trace.slices[i]
-    return _with_slices(trace, i, s._replace(
-        quantum_in_effect=s.quantum_in_effect + rng.randint(1, 50)))
-
-
-def _change_one_slices_cycle(trace, rng):
-    i = rng.randrange(len(trace.slices))
-    before = trace.slices[i - 1].cycle if i else 0
-    # a step of neither 0 nor 1 past the slice before (the first must be cycle 1)
-    cycle = before + rng.choice((-1, 2, 3, 5))
-    return _with_slices(trace, i, trace.slices[i]._replace(cycle=cycle))
-
-
-def _corrupt_quantum_log(trace, rng):
-    log = trace.quantum_log
-    if rng.random() < 0.25:
-        return dataclasses.replace(trace, quantum_log=())
-    i = rng.randrange(len(log))
-    bad = (log[i][0], rng.randint(-3, 0))
-    return dataclasses.replace(trace, quantum_log=log[:i] + (bad,) + log[i + 1:])
-
-
-def _add_log_entry_for_no_cycle(trace, rng):
-    log = trace.quantum_log
-    if rng.random() < 0.5:  # a cycle past the last one that ran
-        extra = (trace.slices[-1].cycle + rng.randint(1, 5), rng.randint(1, 50))
-        return dataclasses.replace(trace, quantum_log=log + (extra,))
-    i = rng.randrange(len(log))  # the same cycle logged twice
-    return dataclasses.replace(trace, quantum_log=log[:i + 1] + log[i:])
+def _lower_one_cycles_quantum(trace, rng):
+    cycle = rng.randint(1, trace.slices[-1].cycle)
+    longest = max(s.end - s.start for s in trace.slices if s.cycle == cycle)
+    quantum = rng.randrange(longest)
+    return dataclasses.replace(trace, slices=[
+        s._replace(quantum_in_effect=quantum) if s.cycle == cycle else s for s in trace.slices])
 
 
 def _with_slices(trace, i, replacement):
     return dataclasses.replace(
         trace, slices=trace.slices[:i] + (replacement,) + trace.slices[i + 1:])
+
+
+def _in_its_cycles(trace, slices):
+    """``trace`` with ``slices``, each run in the cycle, and at the quantum,
+    of the slice that ``trace`` ran at its place: reordered or removed
+    slices corrupt only the per-slice columns, so a trace can hold them."""
+    return dataclasses.replace(trace, slices=[
+        s._replace(cycle=at.cycle, quantum_in_effect=at.quantum_in_effect)
+        for s, at in zip(slices, trace.slices)])
 
 
 # Each mutation, paired with the violation it provably causes on every trace
@@ -550,13 +530,7 @@ CHECKER_MUTATIONS = [
     (_duplicate_one_slice, _SHORT_OR_LONG),  # its process runs more than its burst
     (_change_one_slices_pid, _SHORT_OR_LONG),  # one process runs less, another more
     (_rename_one_slice_to_an_unknown_pid, r"slice for unknown pid 'X\d+'"),
-    (_lower_one_slices_quantum, "exceeds quantum"),
-    # every slice of a cycle runs at the quantum logged for it
-    (_inflate_one_slices_quantum, r"has quantum \d+, but cycle \d+'s logged quantum is"),
-    (_change_one_slices_cycle, r"in cycle -?\d+, not cycle \d+"),
-    (_corrupt_quantum_log, r"empty quantum log|logged quantum -?\d+ < 1"),
-    (_add_log_entry_for_no_cycle,
-     r"quantum log (names cycle \d+, but the slices ran|lists cycle (\d+) after cycle \2)"),
+    (_lower_one_cycles_quantum, "exceeds quantum"),  # below its longest slice
 ]
 
 
@@ -585,6 +559,46 @@ def test_seeded_mutated_traces_are_all_flagged():
     assert len(applied) == len(CHECKER_MUTATIONS) and min(applied.values()) >= 900
 
 
+# Each change returns a slice's index and a list of slices that no trace can
+# hold, whose first defect is at that slice.
+def _change_one_slices_cycle(slices, rng):
+    i = rng.randrange(len(slices))
+    before = slices[i - 1].cycle if i else 0
+    # a step of neither 0 nor 1 past the slice before (the first must be cycle 1)
+    cycle = before + rng.choice((-1, 2, 3, 5))
+    return i, slices[:i] + (slices[i]._replace(cycle=cycle),) + slices[i + 1:]
+
+
+def _inflate_one_slices_quantum(slices, rng):
+    # a slice that shares its cycle with the one before it; a cycle that ran
+    # one slice can take any quantum
+    later = [i for i in range(1, len(slices)) if slices[i].cycle == slices[i - 1].cycle]
+    if not later:
+        return None
+    i = rng.choice(later)
+    inflated = slices[i]._replace(quantum_in_effect=slices[i].quantum_in_effect + rng.randint(1, 50))
+    return i, slices[:i] + (inflated,) + slices[i + 1:]
+
+
+def test_seeded_slice_lists_no_trace_can_hold_are_refused():
+    applied = collections.Counter()
+    for seed in range(1000):
+        rng = random.Random(seed)
+        trace = simulate(seeded_workload(seed), standard_policy(POLICY_NAMES[seed % len(POLICY_NAMES)]))
+        for mutate in (_change_one_slices_cycle, _inflate_one_slices_quantum):
+            bad = mutate(trace.slices[:], rng)
+            if bad is None:
+                continue
+            applied[mutate] += 1
+            i, slices = bad
+            with pytest.raises(ValueError, match=rf"^slice {i} in cycle "):
+                dataclasses.replace(trace, slices=slices)
+    # 174 of the traces run one slice per cycle, so no slice's quantum can
+    # disagree with its cycle's
+    assert applied[_change_one_slices_cycle] == 1000
+    assert applied[_inflate_one_slices_quantum] >= 800
+
+
 _NAN, _INF = float("nan"), float("inf")
 
 
@@ -593,7 +607,7 @@ _NAN, _INF = float("nan"), float("inf")
     [Slice("P1", 20, 5, 1, 10, QUANTUM_EXPIRED), Slice("P2", 5, 15, 1, 10, COMPLETED)],
     [Slice("P1", 0, 5.0, 1, 10, QUANTUM_EXPIRED), Slice("P1", 5, 10.5, 1, 10, COMPLETED)],
     [Slice("P1", _NAN, 10, 1, 10, COMPLETED), Slice("P2", 10, _NAN, 1, 10, COMPLETED)],
-    [Slice("P3", _INF, _INF, 1, 10, COMPLETED), Slice("P1", 0, _INF, 1, _INF, COMPLETED)],
+    [Slice("P3", _INF, _INF, 1, _INF, COMPLETED), Slice("P1", 0, _INF, 1, _INF, COMPLETED)],
     [Slice("P1", 0, 10, 1, 10, "done"), Slice("P2", 10, 20, 1, 10, COMPLETED)],
 ], ids=["reversed-after-gap", "floats", "nan", "inf-unknown", "unknown-termination"])
 def test_odd_hand_built_traces_get_the_reference_walks_messages(slices):

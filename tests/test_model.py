@@ -179,10 +179,13 @@ def test_public_names_are_pinned():
     ("P1", 0),
     ("P1", 0, 5, 9),
     5,
+    None,
 ])
 def test_record_types_are_checked_not_coerced(record):
     with pytest.raises(WorkloadError):
         validate_workload([record])
+    with pytest.raises(WorkloadError):  # nor as the whole of the records
+        validate_workload(record)
 
 
 @pytest.mark.parametrize("args", [(5, 0, 1), ("P1", 1.5, 2.5)])

@@ -1,5 +1,6 @@
 """The columnar trace: ``ExecutionTrace.slices`` is a read-only view over one
-list per ``Slice`` field, and reads like the tuple of ``Slice`` it replaced."""
+list per per-slice field and one per per-cycle value, and reads like the
+tuple of ``Slice`` it replaced."""
 import dataclasses
 import json
 import tracemalloc
@@ -28,8 +29,8 @@ _SLICES = (Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED),
            Slice("P3", 15, 20, 3, 5, COMPLETED))
 
 
-def _trace(slices, quantum_log=((1, 5),)):
-    return ExecutionTrace(PolicyDescriptor.of("RR", q=5), slices, quantum_log)
+def _trace(slices):
+    return ExecutionTrace(PolicyDescriptor.of("RR", q=5), slices)
 
 
 @pytest.mark.parametrize("case_id", CASE_IDS)
@@ -38,8 +39,9 @@ def test_trace_rebuilt_from_its_slices_equals_the_simulated_one(case_id, name):
     trace = simulate(benchmark_case(case_id), standard_policy(name))
     rebuilt = tuple(trace.slices)
     assert all(type(s) is Slice for s in rebuilt)
-    assert ExecutionTrace(trace.algorithm, rebuilt, trace.quantum_log) == trace
+    assert ExecutionTrace(trace.algorithm, rebuilt, passes=trace.passes) == trace
     assert dataclasses.replace(trace, slices=list(rebuilt)) == trace
+    assert trace.passes == (name == "RR")
     assert dataclasses.replace(trace, slices=rebuilt[:-1]) != trace
 
 
@@ -103,15 +105,16 @@ def test_an_arrival_past_64_bits_survives_every_stage(name):
 def test_hand_built_values_are_kept_as_given():
     w = validate_workload([("P1", 0, 10)])
     odd = Slice("P1", 0, 10.0, 1, 10, "Completed")  # neither canonical word, a float end
-    trace = _trace([odd], ((1, 10),))
+    trace = _trace([odd])
     kept = trace.slices[0]
     assert kept == odd and kept.termination == "Completed" and type(kept.end) is float
     assert trace_violations(trace, w) == ["last slice of P1 not marked completed"]
 
 
-def test_trace_holds_at_most_120_bytes_per_slice():
-    # a columnar slice is six list entries and one new int (its end); a
-    # record per slice would be ~160 bytes
+def test_trace_holds_at_most_72_bytes_per_slice():
+    # a columnar slice is four list entries and one new int (its end); a
+    # cycle's quantum and slice count are stored once per cycle, not per
+    # slice, and a record per slice would be ~160 bytes
     workload = generate_workload(GeneratorSpec(n=300, burst_min=1, burst_max=500,
                                                arrival=ALL_ZERO, seed=0))
     tracemalloc.start()
@@ -122,4 +125,33 @@ def test_trace_holds_at_most_120_bytes_per_slice():
     finally:
         tracemalloc.stop()
     assert len(trace.slices) > 1000
-    assert held / len(trace.slices) <= 120, (held, len(trace.slices))
+    assert held / len(trace.slices) <= 72, (held, len(trace.slices))
+
+
+def test_each_cycle_is_stored_once_and_read_back_per_slice():
+    trace = _trace(_SLICES)
+    pid, start, end, cycle, quantum, termination = trace.slices.columns
+    assert (list(cycle), list(quantum)) == ([1, 1, 2, 3], [5, 5, 5, 5])
+    assert list(cycle) == []  # one-shot iterators; a new read makes new ones
+    assert list(trace.slices.columns[3]) == [1, 1, 2, 3]
+    assert trace.quantum_log == ((1, 5), (2, 5), (3, 5))
+    assert dataclasses.replace(trace, passes=True).quantum_log == ((1, 5),)
+    shifting = [s._replace(quantum_in_effect=q) for s, q in zip(_SLICES, (5, 5, 7, 5))]
+    assert _trace(shifting).quantum_log == ((1, 5), (2, 7), (3, 5))
+    passes = ExecutionTrace(PolicyDescriptor.of("RR", q=5), shifting, passes=True)
+    assert passes.quantum_log == ((1, 5), (2, 7), (3, 5)) and _trace(()).quantum_log == ()
+    # a stale positional log is no truthy ``passes``
+    with pytest.raises(TypeError):
+        ExecutionTrace(PolicyDescriptor.of("RR", q=5), _SLICES, ((1, 5),))
+
+
+@pytest.mark.parametrize("slices, index", [
+    ([Slice("P1", 0, 5, 2, 5, COMPLETED)], 0),  # the first cycle is 1
+    ([Slice("P1", 0, 5, 0, 5, COMPLETED)], 0),
+    (_SLICES[:2] + (_SLICES[3],), 2),  # cycle 1, then 3
+    (_SLICES[:3] + (_SLICES[3]._replace(cycle=1),), 3),  # cycle 2, then back to 1
+    (_SLICES[:1] + (_SLICES[1]._replace(quantum_in_effect=6),) + _SLICES[2:], 1),
+], ids=["starts-at-2", "starts-at-0", "skips-a-cycle", "goes-back", "quantum-changes"])
+def test_a_slice_list_no_view_can_hold_is_refused(slices, index):
+    with pytest.raises(ValueError, match=rf"^slice {index} in cycle"):
+        _trace(slices)
