@@ -411,6 +411,9 @@ def _flagged(records, slices):
     pytest.param(_ONE, [Slice("P1", 0, 10, 2, 10, COMPLETED)],
                  "refused: slice 0 in cycle 2 at quantum 10 cannot follow cycle 0",
                  id="first-cycle-not-one"),
+    pytest.param(_ONE, [Slice("P1", 0, 10, 0, 10, COMPLETED)],
+                 "refused: slice 0 in cycle 0 at quantum 10 cannot follow cycle 0",
+                 id="first-cycle-zero"),
     pytest.param(_ONE, [Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED), Slice("P1", 5, 10, 3, 5, COMPLETED)],
                  "refused: slice 1 in cycle 3 at quantum 5 cannot follow cycle 1 at quantum 5",
                  id="cycle-skipped"),

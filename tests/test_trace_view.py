@@ -144,14 +144,3 @@ def test_each_cycle_is_stored_once_and_read_back_per_slice():
     with pytest.raises(TypeError):
         ExecutionTrace(PolicyDescriptor.of("RR", q=5), _SLICES, ((1, 5),))
 
-
-@pytest.mark.parametrize("slices, index", [
-    ([Slice("P1", 0, 5, 2, 5, COMPLETED)], 0),  # the first cycle is 1
-    ([Slice("P1", 0, 5, 0, 5, COMPLETED)], 0),
-    (_SLICES[:2] + (_SLICES[3],), 2),  # cycle 1, then 3
-    (_SLICES[:3] + (_SLICES[3]._replace(cycle=1),), 3),  # cycle 2, then back to 1
-    (_SLICES[:1] + (_SLICES[1]._replace(quantum_in_effect=6),) + _SLICES[2:], 1),
-], ids=["starts-at-2", "starts-at-0", "skips-a-cycle", "goes-back", "quantum-changes"])
-def test_a_slice_list_no_view_can_hold_is_refused(slices, index):
-    with pytest.raises(ValueError, match=rf"^slice {index} in cycle"):
-        _trace(slices)
