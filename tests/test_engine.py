@@ -442,6 +442,28 @@ def test_quantum_log_is_read_off_the_cycles():
     assert rr.passes and rr.quantum_log == ((1, 25),) and rr.slices[-1].cycle > 1
 
 
+def _relabel(slices, i, cycle, quantum):
+    return slices[:i] + [slices[i]._replace(cycle=cycle, quantum_in_effect=quantum)] + slices[i + 1:]
+
+
+# A log naming a cycle that never ran, or listing a cycle twice, is what
+# slices relabelled that way would derive; a trace refuses such slices.
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda s: _relabel(s, 7, 9, 6),
+     "slice 7 in cycle 9 at quantum 6 cannot follow cycle 2 at quantum 27"),
+    (lambda s: _relabel(_relabel(s, 6, 3, 6), 7, 2, 27),
+     "slice 7 in cycle 2 at quantum 27 cannot follow cycle 3 at quantum 6"),
+], ids=["cycle-never-ran", "entry-repeated"])
+def test_quantum_log_defects_on_case_i_are_flagged(corrupt, message):
+    w = benchmark_case("I")
+    good = simulate(w, make_dabrr())
+    assert good.quantum_log == ((1, 69), (2, 27), (3, 6))
+    with pytest.raises(TypeError):  # the log is read off the cycles, not stored
+        dataclasses.replace(good, quantum_log=good.quantum_log)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(good, slices=corrupt(list(good.slices)))
+
+
 def _shorten_one_slice(trace, rng):
     i = rng.randrange(len(trace.slices))
     s = trace.slices[i]
