@@ -3,7 +3,11 @@
 Every policy runs on one cycle loop over one ready queue, stored as two
 columns: each queued process's submission index and its remaining work.
 A slice that preempts a process appends both to the next cycle's columns;
-the loop builds no record, and its trace stores each cycle's quantum once.
+the loop builds no record.  Its trace stores each cycle's quantum once,
+and each slice as its process's submission index, its run and its
+termination: objects the loop already holds, since a run is the cycle's
+quantum or the process's remaining work.  Start and end times are derived
+from the runs and from one break per idle gap.
 At each cycle start the policy gets a snapshot whose ``entries`` is a
 read-only :class:`ReadyQueue` view of the columns, and answers with a
 plain ``(order, quantum)`` pair: a quantum for the whole cycle and an
@@ -31,8 +35,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
-from operator import lt
+from itertools import islice, repeat
+from operator import lt, sub
 from typing import Callable, Iterable, NamedTuple
 
 from .model import (
@@ -131,6 +135,7 @@ class ReadySnapshot(NamedTuple):
 
 
 _snapshot = record_builder(ReadySnapshot)  # built in C: checks no field
+_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -212,9 +217,13 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
 
     index: list[int] = []       # the queue: each process's submission index
     remaining: list[int] = []   # and its remaining work
-    # the trace's columns: one entry per slice in four, per cycle in two; no record
-    pids, starts, ends, terminations, quanta, counts = [], [], [], [], [], []
+    # the trace's columns: one entry per slice in three (its process's
+    # submission index, its run and its termination), per cycle in two; no
+    # record, and no new object: a run is the cycle's quantum or the work left
+    ks, runs, terminations, quanta, counts = [], [], [], [], []
     clock = arrivals[0]
+    # the first slice and each that starts after an idle gap: its index and start
+    break_at, break_start = [0], [clock]
     ptr = 0
 
     def admit(upto: int) -> int:  # enqueue arrivals up to ``upto``; return the next one's time
@@ -235,38 +244,43 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     while index or due != never:
         if not index:
             clock = due
+            break_at.append(len(runs))
+            break_start.append(clock)
             due = admit(clock)
             continue
 
-        snapshot = _snapshot((ReadyQueue(index, remaining, columns), clock, len(quanta) + 1))
+        queue = _new(ReadyQueue)  # no Python __init__ runs
+        queue.submission_index, queue.remaining, queue._columns = index, remaining, columns
+        snapshot = _snapshot((queue, clock, len(quanta) + 1))
         run_index, run_remaining, quantum = _checked_plan(policy, snapshot)
         quanta.append(quantum)
-        first = len(pids)  # the cycle's first slice
+        first = len(runs)  # the cycle's first slice
 
         index, remaining = [], []  # the next cycle's queue, filled in execution order
         watch = due if mode != CYCLE_BOUNDARY else never  # an arrival that acts mid-cycle
         for k, work in zip(run_index, run_remaining):
             left = work - quantum
-            pids.append(pid_col[k])
-            starts.append(clock)
-            clock += quantum if left > 0 else work
-            ends.append(clock)
+            run = quantum if left > 0 else work
+            ks.append(k)
+            runs.append(run)
             terminations.append(QUANTUM_EXPIRED if left > 0 else COMPLETED)
+            clock += run
             if clock >= watch and mode == TAIL_REJOIN:
                 watch = due = admit(clock)  # same-ms arrivals enqueue before the preempted one
             if left > 0:
                 index.append(k)
                 remaining.append(left)
             if clock >= watch:  # slice-boundary restart: abandon the cycle, replan over all
-                index += run_index[len(pids) - first:]  # the processes not yet dispatched
-                remaining += run_remaining[len(pids) - first:]
+                index += run_index[len(runs) - first:]  # the processes not yet dispatched
+                remaining += run_remaining[len(runs) - first:]
                 break
-        counts.append(len(pids) - first)
+        counts.append(len(runs) - first)
         if clock >= due:
             due = admit(clock)
 
     return ExecutionTrace(policy.descriptor,
-                          SliceView(pids, starts, ends, terminations, quanta, counts),
+                          SliceView(pid_col, ks, runs, terminations, quanta, counts,
+                                    break_at, break_start, clock),
                           passes=mode == TAIL_REJOIN)
 
 
@@ -280,12 +294,14 @@ def trace_violations(trace: ExecutionTrace, workload: Workload) -> list[str]:
     them: the walk does not sort them.  Each slice runs within the quantum
     that its trace stores once for its cycle, so no quantum below 1 passes.
 
-    The walk finds each slice's process by its pid, as its place in the
-    workload's columns; a slice whose pid the workload lacks is reported
-    and checked no further.  Messages come in slice order.  A slice's come
-    in this order: an overlap or idle gap, time order, unknown pid,
-    length, arrival, completion mark.  After the slices come the processes
-    whose executed work is not their burst, in submission order.
+    The walk reads each slice's process by its index into the trace's pid
+    table.  A trace from :func:`simulate` shares its workload's pid column
+    as that table; another table is mapped to the workload once, and a
+    slice whose pid the workload lacks is reported and checked no further.
+    Messages come in slice order.  A slice's come in this order: an
+    overlap or idle gap, time order, unknown pid, length, arrival,
+    completion mark.  After the slices come the processes whose executed
+    work is not their burst, in submission order.
     """
     return _walk_trace(trace, workload)[0]
 
@@ -296,60 +312,71 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], l
     when there are no messages.
 
     The walk reads each slice's process by its submission index ``k``, into
-    lists.  Each group of checks sits behind one test that a valid slice
-    passes, so a valid trace pays a few comparisons per slice; the detailed
-    tests, and their messages, run only when a group's test trips.
+    lists, and its run as stored; it derives the slice's start and end
+    from the break before it and the runs since.  Each group of checks
+    sits behind one test that a valid slice passes, so a valid trace pays
+    a few comparisons per slice; the detailed tests, and their messages,
+    run only when a group's test trips.
     """
     problems: list[str] = []
     pid_col, arrival_col, burst_col = workload.columns
     n = len(pid_col)
-    position = dict(zip(pid_col, range(n)))
-    arrival = [*arrival_col, float("inf")]  # a pid the workload lacks maps to n
+    view = trace.slices
+    table, index = view._table, view._index
+    names = pid_col  # each process's pid, by the index the walk reads
+    if table is not pid_col and table != pid_col:  # a hand-built table, mapped once
+        position = dict(zip(pid_col, range(n)))
+        index = map([position.get(pid, n + j) for j, pid in enumerate(table)].__getitem__, index)
+        names = pid_col + table  # a pid the workload lacks maps past n, to its own name
+    arrival = [*arrival_col, *repeat(float("inf"), len(names) - n)]
     left = list(burst_col)  # the work each process has left
     completion, first_dispatch = [None] * n, [None] * n
     arrivals = sorted(arrival_col)
     finished = 0
     cursor = arrivals[0]
     previous = float("-inf")  # the start of the previous slice
-    pids, starts, ends, _, quanta, terminations = trace.slices.columns
-    for pid, k, start, end, quantum, termination in zip(
-            pids, map(position.get, pids, repeat(n)), starts, ends, quanta, terminations):
-        if start != cursor or start < previous:
-            if start < cursor:
-                problems.append(f"interval [{start},{end}) overlaps the previous one")
-            # an idle gap [cursor, start): finished processes ran before it, so
-            # they arrived before its end
-            elif start > cursor and bisect_left(arrivals, start) != finished:
-                problems.extend(f"idle gap [{cursor},{start}) while {other} is runnable"
-                                for other, arrived, rest in zip(pid_col, arrival_col, left)
-                                if arrived < start and rest > 0)
-            if start < previous:
-                problems.append(f"slice {pid} [{start},{end}) listed out of time order")
-        if end > cursor:
-            cursor = end
-        previous = start
-        run = end - start
-        if not (0 < run <= quantum and arrival[k] <= start):  # NaN trips it too
-            if k == n:
-                problems.append(f"slice for unknown pid {pid!r}")
-                continue
-            if run <= 0:
-                problems.append(f"empty or reversed slice {pid} [{start},{end})")
-            if run > quantum:
-                problems.append(f"slice {pid} [{start},{end}) exceeds quantum {quantum}")
-            if start < arrival[k]:
-                problems.append(f"slice {pid} starts at {start} before arrival {arrival[k]}")
-        if first_dispatch[k] is None:
-            first_dispatch[k] = start
-        rest = left[k] = left[k] - run
-        if rest <= 0:
-            if termination != COMPLETED:
-                problems.append(f"last slice of {pid} not marked completed")
-            if rest + run > 0:  # this slice used up the last of the burst
-                finished += 1
-                completion[k] = end
-        elif termination == COMPLETED:
-            problems.append(f"non-final slice of {pid} marked completed")
+    slices = zip(index, view._run, view._per_slice(view._quanta), view._termination)
+    lengths = map(sub, view._stops(), view._break_at)
+    for end, length in zip(view._break_start, lengths):  # a break's start, then the runs since it
+        for k, run, quantum, termination in islice(slices, length):
+            start = end
+            end = start + run
+            if start != cursor or start < previous:
+                if start < cursor:
+                    problems.append(f"interval [{start},{end}) overlaps the previous one")
+                # an idle gap [cursor, start): finished processes ran before it, so
+                # they arrived before its end
+                elif start > cursor and bisect_left(arrivals, start) != finished:
+                    problems.extend(f"idle gap [{cursor},{start}) while {other} is runnable"
+                                    for other, arrived, rest in zip(pid_col, arrival_col, left)
+                                    if arrived < start and rest > 0)
+                if start < previous:
+                    problems.append(f"slice {names[k]} [{start},{end}) listed out of time order")
+            if end > cursor:
+                cursor = end
+            previous = start
+            if not (0 < run <= quantum and arrival[k] <= start):
+                pid = names[k]
+                if k >= n:
+                    problems.append(f"slice for unknown pid {pid!r}")
+                    continue
+                if run <= 0:
+                    problems.append(f"empty or reversed slice {pid} [{start},{end})")
+                if run > quantum:
+                    problems.append(f"slice {pid} [{start},{end}) exceeds quantum {quantum}")
+                if start < arrival[k]:
+                    problems.append(f"slice {pid} starts at {start} before arrival {arrival[k]}")
+            if first_dispatch[k] is None:
+                first_dispatch[k] = start
+            rest = left[k] = left[k] - run
+            if rest <= 0:
+                if termination != COMPLETED:
+                    problems.append(f"last slice of {names[k]} not marked completed")
+                if rest + run > 0:  # this slice used up the last of the burst
+                    finished += 1
+                    completion[k] = end
+            elif termination == COMPLETED:
+                problems.append(f"non-final slice of {names[k]} marked completed")
 
     problems.extend(f"pid {pid}: executed {burst - rest} ms, burst is {burst} ms"
                     for pid, burst, rest in zip(pid_col, burst_col, left) if rest)

@@ -7,6 +7,8 @@ banner.
 """
 from __future__ import annotations
 
+from itertools import count
+
 from .model import ExecutionTrace
 
 MIN_WIDTH = 40
@@ -25,10 +27,13 @@ def render_gantt(trace: ExecutionTrace, width: int = 80) -> str:
 
     out: list[str] = []
     banner = top = bottom = ""
-    pids, starts, ends, cycles, quanta, _ = trace.slices.columns
-    start = starts[0]  # where the next cell begins
-    for pid, slice_start, slice_end, cycle, quantum in zip(pids, starts, ends, cycles, quanta):
-        cells = ((f"cycle {cycle}  <- quantum {quantum} ->", pid, slice_end),)
+    view = trace.slices
+    pids, starts, ends, *_ = view.columns
+    # one banner per cycle, repeated for each of its slices
+    banners = view._per_slice(map("cycle {}  <- quantum {} ->".format, count(1), view._quanta))
+    start = view._break_start[0]  # where the next cell begins
+    for pid, slice_start, slice_end, cycle_banner in zip(pids, starts, ends, banners):
+        cells = ((cycle_banner, pid, slice_end),)
         if slice_start > start:  # a hole between two slices is an idle gap, one ``--`` cell
             cells = (("idle", "--", slice_start),) + cells
         for cell_banner, label, end in cells:

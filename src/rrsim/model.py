@@ -18,8 +18,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import accumulate, chain, count, islice, repeat
+from functools import partial, reduce
+from itertools import accumulate, chain, count, repeat
+from operator import add, sub
 from typing import NamedTuple
 
 
@@ -237,31 +238,47 @@ class IdleGap(NamedTuple):
 
 
 class SliceView(Sequence):
-    """A read-only sequence of :class:`Slice`, stored as four lists of one
-    value per slice (pid, start, end, termination) and two of one value per
-    cycle (quantum, number of slices).  A ``Slice`` is built only when the
-    view is indexed or iterated; ``view[a:b]`` is a ``tuple`` of them.
-    ``columns`` gives, in ``Slice`` field order, the shared per-slice lists
-    (never change them) and each slice's cycle and quantum as one-shot
-    iterators.  Values are kept exactly as given, ints of any size included.
+    """A read-only sequence of :class:`Slice`, stored as three lists of one
+    value per slice, two of one value per cycle and two of one per break.
+
+    Per slice: the index of its pid in a pid table, its run ``end - start``
+    and its termination.  Per cycle: the quantum and the number of slices.
+    A slice starts where the one before it ended, except at a break: the
+    first slice, and each one that starts anywhere else (after an idle gap,
+    or in an overlap or out of order).  Per break: the slice's index and its
+    start.  Start and end times are thus derived, and the engine stores no
+    new int per slice: a run is its cycle's quantum or the work its process
+    had left.  A ``Slice`` is built only when the view is indexed or
+    iterated; ``view[a:b]`` is a ``tuple`` of them.  ``columns`` gives, in
+    ``Slice`` field order, each slice's pid, start, end, cycle and quantum
+    as one-shot iterators and the shared termination list (never change it).
     """
 
-    __slots__ = ("_lists", "_ends")
+    __slots__ = ("_table", "_index", "_run", "_termination", "_quanta", "_counts",
+                 "_break_at", "_break_start", "_end", "_starts", "_cycle_ends")
 
-    def __init__(self, pid: list, start: list, end: list, termination: list,
-                 quanta: list, counts: list):
-        self._lists = (pid, start, end, termination, quanta, counts)
-        self._ends = None  # the running sum of ``counts``, built on first index
+    def __init__(self, table: Sequence[str], index: list[int], run: list, termination: list,
+                 quanta: list, counts: list, break_at: list[int], break_start: list, end):
+        self._table, self._index, self._run, self._termination = table, index, run, termination
+        self._quanta, self._counts = quanta, counts
+        self._break_at, self._break_start = break_at, break_start
+        self._end = end  # the last slice's end, so that no read rescans the runs
+        self._starts = self._cycle_ends = None  # built on first index
 
     @classmethod
     def of(cls, slices: Iterable[Slice]) -> "SliceView":
         """The view of ``slices``, each run of one ``cycle`` being that cycle.
+
         ``ValueError`` names the first slice whose cycle is neither the last
-        one nor the next, counting from 1, or whose quantum is not its cycle's."""
-        pid, start, end, cycle, quantum, termination = (
-            [list(column) for column in zip(*slices)] or [[] for _ in Slice._fields])
-        quanta, counts = [], []
-        for i, (c, q) in enumerate(zip(cycle, quantum)):
+        one nor the next, counting from 1, or whose quantum is not its
+        cycle's; or whose times the view cannot give back exactly, types
+        included: a time that is not finite, or an end that is not ``start
+        + (end - start)``.  Values are otherwise kept exactly as given.
+        """
+        table, index, run, termination, quanta, counts, break_at, break_start = (
+            {}, [], [], [], [], [], [], [])
+        end = 0
+        for i, (pid, start, stop, c, q, term) in enumerate(slices):
             if c == len(counts) + 1:  # the next cycle
                 quanta.append(q)
                 counts.append(0)
@@ -269,34 +286,79 @@ class SliceView(Sequence):
                 raise ValueError(f"slice {i} in cycle {c!r} at quantum {q!r} cannot follow cycle "
                                  f"{len(counts)}" + (f" at quantum {quanta[-1]!r}" if quanta else ""))
             counts[-1] += 1
-        return cls(pid, start, end, termination, quanta, counts)
+            try:  # x - x is 0 for a finite number, NaN for an infinite one or NaN
+                length = stop - start
+                exact = (start - start == 0 and length - length == 0
+                         and type(start + length) is type(stop) and start + length == stop)
+            except (TypeError, ArithmeticError):
+                exact = False
+            if not exact:
+                raise ValueError(f"slice {i} [{start!r},{stop!r}) cannot be stored: its times "
+                                 f"must be finite and start + (end - start) must be its end")
+            if not i or type(start) is not type(end) or start != end:
+                break_at.append(i)
+                break_start.append(start)
+            index.append(table.setdefault(pid, len(table)))
+            run.append(length)
+            termination.append(term)
+            end = stop
+        return cls(tuple(table), index, run, termination, quanta, counts, break_at, break_start, end)
+
+    @property
+    def breaks(self) -> tuple[tuple[int, object], ...]:
+        """(slice index, start) of the first slice and of each one that does
+        not start at the end of the slice before it."""
+        return tuple(zip(self._break_at, self._break_start))
+
+    def _stops(self) -> list[int]:
+        """The slice after each break's run of slices, which the next break starts."""
+        return [*self._break_at[1:], len(self._run)]
+
+    def _start_times(self):
+        """Each slice's start: its break's start plus the runs since that break."""
+        # each break's runs but its last, after the break's start
+        runs = map(self._run.__getitem__, map(slice, self._break_at,
+                                              map(sub, self._stops(), repeat(1))))
+        return chain.from_iterable(map(accumulate, map(chain, zip(self._break_start), runs)))
+
+    def _per_slice(self, per_cycle: Iterable):
+        """One value per cycle, repeated for each slice of that cycle."""
+        return chain.from_iterable(map(repeat, per_cycle, self._counts))
 
     @property
     def columns(self) -> tuple:
-        pid, start, end, termination, quanta, counts = self._lists
-        return (pid, start, end, chain.from_iterable(map(repeat, count(1), counts)),
-                chain.from_iterable(map(repeat, quanta, counts)), termination)
+        return (map(self._table.__getitem__, self._index), self._start_times(),
+                map(add, self._start_times(), self._run), self._per_slice(count(1)),
+                self._per_slice(self._quanta), self._termination)
 
     def __len__(self) -> int:
-        return len(self._lists[0])
+        return len(self._run)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(map(self.__getitem__, range(len(self))[index]))
-        pid, start, end, termination, quanta, counts = self._lists
-        i = range(len(pid))[index]  # an index as a list takes it, negative ones too
-        if self._ends is None:
-            self._ends = list(accumulate(counts))
-        c = bisect_right(self._ends, i)  # the number of cycles before slice i's
-        return _slice((pid[i], start[i], end[i], c + 1, quanta[c], termination[i]))
+        i = range(len(self._run))[index]  # an index as a list takes it, negative ones too
+        if self._starts is None:  # one pass; then a read is a bisect over the cycles
+            self._starts = list(self._start_times())
+            self._cycle_ends = list(accumulate(self._counts))
+        c = bisect_right(self._cycle_ends, i)  # the number of cycles before slice i's
+        start = self._starts[i]
+        return _slice((self._table[self._index[i]], start, start + self._run[i], c + 1,
+                       self._quanta[c], self._termination[i]))
 
     def __iter__(self):
         return map(_slice, zip(*self.columns))
 
     def __eq__(self, other):
-        if isinstance(other, SliceView):
-            return self._lists == other._lists
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+        if not isinstance(other, SliceView):
+            return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+        mine = (self._run, self._termination, self._quanta, self._counts,
+                self._break_at, self._break_start)
+        return (mine == (other._run, other._termination, other._quanta, other._counts,
+                         other._break_at, other._break_start)
+                and (self._index == other._index if self._table == other._table
+                     else [*map(self._table.__getitem__, self._index)]
+                     == [*map(other._table.__getitem__, other._index)]))
 
     def __hash__(self) -> int:
         return hash(tuple(self))  # equal to the tuple it equals
@@ -344,17 +406,19 @@ class ExecutionTrace:
     def quantum_log(self) -> tuple[tuple[int, int], ...]:
         """(cycle index, quantum ms) per cycle; for passes, per change of
         quantum only, so classic round robin logs ``((1, q),)``."""
-        quanta = self.slices._lists[4]
+        quanta = self.slices._quanta
         return tuple((c, q) for c, q, before in zip(count(1), quanta, [None, *quanta])
                      if not self.passes or q != before)
 
     def end_time(self) -> int:
-        ends = self.slices.columns[2]
-        return ends[-1] if ends else 0
+        return self.slices._end
 
     @property
     def idles(self) -> tuple[IdleGap, ...]:
-        """The idle gaps: the hole between each pair of consecutive slices."""
-        _, starts, ends, *_ = self.slices.columns
-        return tuple(IdleGap(end, start) for end, start in zip(ends, islice(starts, 1, None))
+        """The idle gaps: the hole between each pair of consecutive slices.
+        Only a break can open one: elsewhere a slice starts at the last one's end."""
+        view = self.slices
+        runs = map(view._run.__getitem__, map(slice, view._break_at, view._stops()))
+        ends = map(reduce, repeat(add), runs, view._break_start)  # each break's run's end
+        return tuple(IdleGap(end, start) for start, end in zip(view._break_start[1:], ends)
                      if end < start)

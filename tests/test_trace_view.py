@@ -1,12 +1,14 @@
-"""The columnar trace: ``ExecutionTrace.slices`` is a read-only view over one
-list per per-slice field and one per per-cycle value, and reads like the
-tuple of ``Slice`` it replaced."""
+"""The columnar trace: ``ExecutionTrace.slices`` is a read-only view over
+three per-slice lists (pid index, run, termination), two per-cycle lists
+and the breaks where a slice does not start at the last one's end, and
+reads like the tuple of ``Slice`` it replaced."""
 import dataclasses
 import json
 import tracemalloc
 
 import pytest
 
+from conftest import seeded_workload
 from rrsim import (
     ExecutionTrace,
     PolicyDescriptor,
@@ -18,6 +20,7 @@ from rrsim import (
     trace_violations,
     validate_workload,
 )
+from rrsim.engine import _walk_trace
 from rrsim.gantt import render_gantt
 from rrsim.model import COMPLETED, QUANTUM_EXPIRED, SliceView
 from rrsim.policies import POLICY_NAMES, standard_policy
@@ -111,10 +114,12 @@ def test_hand_built_values_are_kept_as_given():
     assert trace_violations(trace, w) == ["last slice of P1 not marked completed"]
 
 
-def test_trace_holds_at_most_72_bytes_per_slice():
-    # a columnar slice is four list entries and one new int (its end); a
-    # cycle's quantum and slice count are stored once per cycle, not per
-    # slice, and a record per slice would be ~160 bytes
+def test_trace_holds_at_most_32_bytes_per_slice():
+    # a slice is three list entries: its pid's index, its run and its
+    # termination, each an object that already exists (a run is its cycle's
+    # quantum or its process's remaining work), so no int is made per slice;
+    # a cycle's quantum and slice count are stored once per cycle, and a
+    # break once per idle gap
     workload = generate_workload(GeneratorSpec(n=300, burst_min=1, burst_max=500,
                                                arrival=ALL_ZERO, seed=0))
     tracemalloc.start()
@@ -125,7 +130,7 @@ def test_trace_holds_at_most_72_bytes_per_slice():
     finally:
         tracemalloc.stop()
     assert len(trace.slices) > 1000
-    assert held / len(trace.slices) <= 72, (held, len(trace.slices))
+    assert held / len(trace.slices) <= 32, (held, len(trace.slices))
 
 
 def test_each_cycle_is_stored_once_and_read_back_per_slice():
@@ -144,3 +149,47 @@ def test_each_cycle_is_stored_once_and_read_back_per_slice():
     with pytest.raises(TypeError):
         ExecutionTrace(PolicyDescriptor.of("RR", q=5), _SLICES, ((1, 5),))
 
+
+def test_each_slice_is_stored_as_a_run_after_a_break():
+    trace = _trace(_SLICES)
+    view = trace.slices
+    # the first slice and the one after the idle gap [10,15) are breaks
+    assert view.breaks == ((0, 0), (3, 15)) and trace.end_time() == 20
+    assert trace.idles == ((10, 15),)
+    pid, start, end, *_ = view.columns
+    assert (list(pid), list(start), list(end)) == (
+        ["P1", "P2", "P1", "P3"], [0, 5, 8, 15], [5, 8, 10, 20])
+    assert list(pid) == list(start) == list(end) == []  # one-shot iterators
+    # an overlap, a slice out of order and a start of another type are
+    # breaks too, and every value reads back as given, type included
+    odd = (Slice("P1", 0, 5.0, 1, 5, QUANTUM_EXPIRED), Slice("P2", 5, 8, 1, 5, COMPLETED),
+           Slice("P1", 6, 10, 2, 5, COMPLETED), Slice("P3", 2, 4, 3, 5, COMPLETED))
+    view = _trace(odd).slices
+    assert view.breaks == ((0, 0), (1, 5), (2, 6), (3, 2))
+    assert view == odd and [list(map(type, s)) for s in view] == [list(map(type, s)) for s in odd]
+    assert _trace(()).slices.breaks == () and _trace(()).end_time() == 0
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_a_fixture_trace_rebuilt_by_hand_is_stored_alike(case_id, name):
+    _assert_stored_alike(benchmark_case(case_id), name)
+
+
+def test_seeded_traces_rebuilt_by_hand_are_stored_alike():
+    for seed in range(200):
+        for name in POLICY_NAMES:
+            _assert_stored_alike(seeded_workload(seed), name)
+
+
+def _assert_stored_alike(workload, name):
+    """A trace's slices, listed and stored again by ``SliceView.of`` (with a
+    pid table of its own), are the engine's view, breaks included, and the
+    walk finds the same in both."""
+    trace = simulate(workload, standard_policy(name))
+    view = SliceView.of(tuple(trace.slices))
+    assert view == trace.slices and view.breaks == trace.slices.breaks, name
+    rebuilt = ExecutionTrace(trace.algorithm, view, passes=trace.passes)
+    assert rebuilt.idles == trace.idles and rebuilt.end_time() == trace.end_time()
+    assert _walk_trace(rebuilt, workload) == _walk_trace(trace, workload), name
+    assert trace_violations(trace, workload) == [], name
