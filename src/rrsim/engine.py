@@ -2,12 +2,11 @@
 
 Every policy runs on one cycle loop over one ready queue, stored as two
 columns: each queued process's submission index and its remaining work.
-A slice that preempts a process appends both to the next cycle's columns;
-the loop builds no record.  Its trace stores each cycle's quantum once,
-and each slice as its process's submission index, its run and its
-termination: objects the loop already holds, since a run is the cycle's
-quantum or the process's remaining work.  Start and end times are derived
-from the runs and from one break per idle gap.
+The trace stores each cycle's quantum once, and each slice as its
+process's submission index, its run and its termination: objects the
+engine already holds, since a run is the cycle's quantum or the process's
+remaining work.  Start and end times are derived from the runs and from
+one break per idle gap.
 At each cycle start the policy gets a snapshot whose ``entries`` is a
 read-only :class:`ReadyQueue` view of the columns, and answers with a
 plain ``(order, quantum)`` pair: a quantum for the whole cycle and an
@@ -26,6 +25,17 @@ they ran, so an ``ascending`` policy's queue stays in :func:`rank_order`
   processes join the next cycle's queue, in arrival order, before the
   preempted process rejoins.  A cycle is thus one pass over a single
   FIFO queue.
+
+A cycle is dispatched in one of two ways, which give the same slices:
+
+* in bulk, when the policy is ``ascending``, no arrival can act before the
+  cycle ends (``cycle_boundary``, or ``slice_boundary_restart`` once every
+  process has arrived) and the queue holds at least :data:`BULK_QUEUE_MIN`
+  processes.  The processes the cycle finishes, those with no more work
+  than its quantum, are then a prefix of the queue, so its slices and the
+  next queue are built by list operations that run in C;
+* slice by slice otherwise: each slice that preempts a process appends
+  it to the next cycle's columns, and the loop builds no record.
 
 The engine is a pure function of its inputs; simulating the same workload
 twice yields identical traces.
@@ -53,6 +63,10 @@ CYCLE_BOUNDARY = "cycle_boundary"
 SLICE_BOUNDARY_RESTART = "slice_boundary_restart"
 TAIL_REJOIN = "tail_rejoin"
 ARRIVAL_MODES = (CYCLE_BOUNDARY, SLICE_BOUNDARY_RESTART, TAIL_REJOIN)
+
+# The shortest queue whose cycle is dispatched in bulk: below it, setting up
+# the list operations costs more than the per-slice loop (measured break-even).
+BULK_QUEUE_MIN = 12
 
 
 class PolicyPlanInvalid(ValueError):
@@ -215,8 +229,6 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     never = arrivals[-1] + sum(burst_col) + 1  # beyond every slice's end
     arrivals.append(never)  # so the next arrival after the last one is ``never``
 
-    index: list[int] = []       # the queue: each process's submission index
-    remaining: list[int] = []   # and its remaining work
     # the trace's columns: one entry per slice in three (its process's
     # submission index, its run and its termination), per cycle in two; no
     # record, and no new object: a run is the cycle's quantum or the work left
@@ -224,7 +236,12 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     clock = arrivals[0]
     # the first slice and each that starts after an idle gap: its index and start
     break_at, break_start = [0], [clock]
-    ptr = 0
+    ptr = bisect_right(arrivals, clock)  # first admitted: every process there at the start
+    # the queue: each process's submission index, and its remaining work.  One
+    # stable sort ranks the first batch as admit's inserts would, one at a time.
+    index = sorted(incoming[:ptr], key=burst_col.__getitem__) if ascending else incoming[:ptr]
+    remaining = list(map(burst_col.__getitem__, index))
+    due = arrivals[ptr]
 
     def admit(upto: int) -> int:  # enqueue arrivals up to ``upto``; return the next one's time
         nonlocal ptr
@@ -240,7 +257,6 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
             ptr += 1
         return arrivals[ptr]
 
-    due = admit(clock)
     while index or due != never:
         if not index:
             clock = due
@@ -254,27 +270,42 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
         snapshot = _snapshot((queue, clock, len(quanta) + 1))
         run_index, run_remaining, quantum = _checked_plan(policy, snapshot)
         quanta.append(quantum)
-        first = len(runs)  # the cycle's first slice
-
-        index, remaining = [], []  # the next cycle's queue, filled in execution order
         watch = due if mode != CYCLE_BOUNDARY else never  # an arrival that acts mid-cycle
-        for k, work in zip(run_index, run_remaining):
-            left = work - quantum
-            run = quantum if left > 0 else work
-            ks.append(k)
-            runs.append(run)
-            terminations.append(QUANTUM_EXPIRED if left > 0 else COMPLETED)
-            clock += run
-            if clock >= watch and mode == TAIL_REJOIN:
-                watch = due = admit(clock)  # same-ms arrivals enqueue before the preempted one
-            if left > 0:
-                index.append(k)
-                remaining.append(left)
-            if clock >= watch:  # slice-boundary restart: abandon the cycle, replan over all
-                index += run_index[len(runs) - first:]  # the processes not yet dispatched
-                remaining += run_remaining[len(runs) - first:]
-                break
-        counts.append(len(runs) - first)
+        if ascending and watch == never and len(run_index) >= BULK_QUEUE_MIN:
+            # bulk: the queue ascends, so the processes with no more work than
+            # the quantum, which finish, are its first ``cut``; the rest expire
+            n, cut = len(run_index), bisect_right(run_remaining, quantum)
+            finished = run_remaining[:cut]
+            ks += run_index
+            runs += finished
+            runs += repeat(quantum, n - cut)
+            terminations += repeat(COMPLETED, cut)
+            terminations += repeat(QUANTUM_EXPIRED, n - cut)
+            clock += sum(finished) + quantum * (n - cut)
+            # new lists: the snapshot's view keeps the ones it was handed
+            index = run_index[cut:]
+            remaining = list(map(sub, run_remaining[cut:], repeat(quantum)))
+            counts.append(n)
+        else:
+            first = len(runs)  # the cycle's first slice
+            index, remaining = [], []  # the next cycle's queue, filled in execution order
+            for k, work in zip(run_index, run_remaining):
+                left = work - quantum
+                run = quantum if left > 0 else work
+                ks.append(k)
+                runs.append(run)
+                terminations.append(QUANTUM_EXPIRED if left > 0 else COMPLETED)
+                clock += run
+                if clock >= watch and mode == TAIL_REJOIN:
+                    watch = due = admit(clock)  # same-ms arrivals enqueue before the preempted one
+                if left > 0:
+                    index.append(k)
+                    remaining.append(left)
+                if clock >= watch:  # slice-boundary restart: abandon the cycle, replan over all
+                    index += run_index[len(runs) - first:]  # the processes not yet dispatched
+                    remaining += run_remaining[len(runs) - first:]
+                    break
+            counts.append(len(runs) - first)
         if clock >= due:
             due = admit(clock)
 

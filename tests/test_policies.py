@@ -331,9 +331,10 @@ def _sorting_planners():
     queue, so the engine checks each order as a permutation of the queue."""
     def ranked(snapshot):
         e = snapshot.entries
-        order = sorted(range(len(e)), key=lambda p: (e.remaining[p], e.arrival[p],
-                                                     e.submission_index[p]))
-        return order, [e.remaining[p] for p in order]
+        # each column read once: ``arrival`` builds a new list on each read
+        remaining, arrival, index = e.remaining, e.arrival, e.submission_index
+        order = sorted(range(len(e)), key=lambda p: (remaining[p], arrival[p], index[p]))
+        return order, [remaining[p] for p in order]
 
     def dabrr(snapshot):
         order, remaining = ranked(snapshot)
@@ -359,6 +360,9 @@ def _differential_workloads():
     yield from (seeded_workload(seed, max_n=40) for seed in range(200))
     # n of a few hundred with gaps <= 8: DABRR abandons a cycle on most arrivals
     yield from (_shaped("busy", seed, n=100 + 10 * seed) for seed in range(20))
+    # all-zero arrivals and burst ties: ascending cycles on both sides of the
+    # engine's bulk cut-over, BULK_QUEUE_MIN processes
+    yield from (_shaped(shape, seed) for shape in ("dense", "ties") for seed in range(20))
 
 
 def test_ascending_queue_gives_the_traces_of_planners_that_sort():
