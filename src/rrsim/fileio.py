@@ -7,19 +7,19 @@ the integers ``arrival_ms`` and ``burst_ms``.  Serialization is
 normalized, so parse/serialize round trips are byte-stable.
 
 A JSON array, and a CSV file whose rows are all three fields with
-ASCII-digit times, are read into the workload's pid, arrival and burst
+well-formed times, are read into the workload's pid, arrival and burst
 columns, not one record per row; the CSV is split column by column in C.
-``model._validate_columns`` checks them without building a record.
-Any other CSV file is read line by line into records, so the first
-malformed line is the one a ``ParseError`` names.  Every ``ParseError``
-comes before any record error, which comes before a duplicate pid.
+``model._validate_columns``, the one workload check, then builds no
+record.  A CSV file with a malformed line builds nothing: it is read line
+by line only to name the first such line in a ``ParseError``, which thus
+comes before any error of the workload check.
 """
 from __future__ import annotations
 
 import json
 from itertools import repeat
 
-from .model import Workload, _validate_columns, decimal_int, validate_workload
+from .model import Workload, _validate_columns, decimal_int
 
 CSV_HEADER = "pid,arrival_ms,burst_ms"
 CSV = "csv"
@@ -111,31 +111,28 @@ def _parse_csv(text: str, label: str) -> Workload:
     rows = list(filter(None, map(str.strip, lines[1:])))
     fields = list(map(str.strip, ",".join(rows).split(",")))
     arrival, burst = fields[1::3], fields[2::3]
-    digits = "".join(arrival) + "".join(burst)
-    if (set(map(str.count, rows, repeat(","))) == {2} and all(arrival) and all(burst)
-            and digits.isascii() and digits.isdigit()):
+    times = "".join(arrival) + "".join(burst)
+    # int() of ASCII text with no "+" or "_" reads only "-" and digits
+    if (set(map(str.count, rows, repeat(","))) == {2} and times.isascii()
+            and "+" not in times and "_" not in times):
         try:
             arrival, burst = list(map(int, arrival)), list(map(int, burst))
-        except ValueError:  # a time too long for int(): the line loop words it
+        except ValueError:  # a field int() does not read: the line loop words it
             pass
         else:
             return _validate_columns(fields[0::3], arrival, burst, label)
-    # a row that is not three fields of a pid and two ASCII-digit times:
-    # read line by line, so the first malformed line is the one named
-    records = []
+    # a malformed row: read line by line, so the first one is the one named
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 3:
             raise ParseError(f"expected 3 fields, got {len(fields)}", line=lineno)
-        pid, arrival_text, burst_text = fields
         try:
-            arrival, burst = decimal_int(arrival_text), decimal_int(burst_text)
+            decimal_int(fields[1]), decimal_int(fields[2])
         except ValueError:
             raise ParseError(f"non-integer time in {line!r}", line=lineno) from None
-        records.append((pid, arrival, burst))
-    return validate_workload(records, label=label)
+    return _validate_columns([], [], [], label)  # every line is blank
 
 
 def _parse_json(text: str, label: str) -> Workload:
@@ -172,8 +169,8 @@ def _parse_json(text: str, label: str) -> Workload:
 def parse_workload(data: bytes | str, format: str = CSV, label: str = "") -> Workload:
     """Parse workload bytes in the given format.
 
-    Raises ParseError for malformed input and the validate_workload
-    errors for structurally invalid records.
+    Raises ParseError for malformed input and WorkloadError for a
+    workload that fails ``Workload``'s check.
     """
     text = _decode(data)
     if format == CSV:

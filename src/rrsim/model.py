@@ -8,10 +8,9 @@ behind a view that offers no mutator, and a workload refuses assignment.
 A workload stores its processes as three columns, pid, arrival and burst,
 in submission order; the engine, the trace check and the metrics read
 those.  Validity of a record is defined once, by ``ProcessSpec``'s own
-check.  A workload that is parsed, generated or a built-in fixture
-builds no ``ProcessSpec`` unless its ``processes`` are read:
-``_validate_columns`` screens the columns in C and leaves any wording
-of a rejection to that check.
+check, and every workload goes through one check, ``_validate_columns``.
+A workload that is parsed, generated or a built-in fixture builds no
+``ProcessSpec`` unless its ``processes`` are read.
 """
 from __future__ import annotations
 
@@ -77,8 +76,8 @@ class ProcessSpec(_ProcessFields):
 
     def __new__(cls, pid: str, arrival: int, burst: int):
         if not isinstance(pid, str) or type(arrival) is not int or type(burst) is not int:
-            raise WorkloadError(f"record {(pid, arrival, burst)!r} needs a "
-                                f"str pid and int times")
+            raise WorkloadError(f"record {(pid, arrival, burst)!r} "
+                                f"needs a str pid and int times")
         if not pid:
             raise WorkloadError(f"empty pid in record {(pid, arrival, burst)!r}")
         if pid != pid.strip() or "," in pid or "\r" in pid or "\n" in pid:
@@ -104,28 +103,18 @@ class Workload:
     ``columns`` holds the processes' pids, arrivals and bursts as three
     tuples in that order, computed once; ``processes`` is the tuple of
     ``ProcessSpec``, built from the columns on first read when the
-    workload came from ``_validate_columns``.  A workload compares
+    workload was built from columns alone.  A workload compares
     equal to, and hashes like, any other with the same processes and
     label.  Assigning an attribute raises ``AttributeError``.
     """
 
     __slots__ = ("columns", "label", "_processes")
 
-    def __init__(self, processes: tuple[ProcessSpec, ...], label: str = ""):
-        if (not isinstance(processes, tuple) or not isinstance(label, str)
-                or not all(isinstance(p, ProcessSpec) for p in processes)):
+    def __new__(cls, processes: tuple[ProcessSpec, ...], label: str = ""):
+        if not isinstance(processes, tuple) or not all(isinstance(p, ProcessSpec) for p in processes):
             raise WorkloadError("a Workload needs a tuple of ProcessSpec and a str label")
-        _check_utf8(label, "label")
-        if not processes:
-            raise WorkloadError("workload contains no processes")
-        seen = set()
-        for proc in processes:
-            if proc.pid in seen:
-                raise WorkloadError(f"duplicate pid {proc.pid!r}")
-            seen.add(proc.pid)
-        _set(self, "columns", tuple(zip(*processes)))
-        _set(self, "label", label)
-        _set(self, "_processes", processes)
+        columns = tuple(zip(*processes)) or ((), (), ())  # no process, no column to zip
+        return _validate_columns(*columns, label, processes)
 
     @property
     def processes(self) -> tuple[ProcessSpec, ...]:
@@ -170,8 +159,8 @@ def validate_workload(records, label: str = "") -> Workload:
     a ``str`` and times must be ``int`` (not ``bool``).
 
     Raises:
-        WorkloadError: ``records`` is not iterable or empty, or a record is
-            invalid or not a triple; the message names the offender.
+        WorkloadError: ``records`` is not iterable, a record is not a triple
+            or the workload is invalid; the message names the offender.
     """
     try:
         records = iter(records)
@@ -187,28 +176,39 @@ def validate_workload(records, label: str = "") -> Workload:
     return Workload(processes=tuple(procs), label=label)
 
 
-def _validate_columns(pid: list[str], arrival: list[int], burst: list[int],
-                      label: str = "") -> Workload:
-    """``validate_workload(zip(pid, arrival, burst), label)``, built from
-    three columns without a ``ProcessSpec`` when every record is valid.
+def _validate_columns(pid: Sequence[str], arrival: Sequence[int], burst: Sequence[int],
+                      label: str = "", processes: tuple[ProcessSpec, ...] | None = None) -> Workload:
+    """The workload of three columns and ``label``, or its first broken rule.
 
-    The package's parsers, generator and fixtures are its only callers:
-    the three columns must have one length, each pid must be a ``str``
-    and each time an ``int``, which the screen does not test.  A screen
-    of a few C calls per column passes only columns that
-    ``validate_workload`` accepts; whatever it doubts goes through
-    ``validate_workload``, so the record check words every rejection.
+    ``processes``, if given, are the columns' records, already checked.
+    The columns must have one length, each pid must be a ``str`` and each
+    time an ``int``, which the screen does not test.  A screen of a few C
+    calls per column decides.  On doubt a walk words the first broken
+    rule: each record, through ``ProcessSpec``; the label's type, then its
+    UTF-8 form; an empty workload; the first repeated pid.
     """
+    pid, arrival, burst = columns = tuple(pid), tuple(arrival), tuple(burst)
     text = "".join(pid)
     if not (isinstance(label, str) and pid and all(pid) and len(set(pid)) == len(pid)
             and min(arrival) >= 0 and min(burst) >= 1
             and "," not in text and "\r" not in text and "\n" not in text
-            and list(map(str.strip, pid)) == pid and _has_utf8_form(text + label)):
-        return validate_workload(zip(pid, arrival, burst), label)
-    workload = Workload.__new__(Workload)
-    _set(workload, "columns", (tuple(pid), tuple(arrival), tuple(burst)))
+            and tuple(map(str.strip, pid)) == pid and _has_utf8_form(text + label)):
+        if processes is None:
+            processes = tuple(map(ProcessSpec, pid, arrival, burst))
+        if not isinstance(label, str):
+            raise WorkloadError("a Workload needs a tuple of ProcessSpec and a str label")
+        _check_utf8(label, "label")
+        if not processes:
+            raise WorkloadError("workload contains no processes")
+        seen = set()
+        for name in pid:
+            if name in seen:
+                raise WorkloadError(f"duplicate pid {name!r}")
+            seen.add(name)
+    workload = object.__new__(Workload)
+    _set(workload, "columns", columns)
     _set(workload, "label", label)
-    _set(workload, "_processes", None)
+    _set(workload, "_processes", processes)
     return workload
 
 

@@ -36,7 +36,7 @@ def benchmark_case(case_id: str) -> Workload:
     except KeyError:
         raise KeyError(f"unknown case {case_id!r}; expected one of "
                        f"{', '.join(_CASES)}") from None
-    return _validate_columns(*map(list, zip(*records)), label=f"case {case_id}")
+    return _validate_columns(*zip(*records), label=f"case {case_id}")
 
 
 ASCENDING = "ascending"

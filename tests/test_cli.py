@@ -198,8 +198,15 @@ def _csv_workload(*records):
     return "pid,arrival_ms,burst_ms\n" + "".join(f"{p},{a},{b}\n" for p, a, b in records)
 
 
+def _csv_workload_minus_zero(*records):
+    """A CSV workload that writes each time 0 as ``-0``, a form ``int()`` reads."""
+    return _csv_workload(*[(pid, "-0" if arrival == 0 else arrival, burst)
+                           for pid, arrival, burst in records])
+
+
 @pytest.mark.parametrize("suffix, render", [(".csv", _csv_workload),
-                                            (".json", _json_workload)])
+                                            (".json", _json_workload),
+                                            (".csv", _csv_workload_minus_zero)])
 def test_run_on_a_workload_file_builds_no_process_spec(tmp_path, monkeypatch, suffix, render):
     # a parsed workload is columns and ``run`` reads no record: a checked
     # record per row would be most of what parsing costs

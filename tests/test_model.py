@@ -6,6 +6,9 @@ import pickle
 import pkgutil
 
 import pytest
+import reference_parse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rrsim
 from rrsim import (
@@ -19,7 +22,7 @@ from rrsim import (
     validate_workload,
 )
 from rrsim.fileio import parse_workload
-from rrsim.model import COMPLETED, IdleGap, Slice
+from rrsim.model import COMPLETED, IdleGap, Slice, _validate_columns
 
 CASE_I_RECORDS = [("P1", 0, 40), ("P2", 0, 55), ("P3", 0, 60),
                   ("P4", 0, 90), ("P5", 0, 102)]
@@ -85,6 +88,72 @@ def test_workload_compares_by_processes_and_label_and_refuses_assignment():
     with pytest.raises(AttributeError):
         del parsed.columns
     assert parsed.label == "case I"
+
+
+# Each rule a workload can break, as (field, value): a pid that cannot
+# round-trip through CSV, is empty or holds a lone surrogate; a negative
+# arrival; a non-positive burst; a repeated pid; no records at all; a label
+# that is not a str or holds a lone surrogate.
+_DEFECTS = ([(0, pid) for pid in [" P", "P ", "\tP", "a,b", "a\rb", "a\nb", "", "P\ud800"]]
+            + [(1, -1), (2, 0), (2, -2), ("repeat", None), ("empty", None)]
+            + [("label", label) for label in [None, 5, b"x", "bad\udcff", "\ud800"]])
+
+
+def _break(records, label, defects):
+    """``records`` and ``label`` with each (position, (field, value)) defect made."""
+    for at, (field, value) in defects:
+        if field == "label":
+            label = value
+        elif field == "empty":
+            records.clear()
+        elif records and field == "repeat":
+            records.insert(at % (len(records) + 1), records[at % len(records)])
+        elif records:
+            record = list(records[at % len(records)])
+            record[field] = value
+            records[at % len(records)] = tuple(record)
+    return records, label
+
+
+# A valid workload, or a few records of any pid and time and any label.
+_valid = st.tuples(
+    st.lists(st.tuples(st.integers(1, 40).map("P{}".format), st.integers(0, 99),
+                       st.integers(1, 99)), min_size=1, max_size=6, unique_by=lambda r: r[0]),
+    st.text(max_size=3))
+_any = st.tuples(
+    st.lists(st.tuples(
+        st.text(st.one_of(st.sampled_from("P1 ,\r\n\t\x85\ud800"), st.characters()), max_size=3),
+        st.integers(-2, 5), st.integers(-1, 5)), max_size=4),
+    st.one_of(st.none(), st.text(st.one_of(st.sampled_from("x\udcff"), st.characters()),
+                                 max_size=3)))
+
+
+def _checked(build):
+    """What ``build()`` makes: its records and label, or its error's message."""
+    try:
+        return build()
+    except WorkloadError as exc:
+        return str(exc)
+
+
+def _contents(workload):
+    # read the columns, not ``processes``, whose records check themselves again
+    return tuple(zip(*workload.columns)), workload.label
+
+
+@pytest.mark.parametrize("defect", [None, *_DEFECTS],
+                         ids=lambda defect: "valid" if defect is None else f"{defect[0]}={defect[1]!r}")
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(_valid, _any), st.integers(0, 6),
+       st.lists(st.tuples(st.integers(0, 6), st.sampled_from(_DEFECTS)), max_size=1))
+def test_every_workload_entry_point_checks_as_the_reference(defect, drawn, at, others):
+    records, label = _break(*drawn, ([(at, defect)] if defect else []) + others)
+    pid, arrival, burst = ([record[i] for record in records] for i in range(3))
+    expected = _checked(lambda: reference_parse.validate_workload(records, label))
+    assert _checked(lambda: _contents(_validate_columns(pid, arrival, burst, label))) == expected
+    assert _checked(lambda: _contents(validate_workload(records, label))) == expected
+    assert _checked(lambda: _contents(
+        Workload(tuple(map(ProcessSpec, pid, arrival, burst)), label))) == expected
 
 
 @pytest.mark.parametrize("record, field", [
