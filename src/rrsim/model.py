@@ -1,9 +1,10 @@
 """Domain types shared by the simulator: processes, workloads and traces.
 
-All times are integer milliseconds. Values are read-only after
-construction, so they can be shared freely between concurrent simulations:
-records are named tuples, a trace is a frozen dataclass whose slices sit
-behind a view that offers no mutator, and a workload refuses assignment.
+All times are integer milliseconds; a hand-built trace, too, holds only
+what a run writes. Values are read-only after construction, so they can
+be shared freely between concurrent simulations: records are named
+tuples, a trace is a frozen dataclass whose slices sit behind a view that
+offers no mutator, and a workload refuses assignment.
 
 A workload stores its processes as three columns, pid, arrival and burst,
 in submission order; the engine, the trace check and the metrics read
@@ -269,16 +270,23 @@ class SliceView(Sequence):
     def of(cls, slices: Iterable[Slice]) -> "SliceView":
         """The view of ``slices``, each run of one ``cycle`` being that cycle.
 
-        ``ValueError`` names the first slice whose cycle is neither the last
-        one nor the next, counting from 1, or whose quantum is not its
-        cycle's; or whose times the view cannot give back exactly, types
-        included: a time that is not finite, or an end that is not ``start
-        + (end - start)``.  Values are otherwise kept exactly as given.
+        ``ValueError`` names the first slice that is not what ``simulate``
+        writes (a ``str`` pid, an ``int`` start, end, cycle and quantum, and
+        ``COMPLETED`` or ``QUANTUM_EXPIRED``), or whose cycle is neither the
+        last one nor the next, counting from 1, or whose quantum is not its cycle's.
         """
         table, index, run, termination, quanta, counts, break_at, break_start = (
             {}, [], [], [], [], [], [], [])
         end = 0
-        for i, (pid, start, stop, c, q, term) in enumerate(slices):
+        for i, item in enumerate(slices):
+            try:
+                pid, start, stop, c, q, term = item
+            except (TypeError, ValueError):
+                pid = None  # not six fields, so refused just below
+            if not (isinstance(pid, str) and type(start) is type(stop) is type(c) is type(q) is int
+                    and term in (COMPLETED, QUANTUM_EXPIRED)):
+                raise ValueError(f"slice {i} {item!r} is not six fields: a str pid, an int start, "
+                                 f"end, cycle and quantum, and {COMPLETED!r} or {QUANTUM_EXPIRED!r}")
             if c == len(counts) + 1:  # the next cycle
                 quanta.append(q)
                 counts.append(0)
@@ -286,20 +294,11 @@ class SliceView(Sequence):
                 raise ValueError(f"slice {i} in cycle {c!r} at quantum {q!r} cannot follow cycle "
                                  f"{len(counts)}" + (f" at quantum {quanta[-1]!r}" if quanta else ""))
             counts[-1] += 1
-            try:  # x - x is 0 for a finite number, NaN for an infinite one or NaN
-                length = stop - start
-                exact = (start - start == 0 and length - length == 0
-                         and type(start + length) is type(stop) and start + length == stop)
-            except (TypeError, ArithmeticError):
-                exact = False
-            if not exact:
-                raise ValueError(f"slice {i} [{start!r},{stop!r}) cannot be stored: its times "
-                                 f"must be finite and start + (end - start) must be its end")
-            if not i or type(start) is not type(end) or start != end:
+            if not i or start != end:
                 break_at.append(i)
                 break_start.append(start)
             index.append(table.setdefault(pid, len(table)))
-            run.append(length)
+            run.append(stop - start)
             termination.append(term)
             end = stop
         return cls(tuple(table), index, run, termination, quanta, counts, break_at, break_start, end)

@@ -5,6 +5,8 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import completion_times, seeded_workload
 from reference_walk import walk_trace as reference_walk
@@ -12,6 +14,7 @@ from reference_walk import walk_trace as reference_walk
 from rrsim import (
     ExecutionTrace,
     IdleGap,
+    InconsistentTrace,
     PolicyPlanInvalid,
     Slice,
     compute_metrics,
@@ -630,35 +633,92 @@ _NAN, _INF = float("nan"), float("inf")
 @pytest.mark.parametrize("slices", [
     # a reversed slice after a gap, then one that starts where the gap's cursor is
     [Slice("P1", 20, 5, 1, 10, QUANTUM_EXPIRED), Slice("P2", 5, 15, 1, 10, COMPLETED)],
-    [Slice("P1", 0, 5.0, 1, 10, QUANTUM_EXPIRED), Slice("P1", 5, 10.5, 1, 10, COMPLETED)],
-    [Slice("P1", 0, 10, 1, 10, "done"), Slice("P2", 10, 20, 1, 10, COMPLETED)],
-], ids=["reversed-after-gap", "floats", "unknown-termination"])
+], ids=["reversed-after-gap"])
 def test_odd_hand_built_traces_get_the_reference_walks_messages(slices):
     w = validate_workload(_TWO)
     trace = _hand_trace(slices)
     assert trace_violations(trace, w) == reference_walk(trace, w)[0]
 
 
-# A trace stores a slice's start only at a break and its run, not its end:
-# a time it could not give back exactly, type included, is refused, naming
-# the slice.
+# A trace holds what a run writes: a str pid, int times, cycle and quantum
+# (no bool), and one of the two termination words.  Any other slice is
+# refused, naming it.
+def _refused(i):
+    return pytest.raises(ValueError, match=rf"^slice {i} .* is not six fields: a str pid, an int "
+                                           rf"start, end, cycle and quantum, and 'completed' or "
+                                           rf"'quantum_expired'$")
+
+
 @pytest.mark.parametrize("slices, i", [
     ([Slice("P1", _NAN, 10, 1, 10, COMPLETED), Slice("P2", 10, _NAN, 1, 10, COMPLETED)], 0),
     ([Slice("P3", _INF, _INF, 1, _INF, COMPLETED), Slice("P1", 0, _INF, 1, _INF, COMPLETED)], 0),
     ([Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P2", 10, _NAN, 1, 10, COMPLETED)], 1),
     ([Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P2", 10, _INF, 1, 10, COMPLETED)], 1),
     ([Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P2", -_INF, 20, 1, 10, COMPLETED)], 1),
-    # 0.2 + (0.9 - 0.2) is 0.8999999999999999
     ([Slice("P1", 0.2, 0.9, 1, 10, COMPLETED)], 0),
-    # 5.0 + (10 - 5.0) is the float 10.0, not the int 10
-    ([Slice("P1", 0, 5.0, 1, 10, QUANTUM_EXPIRED), Slice("P1", 5.0, 10, 1, 10, COMPLETED)], 1),
+    ([Slice("P1", 0, 5, 1, 10, QUANTUM_EXPIRED), Slice("P1", 5.0, 10, 1, 10, COMPLETED)], 1),
     ([Slice("P1", "0", "10", 1, 10, COMPLETED)], 0),
+    ([Slice("P1", 0, 5.0, 1, 10, QUANTUM_EXPIRED), Slice("P1", 5, 10.5, 1, 10, COMPLETED)], 0),
+    ([Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P2", 10, 20.0, 1, 10, COMPLETED)], 1),
+    ([Slice("P1", False, True, 1, 10, COMPLETED)], 0),
 ], ids=["nan", "inf-unknown", "nan-end", "inf-end", "minus-inf-start", "float-inexact",
-        "float-start-int-end", "text"])
+        "float-start-int-end", "text", "floats", "float-end", "bool"])
 def test_times_a_trace_cannot_give_back_are_refused(slices, i):
-    with pytest.raises(ValueError, match=rf"^slice {i} \[.* cannot be stored: its times must "
-                                         rf"be finite and start \+ \(end - start\) must be its end$"):
+    with _refused(i):
         _hand_trace(slices)
+
+
+@pytest.mark.parametrize("slices, i", [
+    ([Slice("P1", 0, 10, 1, 10, "done"), Slice("P2", 10, 20, 1, 10, COMPLETED)], 0),
+    ([Slice("P1", 0, 5, 1, 5, "preempted"), Slice("P1", 5, 10, 2, 5, COMPLETED)], 0),
+    ([Slice("P1", 0, 5, 1, 5, None), Slice("P1", 5, 10, 2, 5, COMPLETED)], 0),
+    ([Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED), Slice(["P1"], 5, 10, 2, 5, COMPLETED)], 1),
+    ([Slice(1, 0, 10, 1, 10, COMPLETED)], 0),
+    ([Slice(None, 0, 10, 1, 10, COMPLETED)], 0),
+    ([Slice("P1", 0, 10, 1, 10.0, COMPLETED)], 0),
+    ([Slice("P1", 0, 10, 1, True, COMPLETED)], 0),
+    ([Slice("P1", 0, 10, 1, "10", COMPLETED)], 0),
+    ([Slice("P1", 0, 10, 1.0, 10, COMPLETED)], 0),
+    ([Slice("P1", 0, 10, True, 10, COMPLETED)], 0),
+    ([Slice("P1", 0, 10, 1, 10, COMPLETED), ("P2", 10, 20)], 1),
+    ([Slice("P1", 0, 10, 1, 10, COMPLETED), (*Slice("P2", 10, 20, 1, 10, COMPLETED), 0)], 1),
+    ([Slice("P1", 0, 10, 1, 10, COMPLETED), 7], 1),
+], ids=["unknown-termination", "preempted", "none-termination", "list-pid", "int-pid", "none-pid",
+        "float-quantum", "bool-quantum", "text-quantum", "float-cycle", "bool-cycle",
+        "three-fields", "seven-fields", "not-iterable"])
+def test_slices_a_run_cannot_write_are_refused(slices, i):
+    with _refused(i):
+        _hand_trace(slices)
+
+
+_ODD_VALUES = st.one_of(
+    st.floats(), st.sampled_from([5.0, 0.0, -0.0, _NAN, _INF, -_INF]), st.booleans(),
+    st.text(max_size=3), st.none(), st.lists(st.integers(0, 9), max_size=2),
+    st.sampled_from(["preempted", "done", "Completed", "quantum expired"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 199), st.data())
+def test_a_slice_with_one_odd_field_is_refused_or_judged(seed, data):
+    # a field of one slice of a run's trace takes a value no run writes: the
+    # trace refuses it, or the checker judges it; nothing else is raised
+    workload = seeded_workload(seed)
+    trace = simulate(workload, standard_policy(POLICY_NAMES[seed % len(POLICY_NAMES)]))
+    slices = list(trace.slices)
+    i = data.draw(st.integers(0, len(slices) - 1))
+    field = data.draw(st.integers(0, 5))
+    own = slices[i][field]
+    value = data.draw(st.one_of(_ODD_VALUES, st.just(float(own))) if type(own) is int else _ODD_VALUES)
+    slices[i] = Slice(*slices[i][:field], value, *slices[i][field + 1:])
+    try:
+        odd = dataclasses.replace(trace, slices=slices)
+    except ValueError as refused:
+        assert re.match(r"^slice \d+ ", str(refused)), refused
+        return
+    try:
+        compute_metrics(odd, workload)
+    except InconsistentTrace:
+        pass
 
 
 def test_slices_listed_out_of_time_order_are_flagged():
