@@ -319,10 +319,10 @@ def trace_violations(trace: ExecutionTrace, workload: Workload) -> list[str]:
     """All ExecutionTrace invariants violated by ``trace``, as messages.
 
     One walk over ``trace.slices`` checks the tiling and each slice against
-    its process's remaining work.  A hole before a slice is an idle gap,
-    and every process that arrived before its end must already be
-    finished.  The slices must be in time order, as ``simulate`` writes
-    them: the walk does not sort them.  Each slice runs within the quantum
+    its process's remaining work.  A trace runs forward in time, so the
+    hole before each break is an idle gap, and every process that arrived
+    before its end must already be finished; a slice that starts before
+    the earliest arrival overlaps.  Each slice runs within the quantum
     that its trace stores once for its cycle, so no quantum below 1 passes.
 
     The walk reads each slice's process by its index into the trace's pid
@@ -330,9 +330,9 @@ def trace_violations(trace: ExecutionTrace, workload: Workload) -> list[str]:
     as that table; another table is mapped to the workload once, and a
     slice whose pid the workload lacks is reported and checked no further.
     Messages come in slice order.  A slice's come in this order: an
-    overlap or idle gap, time order, unknown pid, length, arrival,
-    completion mark.  After the slices come the processes whose executed
-    work is not their burst, in submission order.
+    overlap or idle gap, unknown pid, length, arrival, completion mark.
+    After the slices come the processes whose executed work is not their
+    burst, in submission order.
     """
     return _walk_trace(trace, workload)[0]
 
@@ -344,10 +344,10 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], l
 
     The walk reads each slice's process by its submission index ``k``, into
     lists, and its run as stored; it derives the slice's start and end
-    from the break before it and the runs since.  Each group of checks
-    sits behind one test that a valid slice passes, so a valid trace pays
-    a few comparisons per slice; the detailed tests, and their messages,
-    run only when a group's test trips.
+    from the break before it and the runs since, and tests the tiling once
+    per break.  Each group of checks sits behind one test that a valid
+    slice passes, so a valid trace pays a few comparisons per slice; the
+    detailed tests, and their messages, run only when a group's test trips.
     """
     problems: list[str] = []
     pid_col, arrival_col, burst_col = workload.columns
@@ -363,30 +363,30 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], l
     left = list(burst_col)  # the work each process has left
     completion, first_dispatch = [None] * n, [None] * n
     arrivals = sorted(arrival_col)
+    first = arrivals[0]  # no slice may start before the earliest arrival
     finished = 0
-    cursor = arrivals[0]
-    previous = float("-inf")  # the start of the previous slice
+    end = float("-inf")  # the end of the slice before the break
     slices = zip(index, view._run, view._per_slice(view._quanta), view._termination)
     lengths = map(sub, view._stops(), view._break_at)
-    for end, length in zip(view._break_start, lengths):  # a break's start, then the runs since it
+    for start, at, length in zip(view._break_start, view._break_at, lengths):
+        # a break's start, then the runs since it.  An idle gap runs from the
+        # later of the earliest arrival and the last slice's end; processes
+        # that finished ran before it, so they arrived before its end
+        if start > end and bisect_left(arrivals, start) != finished:
+            problems.extend(f"idle gap [{max(first, end)},{start}) while {other} is runnable"
+                            for other, arrived, rest in zip(pid_col, arrival_col, left)
+                            if arrived < start and rest > 0)
+        # SliceView.of refuses overlaps and runs below 1 ms, but the engine's
+        # view skips it, so the walk still tests for both
+        elif start < end:
+            problems.append(f"interval [{start},{start + view._run[at]}) overlaps the previous one")
+        end = start
         for k, run, quantum, termination in islice(slices, length):
             start = end
             end = start + run
-            if start != cursor or start < previous:
-                if start < cursor:
-                    problems.append(f"interval [{start},{end}) overlaps the previous one")
-                # an idle gap [cursor, start): finished processes ran before it, so
-                # they arrived before its end
-                elif start > cursor and bisect_left(arrivals, start) != finished:
-                    problems.extend(f"idle gap [{cursor},{start}) while {other} is runnable"
-                                    for other, arrived, rest in zip(pid_col, arrival_col, left)
-                                    if arrived < start and rest > 0)
-                if start < previous:
-                    problems.append(f"slice {names[k]} [{start},{end}) listed out of time order")
-            if end > cursor:
-                cursor = end
-            previous = start
             if not (0 < run <= quantum and arrival[k] <= start):
+                if start < first:  # before every arrival, so before its own
+                    problems.append(f"interval [{start},{end}) overlaps the previous one")
                 pid = names[k]
                 if k >= n:
                     problems.append(f"slice for unknown pid {pid!r}")

@@ -1,10 +1,11 @@
 """Domain types shared by the simulator: processes, workloads and traces.
 
 All times are integer milliseconds; a hand-built trace, too, holds only
-what a run writes. Values are read-only after construction, so they can
-be shared freely between concurrent simulations: records are named
-tuples, a trace is a frozen dataclass whose slices sit behind a view that
-offers no mutator, and a workload refuses assignment.
+what a run writes, and runs forward in time. Values are read-only after
+construction, so they can be shared freely between concurrent
+simulations: records are named tuples, a trace is a frozen dataclass
+whose slices sit behind a view that offers no mutator, and a workload
+refuses assignment.
 
 A workload stores its processes as three columns, pid, arrival and burst,
 in submission order; the engine, the trace check and the metrics read
@@ -245,14 +246,14 @@ class SliceView(Sequence):
     Per slice: the index of its pid in a pid table, its run ``end - start``
     and its termination.  Per cycle: the quantum and the number of slices.
     A slice starts where the one before it ended, except at a break: the
-    first slice, and each one that starts anywhere else (after an idle gap,
-    or in an overlap or out of order).  Per break: the slice's index and its
-    start.  Start and end times are thus derived, and the engine stores no
-    new int per slice: a run is its cycle's quantum or the work its process
-    had left.  A ``Slice`` is built only when the view is indexed or
-    iterated; ``view[a:b]`` is a ``tuple`` of them.  ``columns`` gives, in
-    ``Slice`` field order, each slice's pid, start, end, cycle and quantum
-    as one-shot iterators and the shared termination list (never change it).
+    first slice, and each one after an idle gap.  Per break: the slice's
+    index and its start.  Start and end times are thus derived, and the
+    engine stores no new int per slice: a run is its cycle's quantum or the
+    work its process had left.  A ``Slice`` is built only when the view is
+    indexed or iterated; ``view[a:b]`` is a ``tuple`` of them.  ``columns``
+    gives, in ``Slice`` field order, each slice's pid, start, end, cycle and
+    quantum as one-shot iterators and the shared termination list (never
+    change it).
     """
 
     __slots__ = ("_table", "_index", "_run", "_termination", "_quanta", "_counts",
@@ -273,7 +274,9 @@ class SliceView(Sequence):
         ``ValueError`` names the first slice that is not what ``simulate``
         writes (a ``str`` pid, an ``int`` start, end, cycle and quantum, and
         ``COMPLETED`` or ``QUANTUM_EXPIRED``), or whose cycle is neither the
-        last one nor the next, counting from 1, or whose quantum is not its cycle's.
+        last one nor the next, counting from 1, or whose quantum is not its
+        cycle's, or that runs less than 1 ms or starts before the slice
+        before it ends.
         """
         table, index, run, termination, quanta, counts, break_at, break_start = (
             {}, [], [], [], [], [], [], [])
@@ -293,6 +296,10 @@ class SliceView(Sequence):
             elif not (counts and c == len(counts) and q == quanta[-1]):
                 raise ValueError(f"slice {i} in cycle {c!r} at quantum {q!r} cannot follow cycle "
                                  f"{len(counts)}" + (f" at quantum {quanta[-1]!r}" if quanta else ""))
+            if stop <= start or (i and start < end):
+                raise ValueError(f"slice {i} [{start},{stop}) " + (
+                    "runs less than 1 ms" if stop <= start
+                    else f"starts before {end}, where the slice before it ends"))
             counts[-1] += 1
             if not i or start != end:
                 break_at.append(i)
@@ -302,12 +309,6 @@ class SliceView(Sequence):
             termination.append(term)
             end = stop
         return cls(tuple(table), index, run, termination, quanta, counts, break_at, break_start, end)
-
-    @property
-    def breaks(self) -> tuple[tuple[int, object], ...]:
-        """(slice index, start) of the first slice and of each one that does
-        not start at the end of the slice before it."""
-        return tuple(zip(self._break_at, self._break_start))
 
     def _stops(self) -> list[int]:
         """The slice after each break's run of slices, which the next break starts."""
@@ -414,10 +415,8 @@ class ExecutionTrace:
 
     @property
     def idles(self) -> tuple[IdleGap, ...]:
-        """The idle gaps: the hole between each pair of consecutive slices.
-        Only a break can open one: elsewhere a slice starts at the last one's end."""
+        """The idle gaps: the hole before each break but the first slice."""
         view = self.slices
         runs = map(view._run.__getitem__, map(slice, view._break_at, view._stops()))
         ends = map(reduce, repeat(add), runs, view._break_start)  # each break's run's end
-        return tuple(IdleGap(end, start) for start, end in zip(view._break_start[1:], ends)
-                     if end < start)
+        return tuple(map(IdleGap, ends, view._break_start[1:]))

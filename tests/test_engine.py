@@ -29,7 +29,7 @@ from rrsim.engine import (
     ReadyQueue,
     ReadySnapshot,
 )
-from rrsim.model import COMPLETED, PolicyDescriptor, QUANTUM_EXPIRED
+from rrsim.model import COMPLETED, PolicyDescriptor, QUANTUM_EXPIRED, SliceView
 from rrsim.policies import (
     POLICY_NAMES,
     make_dabrr,
@@ -386,12 +386,15 @@ def _flagged(records, slices):
 # One minimal trace per invariant; each is valid except for that defect.  A
 # trace stores each cycle's quantum once, so a list of slices whose cycles
 # do not count up from 1 by 0 or 1, or whose quantum changes inside a cycle,
-# is refused when the trace is built, naming the first such slice.
+# is refused when the trace is built, naming the first such slice.  So is a
+# slice that runs less than 1 ms or starts before the one before it ends.
 @pytest.mark.parametrize("records, slices, message", [
     pytest.param(_ONE, [Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P9", 10, 15, 2, 10, COMPLETED)],
                  "unknown pid", id="unknown-pid"),
     pytest.param(_ONE, [Slice("P1", 0, 0, 1, 10, QUANTUM_EXPIRED), Slice("P1", 0, 10, 1, 10, COMPLETED)],
-                 "empty or reversed slice", id="empty-slice"),
+                 "refused: slice 0 [0,0) runs less than 1 ms", id="empty-slice"),
+    pytest.param(_TWO, [Slice("P1", 20, 5, 1, 10, QUANTUM_EXPIRED), Slice("P2", 5, 15, 1, 10, COMPLETED)],
+                 "refused: slice 0 [20,5) runs less than 1 ms", id="reversed-after-gap"),
     pytest.param(_ONE, [Slice("P1", 0, 10, 1, 5, COMPLETED)],
                  "exceeds quantum", id="over-quantum"),
     pytest.param([("P1", 5, 10)], [Slice("P1", 0, 10, 1, 10, COMPLETED)],
@@ -405,7 +408,11 @@ def _flagged(records, slices):
     pytest.param(_ONE, [Slice("P1", 0, 5, 1, 5, COMPLETED), Slice("P1", 5, 10, 2, 5, COMPLETED)],
                  "non-final slice of P1 marked completed", id="non-final-completed"),
     pytest.param(_TWO, [Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P2", 5, 15, 1, 10, COMPLETED)],
-                 "overlaps", id="overlap"),
+                 "refused: slice 1 [5,15) starts before 10, where the slice before it ends",
+                 id="overlap"),
+    pytest.param(_TWO, [Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P1", 0, 10, 1, 10, COMPLETED)],
+                 "refused: slice 1 [0,10) starts before 10, where the slice before it ends",
+                 id="duplicated"),
     pytest.param(_TWO, [Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P2", 12, 22, 1, 10, COMPLETED)],
                  "runnable", id="hole"),
     pytest.param([("P1", 0, 20)],
@@ -467,6 +474,8 @@ def test_quantum_log_defects_on_case_i_are_flagged(corrupt, message):
         dataclasses.replace(good, slices=corrupt(list(good.slices)))
 
 
+# Each mutation returns a trace's slices with one defect, or None where it
+# cannot apply.
 def _shorten_one_slice(trace, rng):
     i = rng.randrange(len(trace.slices))
     s = trace.slices[i]
@@ -489,7 +498,7 @@ def _insert_gap_after_abutting_pair(trace, rng):
     delta = rng.randint(1, 5)
     shifted = tuple(s._replace(start=s.start + delta, end=s.end + delta)
                     for s in trace.slices[i + 1:])
-    return dataclasses.replace(trace, slices=trace.slices[:i + 1] + shifted)
+    return trace.slices[:i + 1] + shifted
 
 
 def _swap_adjacent_slices(trace, rng):
@@ -507,7 +516,7 @@ def _delete_one_slice(trace, rng):
 
 def _duplicate_one_slice(trace, rng):
     i = rng.randrange(len(trace.slices))
-    return dataclasses.replace(trace, slices=trace.slices[:i + 1] + trace.slices[i:])
+    return trace.slices[:i + 1] + trace.slices[i:]
 
 
 def _change_one_slices_pid(trace, rng):
@@ -527,35 +536,55 @@ def _lower_one_cycles_quantum(trace, rng):
     cycle = rng.randint(1, trace.slices[-1].cycle)
     longest = max(s.end - s.start for s in trace.slices if s.cycle == cycle)
     quantum = rng.randrange(longest)
-    return dataclasses.replace(trace, slices=[
-        s._replace(quantum_in_effect=quantum) if s.cycle == cycle else s for s in trace.slices])
+    return [s._replace(quantum_in_effect=quantum) if s.cycle == cycle else s for s in trace.slices]
 
 
 def _with_slices(trace, i, replacement):
-    return dataclasses.replace(
-        trace, slices=trace.slices[:i] + (replacement,) + trace.slices[i + 1:])
+    return trace.slices[:i] + (replacement,) + trace.slices[i + 1:]
 
 
 def _in_its_cycles(trace, slices):
-    """``trace`` with ``slices``, each run in the cycle, and at the quantum,
-    of the slice that ``trace`` ran at its place: reordered or removed
-    slices corrupt only the per-slice columns, so a trace can hold them."""
-    return dataclasses.replace(trace, slices=[
-        s._replace(cycle=at.cycle, quantum_in_effect=at.quantum_in_effect)
-        for s, at in zip(slices, trace.slices)])
+    """``slices``, each run in the cycle, and at the quantum, of the slice
+    that ``trace`` ran at its place: reordered or removed slices corrupt
+    only the per-slice columns, so a trace can hold them if their times can."""
+    return [s._replace(cycle=at.cycle, quantum_in_effect=at.quantum_in_effect)
+            for s, at in zip(slices, trace.slices)]
+
+
+def _out_of_time(slices):
+    """The index of the first slice that runs less than 1 ms or starts
+    before the one before it ends, or None."""
+    for i, s in enumerate(slices):
+        if s.end <= s.start or (i and s.start < slices[i - 1].end):
+            return i
+    return None
+
+
+def built_or_refused(trace, slices):
+    """``trace`` with ``slices``, or None once the trace has refused them,
+    naming the first slice that does not run forward in time."""
+    i = _out_of_time(slices)
+    if i is None:
+        return dataclasses.replace(trace, slices=slices)
+    s = slices[i]
+    with pytest.raises(ValueError, match=re.escape(f"slice {i} [{s.start},{s.end}) ")):
+        dataclasses.replace(trace, slices=slices)
+    return None
 
 
 # Each mutation, paired with the violation it provably causes on every trace
-# it applies to (every slice of a valid trace runs at least 1 ms).
+# it applies to (every slice of a valid trace runs at least 1 ms), or with
+# None where no trace can hold its slices.
 _SHORT_OR_LONG = r"executed \d+ ms, burst is"
 CHECKER_MUTATIONS = [
-    (_shorten_one_slice, _SHORT_OR_LONG),  # its process runs less than its burst
+    # its process runs less than its burst; a 1 ms slice, shortened, is refused
+    (_shorten_one_slice, _SHORT_OR_LONG),
     (_flip_one_completion_mark, "marked completed"),
-    (_swap_adjacent_slices, "out of time order"),  # two non-empty slices
+    (_swap_adjacent_slices, None),  # the second starts before the first ends
     # the second slice's process was runnable throughout the new gap
     (_insert_gap_after_abutting_pair, "runnable"),
     (_delete_one_slice, _SHORT_OR_LONG),  # its process runs less than its burst
-    (_duplicate_one_slice, _SHORT_OR_LONG),  # its process runs more than its burst
+    (_duplicate_one_slice, None),  # the copy starts before the original ends
     (_change_one_slices_pid, _SHORT_OR_LONG),  # one process runs less, another more
     (_rename_one_slice_to_an_unknown_pid, r"slice for unknown pid 'X\d+'"),
     (_lower_one_cycles_quantum, "exceeds quantum"),  # below its longest slice
@@ -563,8 +592,9 @@ CHECKER_MUTATIONS = [
 
 
 def test_seeded_mutated_traces_are_all_flagged():
-    # every list of messages is also the pid-keyed reference walk's, order included
-    applied = collections.Counter()
+    # every list of messages is also the pid-keyed reference walk's, order
+    # included; every refusal names the first slice out of time
+    applied, refused = collections.Counter(), collections.Counter()
     for seed in range(1000):
         rng = random.Random(seed)
         workload = seeded_workload(seed)
@@ -574,10 +604,15 @@ def test_seeded_mutated_traces_are_all_flagged():
         assert (problems, completion, first_dispatch) == (
             [], *([found[p.pid] for p in workload] for found in reference[1:])), seed
         for mutate, violation in CHECKER_MUTATIONS:
-            bad = mutate(trace, rng)
-            if bad is None:
+            slices = mutate(trace, rng)
+            if slices is None:
                 continue
             applied[mutate] += 1
+            bad = built_or_refused(trace, slices)
+            if bad is None:
+                refused[mutate] += 1
+                continue
+            assert violation is not None, f"seed {seed}: {mutate.__name__}"
             problems = trace_violations(bad, workload)
             assert problems == reference_walk(bad, workload)[0], \
                 f"seed {seed}: {mutate.__name__}"
@@ -585,6 +620,8 @@ def test_seeded_mutated_traces_are_all_flagged():
             assert re.search(violation, problems), f"seed {seed}: {mutate.__name__}: {problems}"
     # a swap needs two slices, a pid change two pids, a gap an abutting pair
     assert len(applied) == len(CHECKER_MUTATIONS) and min(applied.values()) >= 900
+    assert set(refused) == {_swap_adjacent_slices, _duplicate_one_slice, _shorten_one_slice}
+    assert refused[_shorten_one_slice] < applied[_shorten_one_slice]
 
 
 # Each change returns a slice's index and a list of slices that no trace can
@@ -630,14 +667,21 @@ def test_seeded_slice_lists_no_trace_can_hold_are_refused():
 _NAN, _INF = float("nan"), float("inf")
 
 
+# Slices a trace can hold that no run writes: slices before the earliest
+# arrival overlap it, and a gap runs from the later of that arrival and the
+# end of the slice before it
 @pytest.mark.parametrize("slices", [
-    # a reversed slice after a gap, then one that starts where the gap's cursor is
-    [Slice("P1", 20, 5, 1, 10, QUANTUM_EXPIRED), Slice("P2", 5, 15, 1, 10, COMPLETED)],
-], ids=["reversed-after-gap"])
+    [Slice("P1", 0, 5, 1, 10, QUANTUM_EXPIRED), Slice("P2", 5, 8, 1, 10, QUANTUM_EXPIRED),
+     Slice("P1", 20, 25, 2, 10, COMPLETED), Slice("P2", 25, 32, 2, 10, COMPLETED)],
+    [Slice("P1", 0, 3, 1, 10, COMPLETED), Slice("P2", 6, 9, 1, 10, QUANTUM_EXPIRED),
+     Slice("P2", 12, 19, 2, 10, COMPLETED)],
+    [Slice("P1", 15, 25, 1, 10, COMPLETED), Slice("P2", 25, 30, 1, 10, COMPLETED)],
+], ids=["before-first-arrival-then-gap", "gap-before-first-arrival", "gap-before-first-slice"])
 def test_odd_hand_built_traces_get_the_reference_walks_messages(slices):
-    w = validate_workload(_TWO)
+    w = validate_workload([("P1", 10, 10), ("P2", 12, 10)])
     trace = _hand_trace(slices)
-    assert trace_violations(trace, w) == reference_walk(trace, w)[0]
+    problems = trace_violations(trace, w)
+    assert problems == reference_walk(trace, w)[0] and problems
 
 
 # A trace holds what a run writes: a str pid, int times, cycle and quantum
@@ -700,33 +744,65 @@ _ODD_VALUES = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 199), st.data())
 def test_a_slice_with_one_odd_field_is_refused_or_judged(seed, data):
-    # a field of one slice of a run's trace takes a value no run writes: the
-    # trace refuses it, or the checker judges it; nothing else is raised
+    # a field of one slice of a run's trace takes another value: an odd one,
+    # or an int near its own, the end of the slice before or the start of
+    # the slice after.  The trace refuses it, naming this slice or the next,
+    # or the checker judges it as the reference walk does; nothing else is raised
     workload = seeded_workload(seed)
     trace = simulate(workload, standard_policy(POLICY_NAMES[seed % len(POLICY_NAMES)]))
     slices = list(trace.slices)
     i = data.draw(st.integers(0, len(slices) - 1))
     field = data.draw(st.integers(0, 5))
     own = slices[i][field]
-    value = data.draw(st.one_of(_ODD_VALUES, st.just(float(own))) if type(own) is int else _ODD_VALUES)
-    slices[i] = Slice(*slices[i][:field], value, *slices[i][field + 1:])
+    values = _ODD_VALUES
+    if type(own) is int:
+        near = [own + d for d in range(-3, 4)]
+        near += [slices[i - 1].end] if i else []
+        near += [slices[i + 1].start] if i + 1 < len(slices) else []
+        # as often an int as not
+        values = st.sampled_from(near) if data.draw(st.booleans()) \
+            else st.one_of(_ODD_VALUES, st.just(float(own)))
+    slices[i] = Slice(*slices[i][:field], data.draw(values), *slices[i][field + 1:])
     try:
         odd = dataclasses.replace(trace, slices=slices)
     except ValueError as refused:
-        assert re.match(r"^slice \d+ ", str(refused)), refused
+        assert re.match(rf"^slice ({i}|{i + 1}) ", str(refused)), refused
         return
+    assert trace_violations(odd, workload) == reference_walk(odd, workload)[0]
     try:
         compute_metrics(odd, workload)
     except InconsistentTrace:
         pass
 
 
-def test_slices_listed_out_of_time_order_are_flagged():
+def test_slices_listed_out_of_time_order_are_refused():
     w = benchmark_case("I")
     good = simulate(w, make_round_robin(25))
-    swapped = dataclasses.replace(good, slices=good.slices[1::-1] + good.slices[2:])
-    problems = trace_violations(swapped, w)
-    assert any("out of time order" in p for p in problems), problems
+    first, second = good.slices[:2]
+    with pytest.raises(ValueError, match=re.escape(
+            f"slice 1 [{first.start},{first.end}) starts before {second.end}, "
+            f"where the slice before it ends")):
+        dataclasses.replace(good, slices=(second, first) + good.slices[2:])
+
+
+def _engine_style_trace(table, index, run, termination, break_at, break_start):
+    """A trace of one cycle at quantum 10, its view built as ``simulate``
+    builds one, without ``SliceView.of``'s refusals."""
+    end = break_start[-1] + sum(run[break_at[-1]:])
+    return ExecutionTrace(PolicyDescriptor.of("RR", q=10), SliceView(
+        table, index, run, termination, [10], [len(run)], break_at, break_start, end))
+
+
+def test_the_walk_guards_a_view_built_without_refusals():
+    # a zero run, then P1's whole burst
+    empty = _engine_style_trace(("P1",), [0, 0], [0, 10], [QUANTUM_EXPIRED, COMPLETED], [0], [0])
+    assert trace_violations(empty, validate_workload(_ONE)) == ["empty or reversed slice P1 [0,0)"]
+    # a break at 5, though the slice before it ends at 10
+    overlap = _engine_style_trace(("P1", "P2"), [0, 1], [10, 10], [COMPLETED] * 2, [0, 1], [0, 5])
+    assert [*overlap.slices] == [Slice("P1", 0, 10, 1, 10, COMPLETED),
+                                 Slice("P2", 5, 15, 1, 10, COMPLETED)]
+    assert trace_violations(overlap, validate_workload(_TWO)) == [
+        "interval [5,15) overlaps the previous one"]
 
 
 def test_checker_runs_in_linear_time_over_many_idle_gaps():

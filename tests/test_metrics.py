@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import completion_times, seeded_workload
 from reference_format import format_decimal
-from test_engine import CHECKER_MUTATIONS
+from test_engine import CHECKER_MUTATIONS, built_or_refused
 
 from rrsim import (
     InconsistentTrace,
@@ -95,13 +95,16 @@ def test_compute_metrics_rejects_every_checker_mutation():
         workload = seeded_workload(seed)
         trace = simulate(workload, standard_policy(POLICY_NAMES[seed % len(POLICY_NAMES)]))
         for mutate, _ in CHECKER_MUTATIONS:
-            bad = mutate(trace, rng)
+            slices = mutate(trace, rng)
+            if slices is None:
+                continue
+            bad = built_or_refused(trace, slices)  # a refused list makes no trace to measure
             if bad is None:
                 continue
             applied[mutate] += 1
             with pytest.raises(InconsistentTrace):
                 compute_metrics(bad, workload)
-    assert set(applied) == {mutate for mutate, _ in CHECKER_MUTATIONS}
+    assert set(applied) == {mutate for mutate, violation in CHECKER_MUTATIONS if violation}
     assert sum(applied.values()) >= 3000
 
 

@@ -1,9 +1,10 @@
 """The columnar trace: ``ExecutionTrace.slices`` is a read-only view over
 three per-slice lists (pid index, run, termination), two per-cycle lists
-and the breaks where a slice does not start at the last one's end, and
+and the breaks (the first slice and each one after an idle gap), and
 reads like the tuple of ``Slice`` it replaced."""
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -106,13 +107,19 @@ def test_an_arrival_past_64_bits_survives_every_stage(name):
 
 
 def test_hand_built_values_are_kept_as_given():
-    # ints of any size, in an overlap too, read back exactly
+    # ints of any size, before and after an idle gap, read back exactly
     big = 2**70
     given = (Slice("P1", big, big + 2**65, 1, 2**65, QUANTUM_EXPIRED),
-             Slice("P2", big + 1, 3 * big, 1, 2**65, COMPLETED))
+             Slice("P2", big + 2**65 + 1, 3 * big, 1, 2**65, COMPLETED))
     trace = _trace(given)
-    assert trace.slices == given and trace.slices.breaks == ((0, big), (1, big + 1))
+    assert trace.slices == given and trace.slices[0].start == big
+    assert trace.idles == ((big + 2**65, big + 2**65 + 1),)
     assert trace.end_time() == 3 * big and trace.quantum_log == ((1, 2**65),)
+    # the same slices in an overlap are refused, naming the second
+    overlap = (given[0], given[1]._replace(start=big + 1))
+    with pytest.raises(ValueError, match=re.escape(
+            f"slice 1 [{big + 1},{3 * big}) starts before {big + 2**65}, where the slice before it ends")):
+        _trace(overlap)
 
 
 def test_trace_holds_at_most_32_bytes_per_slice():
@@ -155,18 +162,22 @@ def test_each_slice_is_stored_as_a_run_after_a_break():
     trace = _trace(_SLICES)
     view = trace.slices
     # the first slice and the one after the idle gap [10,15) are breaks
-    assert view.breaks == ((0, 0), (3, 15)) and trace.end_time() == 20
+    assert view[0].start == 0 and trace.end_time() == 20
     assert trace.idles == ((10, 15),)
     pid, start, end, *_ = view.columns
     assert (list(pid), list(start), list(end)) == (
         ["P1", "P2", "P1", "P3"], [0, 5, 8, 15], [5, 8, 10, 20])
     assert list(pid) == list(start) == list(end) == []  # one-shot iterators
-    # an overlap and a slice out of order are breaks too
+    # an overlap and a slice out of order are refused, naming the first of them
     odd = (Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED), Slice("P2", 5, 8, 1, 5, COMPLETED),
            Slice("P1", 6, 10, 2, 5, COMPLETED), Slice("P3", 2, 4, 3, 5, COMPLETED))
-    view = _trace(odd).slices
-    assert view.breaks == ((0, 0), (2, 6), (3, 2)) and view == odd
-    assert _trace(()).slices.breaks == () and _trace(()).end_time() == 0
+    with pytest.raises(ValueError, match=re.escape(
+            "slice 2 [6,10) starts before 8, where the slice before it ends")):
+        _trace(odd)
+    with pytest.raises(ValueError, match=re.escape(
+            "slice 3 [2,4) starts before 10, where the slice before it ends")):
+        _trace(odd[:2] + (odd[2]._replace(start=8),) + odd[3:])
+    assert _trace(()).idles == () and _trace(()).end_time() == 0
 
 
 @pytest.mark.parametrize("case_id", CASE_IDS)
@@ -187,7 +198,7 @@ def _assert_stored_alike(workload, name):
     walk finds the same in both."""
     trace = simulate(workload, standard_policy(name))
     view = SliceView.of(tuple(trace.slices))
-    assert view == trace.slices and view.breaks == trace.slices.breaks, name
+    assert view == trace.slices, name  # equal views have equal break lists
     rebuilt = ExecutionTrace(trace.algorithm, view, passes=trace.passes)
     assert rebuilt.idles == trace.idles and rebuilt.end_time() == trace.end_time()
     assert _walk_trace(rebuilt, workload) == _walk_trace(trace, workload), name
