@@ -310,8 +310,8 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
             due = admit(clock)
 
     return ExecutionTrace(policy.descriptor,
-                          SliceView(pid_col, ks, runs, terminations, quanta, counts,
-                                    break_at, break_start, clock),
+                          SliceView._raw(pid_col, ks, runs, terminations, quanta, counts,
+                                         break_at, break_start, clock),
                           passes=mode == TAIL_REJOIN)
 
 

@@ -56,23 +56,22 @@ def _indented_json(fields: dict, row_template: str) -> str:
     ``indent`` makes json fall back to its pure-Python encoder; this writes
     the same text with the C string escaper, ``str`` for ints and ``repr``
     for floats.  A value is a str, an int, a float, None, a dict of ints, a
-    list of ints, or a list of rows written by ``row_template``: tuples of
-    strs, ints, floats and None.
+    list or tuple of ints, or a table: an iterator over its columns, each a
+    list or tuple of strs, ints, floats and None, whose rows are written by
+    ``row_template``.  A table is never handed over as rows.
     """
     lines = []
     for key, value in fields.items():
-        if isinstance(value, dict):
+        if isinstance(value, (str, int, float)) or value is None:
+            text = _scalar(value)
+        elif isinstance(value, dict):
             items = [f"    {_escape(k)}: {v}" for k, v in value.items()]
             text = "{\n" + ",\n".join(items) + "\n  }" if items else "{}"
-        elif not isinstance(value, (list, tuple)):
-            text = _scalar(value)
-        elif not value:
-            text = "[]"
-        elif isinstance(value[0], tuple):
-            rows = [row_template % row for row in zip(*map(_column, zip(*value)))]
-            text = "[\n" + ",\n".join(rows) + "\n  ]"
-        else:
-            text = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]"
+        elif isinstance(value, (list, tuple)):
+            text = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]" if value else "[]"
+        else:  # a table
+            rows = [row_template % row for row in zip(*map(_column, value))]
+            text = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
         lines.append(f"  {_escape(key)}: {text}")
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
@@ -190,11 +189,8 @@ def serialize_workload(workload: Workload, format: str = CSV) -> bytes:
     there); JSON round-trips the label too.
     """
     if format == CSV:
-        lines = [CSV_HEADER]
-        lines.extend(f"{pid},{arrival},{burst}" for pid, arrival, burst in zip(*workload.columns))
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return (CSV_HEADER + "\n" + "".join(map("{},{},{}\n".format, *workload.columns))).encode()
     if format == JSON:
-        rows = list(zip(*workload.columns))
-        return _indented_json({"label": workload.label, "processes": rows},
+        return _indented_json({"label": workload.label, "processes": iter(workload.columns)},
                               _WORKLOAD_ROW).encode()
     raise ValueError(f"unknown workload format {format!r}")

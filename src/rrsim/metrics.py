@@ -1,8 +1,9 @@
 """Run metrics, cross-run comparison, and their text, JSON and CSV renderers.
 
-Averages and percentages are carried as exact ``Fraction`` values and only
-rounded when rendered (one decimal for averages, two for percentages; halves
-away from zero, in integer arithmetic), so golden comparisons never drift.
+A run's per-process results are seven columns, which the renderers format
+directly.  Averages and percentages are carried as exact ``Fraction`` values
+and only rounded when rendered (one decimal for averages, two for percentages;
+halves away from zero, in integer arithmetic), so golden comparisons never drift.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import Mapping, NamedTuple
 
 from .engine import _walk_trace, trace_violations  # noqa: F401 (bench/tracing.py wraps it)
 from .fileio import _indented_json, _json_row_template
-from .model import ExecutionTrace, PolicyDescriptor, Workload, record_builder
+from .model import ExecutionTrace, PolicyDescriptor, Workload
 
 
 class InconsistentTrace(ValueError):
@@ -35,14 +36,13 @@ class ProcessMetrics(NamedTuple):
     response: int    # first dispatch - arrival
 
 
-_row = record_builder(ProcessMetrics)
-
 # The per-process columns of `run`: its JSON keys and its CSV header.  The
 # text table drops the "_ms".
 PROCESS_COLUMNS = ("pid", "arrival_ms", "burst_ms", "completion_ms",
                    "turnaround_ms", "waiting_ms", "response_ms")
 _PROCESS_TEXT_ROW = "{:<8}{:>8}{:>7}{:>11}{:>11}{:>8}{:>9}"
 _PROCESS_CSV_ROW = ",".join(["{}"] * len(PROCESS_COLUMNS)) + "\n"
+_PROCESS_CSV_HEADER = ",".join(PROCESS_COLUMNS) + "\n"
 _PROCESS_JSON_ROW = _json_row_template(PROCESS_COLUMNS)
 _COMPARISON_ROW = "{:<14}{:>10}{:>12}{:>10}{:>11}{:>10}"
 
@@ -50,7 +50,7 @@ _COMPARISON_ROW = "{:<14}{:>10}{:>12}{:>10}{:>11}{:>10}"
 class RunMetrics(NamedTuple):
     descriptor: PolicyDescriptor
     workload_label: str
-    per_process: tuple[ProcessMetrics, ...]
+    columns: tuple  # one tuple or list per PROCESS_COLUMNS entry, in submission order
     avg_waiting: Fraction
     avg_turnaround: Fraction
     avg_response: Fraction
@@ -58,6 +58,11 @@ class RunMetrics(NamedTuple):
     makespan: int
     cpu_utilization: Fraction  # percent
     quantum_log: tuple[tuple[int, int], ...]
+
+    @property
+    def per_process(self) -> tuple[ProcessMetrics, ...]:
+        """The rows of ``columns``, built on each read."""
+        return tuple(map(ProcessMetrics, *self.columns))
 
     def quanta(self) -> tuple[int, ...]:
         return tuple(q for _, q in self.quantum_log)
@@ -69,7 +74,7 @@ class RunMetrics(NamedTuple):
             f"quanta:    {format_quanta(self.quanta())}",
             "",
             _PROCESS_TEXT_ROW.format(*(c.removesuffix("_ms") for c in PROCESS_COLUMNS)),
-            *(_PROCESS_TEXT_ROW.format(*p) for p in self.per_process),
+            *map(_PROCESS_TEXT_ROW.format, *self.columns),
             "",
             f"average waiting time:    {format_average(self.avg_waiting)}",
             f"average turnaround time: {format_average(self.avg_turnaround)}",
@@ -85,7 +90,7 @@ class RunMetrics(NamedTuple):
             "algorithm": self.descriptor.spec_string(),
             "workload": self.workload_label,
             "quanta": self.quanta(),
-            "per_process": self.per_process,
+            "per_process": iter(self.columns),
             "avg_waiting": float(format_average(self.avg_waiting)),
             "avg_turnaround": float(format_average(self.avg_turnaround)),
             "avg_response": float(format_average(self.avg_response)),
@@ -95,8 +100,7 @@ class RunMetrics(NamedTuple):
         }, _PROCESS_JSON_ROW)
 
     def render_csv(self) -> str:
-        return "".join(_PROCESS_CSV_ROW.format(*row)
-                       for row in (PROCESS_COLUMNS, *self.per_process))
+        return _PROCESS_CSV_HEADER + "".join(map(_PROCESS_CSV_ROW.format, *self.columns))
 
 
 def compute_metrics(trace: ExecutionTrace, workload: Workload) -> RunMetrics:
@@ -115,15 +119,12 @@ def compute_metrics(trace: ExecutionTrace, workload: Workload) -> RunMetrics:
     turnarounds = list(map(sub, completion, arrivals))
     waitings = list(map(sub, turnarounds, bursts))
     responses = list(map(sub, first_dispatch, arrivals))
-    rows = tuple(map(_row, zip(pids, arrivals, bursts, completion,
-                               turnarounds, waitings, responses)))
-
-    n = len(rows)
+    n = len(pids)
     makespan = trace.end_time() - min(arrivals)
     return RunMetrics(
         descriptor=trace.algorithm,
         workload_label=workload.label,
-        per_process=rows,
+        columns=(pids, arrivals, bursts, completion, turnarounds, waitings, responses),
         avg_waiting=Fraction(sum(waitings), n),
         avg_turnaround=Fraction(sum(turnarounds), n),
         avg_response=Fraction(sum(responses), n),

@@ -253,19 +253,20 @@ class SliceView(Sequence):
     indexed or iterated; ``view[a:b]`` is a ``tuple`` of them.  ``columns``
     gives, in ``Slice`` field order, each slice's pid, start, end, cycle and
     quantum as one-shot iterators and the shared termination list (never
-    change it).
+    change it).  Build one with :meth:`of`; ``SliceView(…)`` takes no
+    arguments, and only ``simulate`` builds one unchecked, through ``_raw``.
     """
 
     __slots__ = ("_table", "_index", "_run", "_termination", "_quanta", "_counts",
                  "_break_at", "_break_start", "_end", "_starts", "_cycle_ends")
 
-    def __init__(self, table: Sequence[str], index: list[int], run: list, termination: list,
-                 quanta: list, counts: list, break_at: list[int], break_start: list, end):
-        self._table, self._index, self._run, self._termination = table, index, run, termination
-        self._quanta, self._counts = quanta, counts
-        self._break_at, self._break_start = break_at, break_start
-        self._end = end  # the last slice's end, so that no read rescans the runs
-        self._starts = self._cycle_ends = None  # built on first index
+    @classmethod
+    def _raw(cls, *values):  # unchecked, for ``simulate``: the first nine slots, in order
+        view = object.__new__(cls)
+        (view._table, view._index, view._run, view._termination, view._quanta, view._counts,
+         view._break_at, view._break_start, view._end) = values  # _end: no read rescans the runs
+        view._starts = view._cycle_ends = None  # built on first index
+        return view
 
     @classmethod
     def of(cls, slices: Iterable[Slice]) -> "SliceView":
@@ -308,7 +309,8 @@ class SliceView(Sequence):
             run.append(stop - start)
             termination.append(term)
             end = stop
-        return cls(tuple(table), index, run, termination, quanta, counts, break_at, break_start, end)
+        return cls._raw(tuple(table), index, run, termination, quanta, counts, break_at,
+                        break_start, end)
 
     def _stops(self) -> list[int]:
         """The slice after each break's run of slices, which the next break starts."""

@@ -203,7 +203,7 @@ class ReproductionReport(NamedTuple):
 
     def render_json(self) -> str:
         return _indented_json({
-            "cells": self.checks,
+            "cells": iter(tuple(zip(*self.checks))),  # a live zip keeps an iterator per cell
             "summary": {
                 "match": len(self.matches),
                 "known_erratum": len(self.known_errata),

@@ -3,6 +3,7 @@ import dataclasses
 import random
 import re
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -789,7 +790,7 @@ def _engine_style_trace(table, index, run, termination, break_at, break_start):
     """A trace of one cycle at quantum 10, its view built as ``simulate``
     builds one, without ``SliceView.of``'s refusals."""
     end = break_start[-1] + sum(run[break_at[-1]:])
-    return ExecutionTrace(PolicyDescriptor.of("RR", q=10), SliceView(
+    return ExecutionTrace(PolicyDescriptor.of("RR", q=10), SliceView._raw(
         table, index, run, termination, [10], [len(run)], break_at, break_start, end))
 
 
@@ -803,6 +804,21 @@ def test_the_walk_guards_a_view_built_without_refusals():
                                  Slice("P2", 5, 15, 1, 10, COMPLETED)]
     assert trace_violations(overlap, validate_workload(_TWO)) == [
         "interval [5,15) overlaps the previous one"]
+
+
+def test_only_the_engine_builds_a_view_unchecked():
+    # the overlap above, through every public path: none stores it
+    lists = (("P1", "P2"), [0, 1], [10, 10], [COMPLETED] * 2, [10], [2], [0, 1], [0, 5], 15)
+    with pytest.raises(TypeError, match="takes no arguments"):
+        SliceView(*lists)
+    overlap = [Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P2", 5, 15, 1, 10, COMPLETED)]
+    refusal = re.escape("slice 1 [5,15) starts before 10, where the slice before it ends")
+    for build in (SliceView.of, partial(ExecutionTrace, PolicyDescriptor.of("RR", q=10))):
+        with pytest.raises(ValueError, match=refusal):
+            build(overlap)
+    # unchecked, it stores a reversed gap: the engine alone may build one so
+    assert ExecutionTrace(PolicyDescriptor.of("RR", q=10),
+                          SliceView._raw(*lists)).idles == (IdleGap(10, 5),)
 
 
 def test_checker_runs_in_linear_time_over_many_idle_gaps():

@@ -12,13 +12,14 @@ from rrsim import (
     InconsistentTrace,
     MismatchedCaseSets,
     ProcessMetrics,
+    RunMetrics,
     compare_runs,
     compute_metrics,
     simulate,
     validate_workload,
 )
 from rrsim.engine import _walk_trace
-from rrsim.metrics import format_average, format_percent
+from rrsim.metrics import PROCESS_COLUMNS, format_average, format_percent
 from rrsim.policies import POLICY_NAMES, make_dabrr, make_round_robin, standard_policy
 from rrsim.workloads import CASE_IDS, benchmark_case
 
@@ -137,6 +138,20 @@ def test_columnar_rows_equal_the_per_process_loop():
             assert all(type(r) is ProcessMetrics for r in m.per_process), (seed, name)
             assert (m.per_process, m.avg_waiting, m.avg_turnaround, m.avg_response) \
                 == _rows_per_process(trace, workload), (seed, name)
+
+
+def test_run_metrics_store_columns_and_derive_the_rows():
+    assert "columns" in RunMetrics._fields and "per_process" not in RunMetrics._fields
+    for seed in range(100):
+        workload = seeded_workload(seed)
+        for name in POLICY_NAMES:
+            m = compute_metrics(simulate(workload, standard_policy(name)), workload)
+            assert len(m.columns) == len(PROCESS_COLUMNS), (seed, name)
+            assert tuple(map(tuple, m.columns)) == tuple(map(tuple, zip(*m.per_process))), \
+                (seed, name)
+            assert m.columns[:3] == workload.columns, (seed, name)
+    with pytest.raises(AttributeError):
+        m.per_process = ()
 
 
 def test_waiting_is_turnaround_minus_burst_everywhere():

@@ -14,7 +14,6 @@ import rrsim
 from rrsim import (
     GeneratorSpec,
     PolicyDescriptor,
-    ProcessMetrics,
     ProcessSpec,
     ReadySnapshot,
     Workload,
@@ -326,7 +325,7 @@ def _checks_nothing(cls) -> bool:
 
 def test_records_built_in_c_define_no_check_of_their_own():
     built = _built_in_c()
-    assert built == {Slice, ReadySnapshot, ProcessMetrics}
+    assert built == {Slice, ReadySnapshot}
     assert all(_checks_nothing(cls) for cls in built)
     # a record with a check of its own is told apart
     assert not _checks_nothing(ProcessSpec) and not _checks_nothing(GeneratorSpec)
