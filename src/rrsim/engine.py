@@ -26,8 +26,14 @@ they ran, so an ``ascending`` policy's queue stays in :func:`rank_order`
   preempted process rejoins.  A cycle is thus one pass over a single
   FIFO queue.
 
-A cycle is dispatched in one of two ways, which give the same slices:
+A plan whose order is the snapshot's ``entries`` itself, as a plain tuple
+with an ``int`` quantum of at least 1, is accepted inline; any other goes
+to the full check, which raises :class:`PolicyPlanInvalid`.  A cycle is
+dispatched in one of three ways, which give the same slices:
 
+* as one slice, when the queue holds one process: whatever arrives during
+  it can only join the next cycle's queue, under ``tail_rejoin`` ahead of
+  the process if the slice preempts it;
 * in bulk, when the policy is ``ascending``, no arrival can act before the
   cycle ends (``cycle_boundary``, or ``slice_boundary_restart`` once every
   process has arrived) and the queue holds at least :data:`BULK_QUEUE_MIN`
@@ -177,7 +183,12 @@ def _checked_plan(policy: PolicyBehavior,
                   snapshot: ReadySnapshot) -> tuple[list[int], list[int], int]:
     """The policy's plan for ``snapshot``, checked: its order as the index and
     remaining columns of the queue it dispatches, and its quantum."""
-    plan = policy.plan(snapshot)
+    return _check_plan(policy, snapshot, policy.plan(snapshot))
+
+
+def _check_plan(policy: PolicyBehavior, snapshot: ReadySnapshot,
+                plan) -> tuple[list[int], list[int], int]:
+    """:func:`_checked_plan` for the ``plan`` that the policy has returned."""
     try:
         order, quantum = plan
     except (TypeError, ValueError):
@@ -218,8 +229,8 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     mode = policy.arrival_mode
     if mode not in ARRIVAL_MODES:
         raise ValueError(f"unknown arrival mode {mode!r}")
-    ascending = policy.ascending
-    if ascending and mode == TAIL_REJOIN:  # newcomers join ahead of the preempted one
+    ascending, plan, tail_rejoin = policy.ascending, policy.plan, mode == TAIL_REJOIN
+    if ascending and tail_rejoin:  # newcomers join ahead of the preempted one
         raise ValueError(f"arrival mode {mode!r} cannot keep the queue ascending")
     columns = pid_col, arrival_col, burst_col = workload.columns
     # sorted() is stable, so equal arrivals keep their submission order
@@ -268,10 +279,34 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
         queue = _new(ReadyQueue)  # no Python __init__ runs
         queue.submission_index, queue.remaining, queue._columns = index, remaining, columns
         snapshot = _snapshot((queue, clock, len(quanta) + 1))
-        run_index, run_remaining, quantum = _checked_plan(policy, snapshot)
+        checked = plan(snapshot)
+        # the common plan, accepted here: the queue as it stands, an int quantum >= 1
+        if (type(checked) is tuple and len(checked) == 2 and checked[0] is queue
+                and type(checked[1]) is int and checked[1] >= 1):
+            run_index, run_remaining, quantum = index, remaining, checked[1]
+        else:
+            run_index, run_remaining, quantum = _check_plan(policy, snapshot, checked)
         quanta.append(quantum)
         watch = due if mode != CYCLE_BOUNDARY else never  # an arrival that acts mid-cycle
-        if ascending and watch == never and len(run_index) >= BULK_QUEUE_MIN:
+        if len(run_index) == 1:
+            # one slice: an arrival during it can only join the next cycle
+            k, work = run_index[0], run_remaining[0]
+            ks.append(k)
+            index, remaining = [], []  # new lists: the snapshot's view keeps the ones it was handed
+            if work > quantum:
+                runs.append(quantum)
+                terminations.append(QUANTUM_EXPIRED)
+                clock += quantum
+                if clock >= due and tail_rejoin:
+                    due = admit(clock)  # same-ms arrivals enqueue before the preempted one
+                index.append(k)
+                remaining.append(work - quantum)
+            else:
+                runs.append(work)
+                terminations.append(COMPLETED)
+                clock += work
+            counts.append(1)
+        elif ascending and watch == never and len(run_index) >= BULK_QUEUE_MIN:
             # bulk: the queue ascends, so the processes with no more work than
             # the quantum, which finish, are its first ``cut``; the rest expire
             n, cut = len(run_index), bisect_right(run_remaining, quantum)
@@ -296,7 +331,7 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
                 runs.append(run)
                 terminations.append(QUANTUM_EXPIRED if left > 0 else COMPLETED)
                 clock += run
-                if clock >= watch and mode == TAIL_REJOIN:
+                if clock >= watch and tail_rejoin:
                     watch = due = admit(clock)  # same-ms arrivals enqueue before the preempted one
                 if left > 0:
                     index.append(k)
@@ -312,7 +347,7 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     return ExecutionTrace(policy.descriptor,
                           SliceView._raw(pid_col, ks, runs, terminations, quanta, counts,
                                          break_at, break_start, clock),
-                          passes=mode == TAIL_REJOIN)
+                          passes=tail_rejoin)
 
 
 def trace_violations(trace: ExecutionTrace, workload: Workload) -> list[str]:

@@ -189,7 +189,8 @@ def serialize_workload(workload: Workload, format: str = CSV) -> bytes:
     there); JSON round-trips the label too.
     """
     if format == CSV:
-        return (CSV_HEADER + "\n" + "".join(map("{},{},{}\n".format, *workload.columns))).encode()
+        rows = map("%s,%s,%s\n".__mod__, zip(*workload.columns))
+        return (CSV_HEADER + "\n" + "".join(rows)).encode()
     if format == JSON:
         return _indented_json({"label": workload.label, "processes": iter(workload.columns)},
                               _WORKLOAD_ROW).encode()

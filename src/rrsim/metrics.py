@@ -41,7 +41,7 @@ class ProcessMetrics(NamedTuple):
 PROCESS_COLUMNS = ("pid", "arrival_ms", "burst_ms", "completion_ms",
                    "turnaround_ms", "waiting_ms", "response_ms")
 _PROCESS_TEXT_ROW = "{:<8}{:>8}{:>7}{:>11}{:>11}{:>8}{:>9}"
-_PROCESS_CSV_ROW = ",".join(["{}"] * len(PROCESS_COLUMNS)) + "\n"
+_PROCESS_CSV_ROW = ",".join(["%s"] * len(PROCESS_COLUMNS)) + "\n"
 _PROCESS_CSV_HEADER = ",".join(PROCESS_COLUMNS) + "\n"
 _PROCESS_JSON_ROW = _json_row_template(PROCESS_COLUMNS)
 _COMPARISON_ROW = "{:<14}{:>10}{:>12}{:>10}{:>11}{:>10}"
@@ -100,7 +100,7 @@ class RunMetrics(NamedTuple):
         }, _PROCESS_JSON_ROW)
 
     def render_csv(self) -> str:
-        return _PROCESS_CSV_HEADER + "".join(map(_PROCESS_CSV_ROW.format, *self.columns))
+        return _PROCESS_CSV_HEADER + "".join(map(_PROCESS_CSV_ROW.__mod__, zip(*self.columns)))
 
 
 def compute_metrics(trace: ExecutionTrace, workload: Workload) -> RunMetrics:

@@ -215,9 +215,11 @@ class ReproductionReport(NamedTuple):
 
 def run_case(case_id: str, algorithm: str) -> RunMetrics:
     """Simulate one benchmark case under one policy (benchmark parameters)."""
-    workload = benchmark_case(case_id)
-    trace = simulate(workload, standard_policy(algorithm))
-    return compute_metrics(trace, workload)
+    return _metrics(benchmark_case(case_id), standard_policy(algorithm))
+
+
+def _metrics(workload, policy) -> RunMetrics:
+    return compute_metrics(simulate(workload, policy), workload)
 
 
 def _check(table, algorithm, cell, fmt, actual, published, derived, erratum_id):
@@ -273,9 +275,11 @@ _GRAND_CELLS = {
 
 
 def _run_table(case_ids):
-    """Per-case metrics of every policy at its benchmark parameters."""
-    return {standard_policy(name).descriptor: {c: run_case(c, name) for c in case_ids}
-            for name in POLICY_NAMES}
+    """Per-case metrics of every policy at its benchmark parameters; each
+    case's workload is built once, and each policy."""
+    workloads = {c: benchmark_case(c) for c in case_ids}
+    return {policy.descriptor: {c: _metrics(w, policy) for c, w in workloads.items()}
+            for policy in map(standard_policy, POLICY_NAMES)}
 
 
 def _group_reports(table) -> dict[str, ComparisonReport]:

@@ -24,7 +24,10 @@ from rrsim import (
     validate_workload,
 )
 from rrsim.engine import (
+    ARRIVAL_MODES,
+    CYCLE_BOUNDARY,
     SLICE_BOUNDARY_RESTART,
+    TAIL_REJOIN,
     _walk_trace,
     PolicyBehavior,
     ReadyQueue,
@@ -111,10 +114,17 @@ def test_dabrr_restart_replans_when_arrivals_interrupt_a_cycle():
     assert trace_violations(trace, w) == []
 
 
-def _defective(order_fn, quantum=10):
+def _defective(order_fn, quantum=10, mode=CYCLE_BOUNDARY):
     def plan(snapshot):  # ``order_fn`` maps the queue positions to the plan's order
         return order_fn(tuple(range(len(snapshot.entries)))), quantum
-    return PolicyBehavior(PolicyDescriptor.of("BROKEN"), plan)
+    return PolicyBehavior(PolicyDescriptor.of("BROKEN"), plan, mode)
+
+
+# The defective plans below are each refused on case I, whose first cycle
+# plans over five processes, and on ONE_FIRST, whose first cycle plans over
+# one in every arrival mode: P2 arrives during P1's first slice.
+ONE_FIRST = validate_workload([("P1", 0, 30), ("P2", 5, 20)])
+in_every_mode = pytest.mark.parametrize("mode", ARRIVAL_MODES)
 
 
 def test_plan_must_be_a_permutation():
@@ -136,16 +146,45 @@ def test_plan_must_be_a_permutation():
             simulate(benchmark_case("I"), _defective(lambda positions: order))
 
 
-@pytest.mark.parametrize("order_fn", [
+@pytest.mark.parametrize("order", [
+    [],            # the position dropped
+    [0, 0],        # repeated
+    (1,),          # past the end
+    [-1],          # negative: it indexes the one process too
+    [False],       # a bool: it equals 0 and indexes like it
+    [0.0],         # a float equal to 0
+    ["0"],         # a str
+    [[0]],         # unhashable
+])
+@in_every_mode
+def test_one_process_plan_must_be_a_permutation(order, mode):
+    message = (rf"^BROKEN: plan order {re.escape(repr(order))} is not a permutation "
+               rf"of the queue positions 0\.\.0$")
+    with pytest.raises(PolicyPlanInvalid, match=message):
+        simulate(ONE_FIRST, _defective(lambda positions: order, mode=mode))
+
+
+not_the_entries = pytest.mark.parametrize("order_fn", [
     list,                                      # the queue order, but as positions
     lambda positions: positions[::-1],         # a permutation out of rank order
     lambda positions: positions[:-1],          # a position short
 ])
+NOT_THE_ENTRIES = "^BROKEN: plan order .* is not the ascending queue's entries$"
+
+
+@not_the_entries
 def test_ascending_plan_must_be_the_snapshot_entries(order_fn):
     policy = dataclasses.replace(_defective(order_fn), ascending=True)
-    with pytest.raises(PolicyPlanInvalid, match="^BROKEN: plan order .* is not the "
-                                                "ascending queue's entries$"):
+    with pytest.raises(PolicyPlanInvalid, match=NOT_THE_ENTRIES):
         simulate(benchmark_case("I"), policy)
+
+
+@not_the_entries
+@pytest.mark.parametrize("mode", [CYCLE_BOUNDARY, SLICE_BOUNDARY_RESTART])  # both that ascend
+def test_one_process_ascending_plan_must_be_the_snapshot_entries(order_fn, mode):
+    policy = dataclasses.replace(_defective(order_fn, mode=mode), ascending=True)
+    with pytest.raises(PolicyPlanInvalid, match=NOT_THE_ENTRIES):
+        simulate(ONE_FIRST, policy)
 
 
 def test_ascending_queue_rejects_tail_rejoin():
@@ -182,7 +221,22 @@ def test_plan_quantum_must_be_positive():
         simulate(w, _defective(lambda positions: positions, quantum=0))
 
 
-@pytest.mark.parametrize("quantum", [2.5, 3.0, True], ids=["float", "integral float", "bool"])
+@in_every_mode
+@pytest.mark.parametrize("quantum", [0, -1])
+def test_one_process_plan_quantum_must_be_positive(quantum, mode):
+    # the entries as the order take the inline check, the positions the full one
+    for policy in (PolicyBehavior(PolicyDescriptor.of("BROKEN"),
+                                  lambda s: (s.entries, quantum), mode),
+                   _defective(lambda positions: positions, quantum, mode)):
+        with pytest.raises(PolicyPlanInvalid, match=rf"^BROKEN: quantum {quantum} < 1$"):
+            simulate(ONE_FIRST, policy)
+
+
+not_an_int = pytest.mark.parametrize("quantum", [2.5, 3.0, True],
+                                     ids=["float", "integral float", "bool"])
+
+
+@not_an_int
 def test_plan_quantum_must_be_an_int(quantum):
     # each would simulate, then fail in Fraction arithmetic or print as "True"
     policy = PolicyBehavior(PolicyDescriptor.of("X"), lambda s: (s.entries, quantum))
@@ -190,14 +244,33 @@ def test_plan_quantum_must_be_an_int(quantum):
         simulate(benchmark_case("I"), policy)
 
 
-@pytest.mark.parametrize("order_fn, kind", [
+@not_an_int
+@in_every_mode
+def test_one_process_plan_quantum_must_be_an_int(mode, quantum):
+    policy = PolicyBehavior(PolicyDescriptor.of("X"), lambda s: (s.entries, quantum), mode)
+    with pytest.raises(PolicyPlanInvalid, match=rf"^X: quantum {quantum!r} is not an int$"):
+        simulate(ONE_FIRST, policy)
+
+
+not_a_sequence = pytest.mark.parametrize("order_fn, kind", [
     (iter, "tuple_iterator"),
     (lambda positions: None, "NoneType"),
 ], ids=["iterator", "none"])
+
+
+@not_a_sequence
 def test_plan_order_must_be_a_tuple_or_list(order_fn, kind):
     with pytest.raises(PolicyPlanInvalid,
                        match=rf"^BROKEN: plan order is a {kind}, not a tuple or list$"):
         simulate(benchmark_case("I"), _defective(order_fn))
+
+
+@not_a_sequence
+@in_every_mode
+def test_one_process_plan_order_must_be_a_tuple_or_list(mode, order_fn, kind):
+    with pytest.raises(PolicyPlanInvalid,
+                       match=rf"^BROKEN: plan order is a {kind}, not a tuple or list$"):
+        simulate(ONE_FIRST, _defective(order_fn, mode=mode))
 
 
 def test_plan_may_return_a_plain_pair():
@@ -207,17 +280,51 @@ def test_plan_may_return_a_plain_pair():
     assert simulate(w, pair) == simulate(w, dabrr)
 
 
-@pytest.mark.parametrize("result, kind", [
+not_a_pair = pytest.mark.parametrize("result, kind", [
     (None, "NoneType"),
     (5, "int"),
     ((), "tuple"),
     (("order", 5, "extra"), "tuple"),
 ], ids=["none", "int", "empty", "triple"])
+
+
+@not_a_pair
 def test_plan_result_must_be_a_pair(result, kind):
     policy = PolicyBehavior(PolicyDescriptor.of("X"), lambda s: result)
     with pytest.raises(PolicyPlanInvalid,
                        match=rf"^X: plan is a {kind}, not an \(order, quantum\) pair$"):
         simulate(benchmark_case("I"), policy)
+
+
+@not_a_pair
+@in_every_mode
+def test_one_process_plan_result_must_be_a_pair(mode, result, kind):
+    policy = PolicyBehavior(PolicyDescriptor.of("X"), lambda s: result, mode)
+    with pytest.raises(PolicyPlanInvalid,
+                       match=rf"^X: plan is a {kind}, not an \(order, quantum\) pair$"):
+        simulate(ONE_FIRST, policy)
+
+
+@in_every_mode
+def test_one_process_cycles_run_alike_under_either_plan_check(mode):
+    # The plain tuple of the entries and an int quantum is accepted inline;
+    # a list, a tuple subclass and the positions take the full check.  Each
+    # cycle that holds one process is dispatched as one slice: under
+    # tail_rejoin P2, which arrived during P1's first slice, runs before P1.
+    class Pair(tuple):
+        pass
+
+    def policy(plan):
+        return PolicyBehavior(PolicyDescriptor.of("X"), plan, mode)
+
+    first, second = ("P2", "P1") if mode == TAIL_REJOIN else ("P1", "P2")
+    for plan in (lambda s: (s.entries, 10), lambda s: [s.entries, 10],
+                 lambda s: Pair((s.entries, 10)), lambda s: (tuple(range(len(s.entries))), 10)):
+        trace = simulate(ONE_FIRST, policy(plan))
+        assert [(s.pid, s.start, s.end, s.cycle) for s in trace.slices] == [
+            ("P1", 0, 10, 1), (first, 10, 20, 2), (second, 20, 30, 2),
+            (first, 30, 40, 3), (second, 40, 50, 3)]
+        assert trace_violations(trace, ONE_FIRST) == []
 
 
 def test_a_snapshot_view_reads_the_queue_columns():

@@ -253,6 +253,27 @@ def test_a_snapshot_never_changes_once_handed_off(shape, name):
         assert [*_columns(e), e.submission_index] == columns, f"cycle {snapshot.cycle_index}"
 
 
+@pytest.mark.parametrize("shape", ["busy", "sparse"])
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_plan_is_called_once_per_cycle_on_a_fresh_snapshot(shape, name):
+    # On *sparse* most cycles hold one process and on *busy* few do, so
+    # each dispatch path is taken; none may skip or repeat a plan.
+    policy = standard_policy(name)
+    snapshots = []
+
+    def plan(snapshot):
+        snapshots.append(snapshot)
+        return policy.plan(snapshot)
+
+    workload = _shaped(shape, 0, n=200)
+    trace = simulate(workload, dataclasses.replace(policy, plan=plan))
+    assert len(snapshots) == len(trace.slices._quanta)
+    assert [s.cycle_index for s in snapshots] == list(range(1, len(snapshots) + 1))
+    assert len(set(map(id, snapshots))) == len(set(id(s.entries) for s in snapshots)) \
+        == len(snapshots)
+    assert trace == simulate(workload, policy)
+
+
 def test_dqrrr_keeps_queue_order_without_new_arrivals():
     # case I after cycle 1's quantum of 60: both survivors have run
     snapshot = ReadySnapshot.of(["P5", "P4"], [42, 30], [0, 0], [102, 90],
