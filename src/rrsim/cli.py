@@ -113,10 +113,13 @@ def _cmd_run(args) -> int:
     policy = _policy(args.algo)
     trace = simulate(workload, policy)
     run = compute_metrics(trace, workload)
+    # the chart, drawn first, is the trace's last reader: free the trace
+    # before the table renders, and write the chart after it
+    chart = "\n" + render_gantt(trace) if args.gantt else ""
+    del trace
     render = {"text": run.render_text, "json": run.render_json, "csv": run.render_csv}
     sys.stdout.write(render[args.format]())
-    if args.gantt:
-        sys.stdout.write("\n" + render_gantt(trace))
+    sys.stdout.write(chart)
     return 0
 
 

@@ -3,10 +3,10 @@
 Every policy runs on one cycle loop over one ready queue, stored as two
 columns: each queued process's submission index and its remaining work.
 The trace stores each cycle's quantum once, and each slice as its
-process's submission index, its run and its termination: objects the
-engine already holds, since a run is the cycle's quantum or the process's
-remaining work.  Start and end times are derived from the runs and from
-one break per idle gap.
+process's submission index and its run, objects the engine already holds
+(a run is the cycle's quantum or the process's remaining work), plus one
+byte for its termination.  Start and end times are derived from the runs
+and from one break per idle gap.
 At each cycle start the policy gets a snapshot whose ``entries`` is a
 read-only :class:`ReadyQueue` view of the columns, and answers with a
 plain ``(order, quantum)`` pair: a quantum for the whole cycle and an
@@ -56,8 +56,6 @@ from operator import lt, sub
 from typing import Callable, Iterable, NamedTuple
 
 from .model import (
-    COMPLETED,
-    QUANTUM_EXPIRED,
     ExecutionTrace,
     PolicyDescriptor,
     SliceView,
@@ -241,9 +239,11 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     arrivals.append(never)  # so the next arrival after the last one is ``never``
 
     # the trace's columns: one entry per slice in three (its process's
-    # submission index, its run and its termination), per cycle in two; no
-    # record, and no new object: a run is the cycle's quantum or the work left
-    ks, runs, terminations, quanta, counts = [], [], [], [], []
+    # submission index, its run, and its termination as a byte, 1 when the
+    # slice completes the process), per cycle in two; no record, and no new
+    # object: a run is the cycle's quantum or the work left
+    ks, runs, quanta, counts = [], [], [], []
+    terminations = bytearray()
     clock = arrivals[0]
     # the first slice and each that starts after an idle gap: its index and start
     break_at, break_start = [0], [clock]
@@ -295,7 +295,7 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
             index, remaining = [], []  # new lists: the snapshot's view keeps the ones it was handed
             if work > quantum:
                 runs.append(quantum)
-                terminations.append(QUANTUM_EXPIRED)
+                terminations.append(0)
                 clock += quantum
                 if clock >= due and tail_rejoin:
                     due = admit(clock)  # same-ms arrivals enqueue before the preempted one
@@ -303,7 +303,7 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
                 remaining.append(work - quantum)
             else:
                 runs.append(work)
-                terminations.append(COMPLETED)
+                terminations.append(1)
                 clock += work
             counts.append(1)
         elif ascending and watch == never and len(run_index) >= BULK_QUEUE_MIN:
@@ -314,8 +314,8 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
             ks += run_index
             runs += finished
             runs += repeat(quantum, n - cut)
-            terminations += repeat(COMPLETED, cut)
-            terminations += repeat(QUANTUM_EXPIRED, n - cut)
+            terminations += b"\x01" * cut
+            terminations += bytes(n - cut)
             clock += sum(finished) + quantum * (n - cut)
             # new lists: the snapshot's view keeps the ones it was handed
             index = run_index[cut:]
@@ -329,7 +329,7 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
                 run = quantum if left > 0 else work
                 ks.append(k)
                 runs.append(run)
-                terminations.append(QUANTUM_EXPIRED if left > 0 else COMPLETED)
+                terminations.append(left <= 0)
                 clock += run
                 if clock >= watch and tail_rejoin:
                     watch = due = admit(clock)  # same-ms arrivals enqueue before the preempted one
@@ -378,7 +378,7 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], l
     when there are no messages.
 
     The walk reads each slice's process by its submission index ``k``, into
-    lists, and its run as stored; it derives the slice's start and end
+    lists, and its run and termination byte as stored; it derives the slice's start and end
     from the break before it and the runs since, and tests the tiling once
     per break.  Each group of checks sits behind one test that a valid
     slice passes, so a valid trace pays a few comparisons per slice; the
@@ -436,12 +436,12 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], l
                 first_dispatch[k] = start
             rest = left[k] = left[k] - run
             if rest <= 0:
-                if termination != COMPLETED:
+                if not termination:
                     problems.append(f"last slice of {names[k]} not marked completed")
                 if rest + run > 0:  # this slice used up the last of the burst
                     finished += 1
                     completion[k] = end
-            elif termination == COMPLETED:
+            elif termination:
                 problems.append(f"non-final slice of {names[k]} marked completed")
 
     problems.extend(f"pid {pid}: executed {burst - rest} ms, burst is {burst} ms"

@@ -216,6 +216,7 @@ def _validate_columns(pid: Sequence[str], arrival: Sequence[int], burst: Sequenc
 
 COMPLETED = "completed"
 QUANTUM_EXPIRED = "quantum_expired"
+_TERMINATIONS = (QUANTUM_EXPIRED, COMPLETED)  # by the byte a SliceView stores for each
 
 
 class Slice(NamedTuple):
@@ -240,21 +241,24 @@ class IdleGap(NamedTuple):
 
 
 class SliceView(Sequence):
-    """A read-only sequence of :class:`Slice`, stored as three lists of one
-    value per slice, two of one value per cycle and two of one per break.
+    """A read-only sequence of :class:`Slice`, stored as three columns of one
+    value per slice, two lists of one value per cycle and two of one per break.
 
-    Per slice: the index of its pid in a pid table, its run ``end - start``
-    and its termination.  Per cycle: the quantum and the number of slices.
-    A slice starts where the one before it ended, except at a break: the
-    first slice, and each one after an idle gap.  Per break: the slice's
-    index and its start.  Start and end times are thus derived, and the
-    engine stores no new int per slice: a run is its cycle's quantum or the
-    work its process had left.  A ``Slice`` is built only when the view is
-    indexed or iterated; ``view[a:b]`` is a ``tuple`` of them.  ``columns``
-    gives, in ``Slice`` field order, each slice's pid, start, end, cycle and
-    quantum as one-shot iterators and the shared termination list (never
-    change it).  Build one with :meth:`of`; ``SliceView(…)`` takes no
-    arguments, and only ``simulate`` builds one unchecked, through ``_raw``.
+    Per slice: the index of its pid in a pid table and its run
+    ``end - start``, in lists, and its termination as one byte of a
+    ``bytearray``: 0 for ``QUANTUM_EXPIRED``, 1 for ``COMPLETED``.  Per
+    cycle: the quantum and the number of slices.  A slice starts where the
+    one before it ended, except at a break: the first slice, and each one
+    after an idle gap.  Per break: the slice's index and its start.  Start
+    and end times are thus derived, and the engine stores no new int per
+    slice: a run is its cycle's quantum or the work its process had left.
+    A ``Slice`` is built only when the view is indexed or iterated, with
+    its termination read back as the module's own constant; ``view[a:b]``
+    is a ``tuple`` of them.  ``columns`` gives, in ``Slice`` field order,
+    each slice's pid, start, end, cycle, quantum and termination as
+    one-shot iterators.  Build one with :meth:`of`; ``SliceView(…)`` takes
+    no arguments, and only ``simulate`` builds one unchecked, through
+    ``_raw``.
     """
 
     __slots__ = ("_table", "_index", "_run", "_termination", "_quanta", "_counts",
@@ -279,8 +283,8 @@ class SliceView(Sequence):
         cycle's, or that runs less than 1 ms or starts before the slice
         before it ends.
         """
-        table, index, run, termination, quanta, counts, break_at, break_start = (
-            {}, [], [], [], [], [], [], [])
+        table, index, run, quanta, counts, break_at, break_start = {}, [], [], [], [], [], []
+        termination = bytearray()
         end = 0
         for i, item in enumerate(slices):
             try:
@@ -307,7 +311,7 @@ class SliceView(Sequence):
                 break_start.append(start)
             index.append(table.setdefault(pid, len(table)))
             run.append(stop - start)
-            termination.append(term)
+            termination.append(term == COMPLETED)
             end = stop
         return cls._raw(tuple(table), index, run, termination, quanta, counts, break_at,
                         break_start, end)
@@ -331,7 +335,7 @@ class SliceView(Sequence):
     def columns(self) -> tuple:
         return (map(self._table.__getitem__, self._index), self._start_times(),
                 map(add, self._start_times(), self._run), self._per_slice(count(1)),
-                self._per_slice(self._quanta), self._termination)
+                self._per_slice(self._quanta), map(_TERMINATIONS.__getitem__, self._termination))
 
     def __len__(self) -> int:
         return len(self._run)
@@ -346,7 +350,7 @@ class SliceView(Sequence):
         c = bisect_right(self._cycle_ends, i)  # the number of cycles before slice i's
         start = self._starts[i]
         return _slice((self._table[self._index[i]], start, start + self._run[i], c + 1,
-                       self._quanta[c], self._termination[i]))
+                       self._quanta[c], _TERMINATIONS[self._termination[i]]))
 
     def __iter__(self):
         return map(_slice, zip(*self.columns))

@@ -4,12 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
-from rrsim import ProcessSpec
+from rrsim import ProcessSpec, cli, compute_metrics, simulate
 from rrsim.cli import main
 from rrsim.fileio import parse_workload
+from rrsim.gantt import render_gantt
+from rrsim.metrics import RunMetrics
+from rrsim.policies import parse_policy_spec
+from rrsim.workloads import benchmark_case
 
 
 def rrsim(*args):
@@ -69,6 +74,38 @@ def test_run_with_gantt():
     proc = rrsim("run", "--algo", "dqrrr", "--workload", "case:III", "--gantt")
     assert proc.returncode == 0
     assert "cycle 1  <- quantum 75 ->" in proc.stdout
+
+
+@pytest.mark.parametrize("gantt", [False, True], ids=["table", "gantt"])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_run_frees_its_trace_before_any_renderer(monkeypatch, fmt, gantt):
+    # the output is what the parts render, the chart after the table
+    workload, policy = benchmark_case("III"), parse_policy_spec("dqrrr")
+    trace = simulate(workload, policy)
+    expected = getattr(compute_metrics(trace, workload), f"render_{fmt}")()
+    if gantt:
+        expected += "\n" + render_gantt(trace)
+
+    traces = []
+
+    def simulate_and_watch(workload, policy):
+        trace = simulate(workload, policy)
+        traces.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(cli, "simulate", simulate_and_watch)
+    rendered = []
+    for name in ("render_text", "render_json", "render_csv"):
+        def render_once_freed(run, name=name, render=getattr(RunMetrics, name)):
+            assert [ref() for ref in traces] == [None], f"{name} ran while the trace was held"
+            rendered.append(name)
+            return render(run)
+
+        monkeypatch.setattr(RunMetrics, name, render_once_freed)
+    flags = ("--gantt",) if gantt else ()
+    proc = rrsim("run", "--algo", "dqrrr", "--workload", "case:III", "--format", fmt, *flags)
+    assert (proc.returncode, proc.stderr, rendered) == (0, "", [f"render_{fmt}"])
+    assert proc.stdout == expected
 
 
 def test_run_with_workload_file(tmp_path):

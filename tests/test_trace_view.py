@@ -1,5 +1,5 @@
 """The columnar trace: ``ExecutionTrace.slices`` is a read-only view over
-three per-slice lists (pid index, run, termination), two per-cycle lists
+three per-slice columns (pid index, run, termination byte), two per-cycle lists
 and the breaks (the first slice and each one after an idle gap), and
 reads like the tuple of ``Slice`` it replaced."""
 import dataclasses
@@ -122,12 +122,12 @@ def test_hand_built_values_are_kept_as_given():
         _trace(overlap)
 
 
-def test_trace_holds_at_most_32_bytes_per_slice():
-    # a slice is three list entries: its pid's index, its run and its
-    # termination, each an object that already exists (a run is its cycle's
-    # quantum or its process's remaining work), so no int is made per slice;
-    # a cycle's quantum and slice count are stored once per cycle, and a
-    # break once per idle gap
+def test_trace_holds_at_most_20_bytes_per_slice():
+    # a slice is two list entries, its pid's index and its run, each an
+    # object that already exists (a run is its cycle's quantum or its
+    # process's remaining work), so no int is made per slice, and one byte
+    # for its termination; a cycle's quantum and slice count are stored
+    # once per cycle, and a break once per idle gap
     workload = generate_workload(GeneratorSpec(n=300, burst_min=1, burst_max=500,
                                                arrival=ALL_ZERO, seed=0))
     tracemalloc.start()
@@ -138,7 +138,7 @@ def test_trace_holds_at_most_32_bytes_per_slice():
     finally:
         tracemalloc.stop()
     assert len(trace.slices) > 1000
-    assert held / len(trace.slices) <= 32, (held, len(trace.slices))
+    assert held / len(trace.slices) <= 20, (held, len(trace.slices))
 
 
 def test_each_cycle_is_stored_once_and_read_back_per_slice():
@@ -203,3 +203,37 @@ def _assert_stored_alike(workload, name):
     assert rebuilt.idles == trace.idles and rebuilt.end_time() == trace.end_time()
     assert _walk_trace(rebuilt, workload) == _walk_trace(trace, workload), name
     assert trace_violations(trace, workload) == [], name
+
+
+def test_terminations_read_back_as_the_module_constants():
+    # a view stores each termination as one byte; every read gives back the
+    # module's own str, the very object, whichever path reads it
+    def constant(termination):
+        return termination is COMPLETED or termination is QUANTUM_EXPIRED
+
+    for seed in range(1000):
+        workload = seeded_workload(seed)
+        for name in POLICY_NAMES:
+            view = simulate(workload, standard_policy(name)).slices
+            indexed = [view[i].termination for i in range(-len(view), 0)]
+            listed = tuple(view)
+            column = list(view.columns[5])
+            assert all(map(constant, indexed + column)), (seed, name)
+            assert all(constant(s.termination) for s in listed), (seed, name)
+            assert indexed == column == [s.termination for s in listed], (seed, name)
+            assert SliceView.of(listed) == view, (seed, name)
+    # an equal str that is another object is stored, and read back, as the constant
+    done = "".join(["compl", "eted"])
+    assert done == COMPLETED and done is not COMPLETED
+    view = SliceView.of([Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED), Slice("P1", 5, 8, 2, 5, done)])
+    assert view[1].termination is COMPLETED and view[-2].termination is QUANTUM_EXPIRED
+    assert [*view.columns[5]] == [QUANTUM_EXPIRED, COMPLETED]
+
+
+def test_a_termination_neither_constant_is_refused_as_before():
+    bad = Slice("P1", 0, 10, 1, 10, "done")
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "slice 0 Slice(pid='P1', start=0, end=10, cycle=1, quantum_in_effect=10, "
+            "termination='done') is not six fields: a str pid, an int start, end, cycle "
+            "and quantum, and 'completed' or 'quantum_expired'") + "$"):
+        SliceView.of([bad])
