@@ -3,12 +3,17 @@
 Subcommands: run, compare, reproduce-paper, generate, export-figures.
 Exit codes: 0 success, 1 reproduction mismatch, 2 usage, parse or output error.
 All configuration is via flags; no environment variables.
+Each call of ``main`` builds a new parser, with only its own subcommand's
+subparser; ``--help``, usage errors and the subcommand list print what a
+parser with every subcommand prints.  Nothing is cached across calls.
 """
 from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+from functools import partial
 from pathlib import Path
 
 from .engine import simulate
@@ -189,55 +194,73 @@ def _cmd_export_figures(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _run_arguments(p):
+    p.add_argument("--algo", required=True,
+                   help="policy spec, e.g. rr:q=25, dabrr, mrr:floor=25")
+    p.add_argument("--workload", required=True,
+                   help="workload file (.csv/.json) or case:<I..VI|ILL>")
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--gantt", action="store_true", help="append an ASCII gantt chart")
+    p.set_defaults(func=_cmd_run)
+
+
+def _compare_arguments(p):
+    p.add_argument("--workload", required=True)
+    p.add_argument("--algos", required=True, help="comma-separated policy specs")
+    p.add_argument("--baseline", default="rr:q=25")
+    p.set_defaults(func=_cmd_compare)
+
+
+def _reproduce_arguments(p):
+    p.add_argument("--cases", default="all",
+                   help="'all' or a comma list such as I,IV (default: all)")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=_cmd_reproduce)
+
+
+def _generate_arguments(p):
+    p.add_argument("--n", type=decimal_int, required=True)
+    p.add_argument("--burst-min", type=decimal_int, required=True)
+    p.add_argument("--burst-max", type=decimal_int, required=True)
+    p.add_argument("--order", choices=("asc", "desc", "random"), default="random")
+    p.add_argument("--arrival", default="zero", help="'zero' or 'staggered:G'")
+    p.add_argument("--seed", type=decimal_int, default=0)
+    p.add_argument("-o", "--output", help="output file (.csv or .json); stdout if omitted")
+    p.set_defaults(func=_cmd_generate)
+
+
+def _export_figures_arguments(p):
+    p.add_argument("-o", "--output", help="output file; stdout if omitted")
+    p.set_defaults(func=_cmd_export_figures)
+
+
+_COMMANDS = {
+    "run": ("simulate one workload under one policy", _run_arguments),
+    "compare": ("compare several policies on one workload", _compare_arguments),
+    "reproduce-paper": ("check every published reference cell", _reproduce_arguments),
+    "generate": ("generate a seeded random workload", _generate_arguments),
+    "export-figures": ("export comparison figure data as CSV", _export_figures_arguments),
+}
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """A new parser with a subparser for ``argv[0]`` alone when it names a
+    subcommand (argparse picks one by exact name, and only texts printed when
+    none is named list them all), else one for each; the help width is asked once."""
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(
-        prog="rrsim",
+        prog="rrsim", formatter_class=formatter,
         description="Round-robin scheduling simulator with dynamic time quanta.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="simulate one workload under one policy")
-    p_run.add_argument("--algo", required=True,
-                       help="policy spec, e.g. rr:q=25, dabrr, mrr:floor=25")
-    p_run.add_argument("--workload", required=True,
-                       help="workload file (.csv/.json) or case:<I..VI|ILL>")
-    p_run.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_run.add_argument("--gantt", action="store_true", help="append an ASCII gantt chart")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_cmp = sub.add_parser("compare", help="compare several policies on one workload")
-    p_cmp.add_argument("--workload", required=True)
-    p_cmp.add_argument("--algos", required=True, help="comma-separated policy specs")
-    p_cmp.add_argument("--baseline", default="rr:q=25")
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    p_rep = sub.add_parser("reproduce-paper",
-                           help="check every published reference cell")
-    p_rep.add_argument("--cases", default="all",
-                       help="'all' or a comma list such as I,IV (default: all)")
-    p_rep.add_argument("--format", choices=("text", "json"), default="text")
-    p_rep.set_defaults(func=_cmd_reproduce)
-
-    p_gen = sub.add_parser("generate", help="generate a seeded random workload")
-    p_gen.add_argument("--n", type=decimal_int, required=True)
-    p_gen.add_argument("--burst-min", type=decimal_int, required=True)
-    p_gen.add_argument("--burst-max", type=decimal_int, required=True)
-    p_gen.add_argument("--order", choices=("asc", "desc", "random"), default="random")
-    p_gen.add_argument("--arrival", default="zero", help="'zero' or 'staggered:G'")
-    p_gen.add_argument("--seed", type=decimal_int, default=0)
-    p_gen.add_argument("-o", "--output", help="output file (.csv or .json); stdout if omitted")
-    p_gen.set_defaults(func=_cmd_generate)
-
-    p_fig = sub.add_parser("export-figures",
-                           help="export comparison figure data as CSV")
-    p_fig.add_argument("-o", "--output", help="output file; stdout if omitted")
-    p_fig.set_defaults(func=_cmd_export_figures)
-
+    for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
+        help_line, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_line, formatter_class=formatter))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import weakref
@@ -224,6 +226,120 @@ def test_help_prints_usage_and_exits_zero():
 def test_bad_subcommand_exits_two():
     proc = rrsim("frobnicate")
     assert proc.returncode == 2
+
+
+def _count_builds(monkeypatch):
+    """The parsers built from here on, and the terminal-size queries made."""
+    built, queries = [], []
+    init, size = argparse.ArgumentParser.__init__, shutil.get_terminal_size
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_size(*args, **kwargs):
+        queries.append(args)
+        return size(*args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(shutil, "get_terminal_size", counted_size)
+    return built, queries
+
+
+@pytest.mark.parametrize("args", [
+    ("run", "--algo", "dabrr", "--workload", "case:I"),
+    ("compare", "--workload", "case:I", "--algos", "dabrr"),
+    ("reproduce-paper", "--cases", "I"),
+    ("generate", "--n", "3", "--burst-min", "1", "--burst-max", "9"),
+    ("export-figures",),
+], ids=lambda args: args[0])
+def test_a_command_builds_only_its_own_parser(monkeypatch, args):
+    built, queries = _count_builds(monkeypatch)
+    assert rrsim(*args).returncode == 0
+    assert [parser.prog for parser in built] == ["rrsim", f"rrsim {args[0]}"]
+    assert len(queries) == 1  # the help width, asked once for every formatter
+
+
+def test_each_call_builds_a_new_parser(monkeypatch):
+    built, _ = _count_builds(monkeypatch)
+    for _ in range(2):
+        assert rrsim("generate", "--n", "3", "--burst-min", "1", "--burst-max", "9").stdout
+    top = [parser for parser in built if parser.prog == "rrsim"]
+    assert len(top) == 2 and top[0] is not top[1]
+
+
+def _parsed_by(parser, argv):
+    """What ``parser.parse_args(argv)`` exits with and prints, as ``rrsim`` reports it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args(argv)
+    return exit_.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize("argv", [
+    ["run", "-h"], ["run", "--algo", "rr"],
+    ["run", "--algo", "rr", "--workload", "case:I", "--nosuch"],
+    ["compare", "-h"], ["compare", "--workload", "case:I"],
+    ["compare", "--workload", "case:I", "--algos", "rr", "--nosuch"],
+    ["reproduce-paper", "-h"], ["reproduce-paper", "--cases"], ["reproduce-paper", "--nosuch"],
+    ["generate", "-h"], ["generate", "--n", "5"],
+    ["generate", "--n", "5", "--burst-min", "1", "--burst-max", "9", "--nosuch"],
+    ["export-figures", "-h"], ["export-figures", "-o"], ["export-figures", "-x"],
+], ids=" ".join)
+def test_a_subcommand_parser_prints_what_the_full_parser_prints(monkeypatch, columns, argv):
+    # help, a missing flag or value, and an unknown flag, at three help widths
+    monkeypatch.setenv("COLUMNS", columns)
+    full = _parsed_by(cli._build_parser([]), argv)
+    assert full[0] in (0, 2) and full[1] + full[2]
+    proc = rrsim(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == full
+
+
+TOP_LEVEL_HELP = """\
+usage: rrsim [-h] {run,compare,reproduce-paper,generate,export-figures} ...
+
+Round-robin scheduling simulator with dynamic time quanta.
+
+positional arguments:
+  {run,compare,reproduce-paper,generate,export-figures}
+    run                 simulate one workload under one policy
+    compare             compare several policies on one workload
+    reproduce-paper     check every published reference cell
+    generate            generate a seeded random workload
+    export-figures      export comparison figure data as CSV
+
+options:
+  -h, --help            show this help message and exit
+"""
+INVALID_COMMAND = ("rrsim: argument command: invalid choice: {!r} "
+                   "(choose from 'run', 'compare', 'reproduce-paper', 'generate', 'export-figures')\n")
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", [
+    ((), 2, "", "rrsim: the following arguments are required: command\n"),
+    (("-h",), 0, TOP_LEVEL_HELP, ""),
+    (("frobnicate",), 2, "", INVALID_COMMAND.format("frobnicate")),
+    (("--", "run"), 2, "", INVALID_COMMAND.format("--")),
+], ids=["no-arguments", "help", "unknown-command", "double-dash"])
+def test_top_level_texts_list_every_subcommand(monkeypatch, argv, code, stdout, stderr):
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = rrsim(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
+
+
+def test_console_script_runs_the_command_in_sys_argv(monkeypatch):
+    # pyproject.toml's ``rrsim = "rrsim.cli:main"`` calls main() with no argument
+    args = ("run", "--algo", "dabrr", "--workload", "case:I")
+    expected = rrsim(*args).stdout
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        monkeypatch.setattr(sys, "argv", ["rrsim", *args])
+        assert main() == 0
+        monkeypatch.setattr(sys, "argv", ["rrsim", "frobnicate"])  # unread: argv is given
+        assert main(args) == 0  # a tuple, like a list
+    assert out.getvalue() == expected * 2
 
 
 def _json_workload(*records):

@@ -917,7 +917,8 @@ def test_the_walk_guards_a_view_built_without_refusals():
 
 def test_only_the_engine_builds_a_view_unchecked():
     # the overlap above, through every public path: none stores it
-    lists = (("P1", "P2"), [0, 1], [10, 10], [COMPLETED] * 2, [10], [2], [0, 1], [0, 5], 15)
+    lists = (("P1", "P2"), [0, 1], [10, 10], bytearray(b"\x01\x01"), [10], [2], [0, 1], [0, 5],
+             15)
     with pytest.raises(TypeError, match="takes no arguments"):
         SliceView(*lists)
     overlap = [Slice("P1", 0, 10, 1, 10, COMPLETED), Slice("P2", 5, 15, 1, 10, COMPLETED)]
@@ -926,8 +927,9 @@ def test_only_the_engine_builds_a_view_unchecked():
         with pytest.raises(ValueError, match=refusal):
             build(overlap)
     # unchecked, it stores a reversed gap: the engine alone may build one so
-    assert ExecutionTrace(PolicyDescriptor.of("RR", q=10),
-                          SliceView._raw(*lists)).idles == (IdleGap(10, 5),)
+    view = SliceView._raw(*lists)
+    assert [s.termination for s in view] == [COMPLETED] * 2  # the column is read, not just held
+    assert ExecutionTrace(PolicyDescriptor.of("RR", q=10), view).idles == (IdleGap(10, 5),)
 
 
 def test_checker_runs_in_linear_time_over_many_idle_gaps():
