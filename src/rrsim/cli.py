@@ -3,17 +3,17 @@
 Subcommands: run, compare, reproduce-paper, generate, export-figures.
 Exit codes: 0 success, 1 reproduction mismatch, 2 usage, parse or output error.
 All configuration is via flags; no environment variables.
-Each call of ``main`` builds a new parser, with only its own subcommand's
-subparser; ``--help``, usage errors and the subcommand list print what a
-parser with every subcommand prints.  Nothing is cached across calls.
+A well-formed command line (a subcommand, then its exact flags and their
+values) is read by one scan over the flag table, with no parser built.  Help
+and every command line the scan refuses go to argparse, built from the same
+table, so help and usage errors print as before.  Nothing is cached across
+calls.
 """
 from __future__ import annotations
 
-import argparse
 import os
-import shutil
 import sys
-from functools import partial
+import types
 from pathlib import Path
 
 from .engine import simulate
@@ -66,11 +66,6 @@ class CliError(Exception):
 def _error_line(message) -> str:
     """``rrsim: message`` as one stderr line, its line breaks escaped."""
     return f"rrsim: {message}".replace("\r", "\\r").replace("\n", "\\n") + "\n"
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # one stderr line, like every other error, not the usage block
-        self.exit(USAGE_ERROR, _error_line(message))
 
 
 def _file_format(path: str) -> str:
@@ -194,73 +189,104 @@ def _cmd_export_figures(args) -> int:
     return 0
 
 
-def _run_arguments(p):
-    p.add_argument("--algo", required=True,
-                   help="policy spec, e.g. rr:q=25, dabrr, mrr:floor=25")
-    p.add_argument("--workload", required=True,
-                   help="workload file (.csv/.json) or case:<I..VI|ILL>")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--gantt", action="store_true", help="append an ASCII gantt chart")
-    p.set_defaults(func=_cmd_run)
-
-
-def _compare_arguments(p):
-    p.add_argument("--workload", required=True)
-    p.add_argument("--algos", required=True, help="comma-separated policy specs")
-    p.add_argument("--baseline", default="rr:q=25")
-    p.set_defaults(func=_cmd_compare)
-
-
-def _reproduce_arguments(p):
-    p.add_argument("--cases", default="all",
-                   help="'all' or a comma list such as I,IV (default: all)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_reproduce)
-
-
-def _generate_arguments(p):
-    p.add_argument("--n", type=decimal_int, required=True)
-    p.add_argument("--burst-min", type=decimal_int, required=True)
-    p.add_argument("--burst-max", type=decimal_int, required=True)
-    p.add_argument("--order", choices=("asc", "desc", "random"), default="random")
-    p.add_argument("--arrival", default="zero", help="'zero' or 'staggered:G'")
-    p.add_argument("--seed", type=decimal_int, default=0)
-    p.add_argument("-o", "--output", help="output file (.csv or .json); stdout if omitted")
-    p.set_defaults(func=_cmd_generate)
-
-
-def _export_figures_arguments(p):
-    p.add_argument("-o", "--output", help="output file; stdout if omitted")
-    p.set_defaults(func=_cmd_export_figures)
-
-
+# Each subcommand's options, declared once: (flags, add_argument kwargs),
+# the long flag last, since it names the value.
 _COMMANDS = {
-    "run": ("simulate one workload under one policy", _run_arguments),
-    "compare": ("compare several policies on one workload", _compare_arguments),
-    "reproduce-paper": ("check every published reference cell", _reproduce_arguments),
-    "generate": ("generate a seeded random workload", _generate_arguments),
-    "export-figures": ("export comparison figure data as CSV", _export_figures_arguments),
+    "run": ("simulate one workload under one policy", _cmd_run, (
+        (("--algo",), dict(required=True,
+                           help="policy spec, e.g. rr:q=25, dabrr, mrr:floor=25")),
+        (("--workload",), dict(required=True,
+                               help="workload file (.csv/.json) or case:<I..VI|ILL>")),
+        (("--format",), dict(choices=("text", "json", "csv"), default="text")),
+        (("--gantt",), dict(action="store_true", help="append an ASCII gantt chart")))),
+    "compare": ("compare several policies on one workload", _cmd_compare, (
+        (("--workload",), dict(required=True)),
+        (("--algos",), dict(required=True, help="comma-separated policy specs")),
+        (("--baseline",), dict(default="rr:q=25")))),
+    "reproduce-paper": ("check every published reference cell", _cmd_reproduce, (
+        (("--cases",), dict(default="all",
+                            help="'all' or a comma list such as I,IV (default: all)")),
+        (("--format",), dict(choices=("text", "json"), default="text")))),
+    "generate": ("generate a seeded random workload", _cmd_generate, (
+        (("--n",), dict(type=decimal_int, required=True)),
+        (("--burst-min",), dict(type=decimal_int, required=True)),
+        (("--burst-max",), dict(type=decimal_int, required=True)),
+        (("--order",), dict(choices=("asc", "desc", "random"), default="random")),
+        (("--arrival",), dict(default="zero", help="'zero' or 'staggered:G'")),
+        (("--seed",), dict(type=decimal_int, default=0)),
+        (("-o", "--output"), dict(help="output file (.csv or .json); stdout if omitted")))),
+    "export-figures": ("export comparison figure data as CSV", _cmd_export_figures, (
+        (("-o", "--output"), dict(help="output file; stdout if omitted")),)),
 }
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
+def _scan(argv):
+    """What ``_build_parser(argv).parse_args(argv)`` returns, read from the
+    flag table alone, or None to leave ``argv`` to argparse.  It reads only a
+    subcommand then its exact flags, each but a switch followed by a value
+    that does not start with ``-`` and passes the flag's ``choices`` and
+    ``type``, with every required flag given; a repeated flag keeps its last
+    value, as in argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    by_flag = {flag: (flags[-1].lstrip("-").replace("-", "_"), kwargs)
+               for flags, kwargs in options for flag in flags}
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in by_flag:
+            return None
+        dest, kwargs = by_flag[flag]
+        if kwargs.get("action") == "store_true":
+            given[dest] = True
+            continue
+        value = next(tokens, "-")  # a last flag with no value is refused too
+        if value.startswith("-") or "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        try:
+            given[dest] = kwargs.get("type", str)(value)
+        except (TypeError, ValueError):  # what argparse reports as an invalid value
+            return None
+    args = types.SimpleNamespace(command=argv[0], func=func)
+    for dest, kwargs in dict(by_flag.values()).items():  # -o and --output: one dest
+        if dest not in given and kwargs.get("required"):
+            return None
+        default = kwargs.get("default", False if kwargs.get("action") else None)
+        setattr(args, dest, given.get(dest, default))
+    return args
+
+
+def _build_parser(argv):
     """A new parser with a subparser for ``argv[0]`` alone when it names a
     subcommand (argparse picks one by exact name, and only texts printed when
-    none is named list them all), else one for each; the help width is asked once."""
+    none is named list them all), else one for each; the help width is asked once.
+    Only help and what ``_scan`` refuses build one, so argparse loads here."""
+    import argparse
+    import shutil
+    from functools import partial
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # one stderr line, like every other error, not the usage block
+            self.exit(USAGE_ERROR, _error_line(message))
+
     formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(
         prog="rrsim", formatter_class=formatter,
         description="Round-robin scheduling simulator with dynamic time quanta.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
-        help_line, add_arguments = _COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_line, formatter_class=formatter))
+        help_line, func, options = _COMMANDS[name]
+        subparser = sub.add_parser(name, help=help_line, formatter_class=formatter)
+        for flags, kwargs in options:
+            subparser.add_argument(*flags, **kwargs)
+        subparser.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _scan(argv) or _build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit

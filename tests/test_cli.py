@@ -9,6 +9,8 @@ import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrsim import ProcessSpec, cli, compute_metrics, simulate
 from rrsim.cli import main
@@ -253,19 +255,32 @@ def _count_builds(monkeypatch):
     ("generate", "--n", "3", "--burst-min", "1", "--burst-max", "9"),
     ("export-figures",),
 ], ids=lambda args: args[0])
-def test_a_command_builds_only_its_own_parser(monkeypatch, args):
+def test_a_well_formed_command_builds_no_parser(monkeypatch, args):
     built, queries = _count_builds(monkeypatch)
     assert rrsim(*args).returncode == 0
+    assert (built, queries) == ([], [])
+
+
+@pytest.mark.parametrize("args", [
+    ("run", "-h"), ("run", "--algo", "rr"),
+    ("compare", "-h"), ("compare", "--workload", "case:I", "--algos"),
+    ("reproduce-paper", "-h"), ("reproduce-paper", "--format", "csv"),
+    ("generate", "-h"), ("generate", "--n", "1_0", "--burst-min", "1", "--burst-max", "9"),
+    ("export-figures", "-h"), ("export-figures", "stray"),
+], ids=" ".join)
+def test_a_refused_command_builds_only_its_own_parser(monkeypatch, args):
+    built, queries = _count_builds(monkeypatch)
+    assert rrsim(*args).returncode in (0, 2)
     assert [parser.prog for parser in built] == ["rrsim", f"rrsim {args[0]}"]
     assert len(queries) == 1  # the help width, asked once for every formatter
 
 
 def test_each_call_builds_a_new_parser(monkeypatch):
     built, _ = _count_builds(monkeypatch)
-    for _ in range(2):
-        assert rrsim("generate", "--n", "3", "--burst-min", "1", "--burst-max", "9").stdout
+    for args in (("generate", "-h"), ("generate", "-h"), ("generate", "--n", "3")):
+        assert rrsim(*args).returncode in (0, 2)
     top = [parser for parser in built if parser.prog == "rrsim"]
-    assert len(top) == 2 and top[0] is not top[1]
+    assert len(top) == 3  # a new one for each call
 
 
 def _parsed_by(parser, argv):
@@ -327,6 +342,110 @@ def test_top_level_texts_list_every_subcommand(monkeypatch, argv, code, stdout, 
     monkeypatch.setenv("COLUMNS", "80")
     proc = rrsim(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
+
+
+# Each subcommand's flags and values each may take (None: a switch, which takes none)
+FLAG_VALUES = {
+    "run": {"--algo": ("dabrr", "rr:q=25", "mrr:floor=25", "nosuch"), "--workload": (),
+            "--format": ("text", "json", "csv"), "--gantt": None},
+    "compare": {"--workload": (), "--algos": ("dabrr,sarr", "rr", ","),
+                "--baseline": ("rr:q=25", "sarr")},
+    "reproduce-paper": {"--cases": ("all", "I,IV", "II", "IX"), "--format": ("text", "json")},
+    "generate": {"--n": ("3", "50", "0"), "--burst-min": ("1", "5"),
+                 "--burst-max": ("9", "120"), "--order": ("asc", "desc", "random"),
+                 "--arrival": ("zero", "staggered:30", "staggered:x"), "--seed": ("0", "7"),
+                 "-o": ("out.csv", "out.json"), "--output": ("out.csv", "")},
+    "export-figures": {"-o": ("figures.csv",), "--output": ("figures.csv",)},
+}
+CASE_WORKLOADS = ("case:I", "case:VI", "case:ILL", "case:ZZ")
+BAD_VALUES = ("", "xml", "1_0", "+5", "\u0663", "-5", "a\nb")
+STRAY_TOKENS = ("-h", "--help", "--", "stray", "--nosuch", "-", "run", "x\ny", "\r")
+
+
+def _near(flag, value):
+    """Near-valid spellings of one flag and its value (None for a switch)."""
+    short = [flag[:n] for n in range(3, len(flag)) if flag.startswith("--")]  # --al, --form
+    if value is None:
+        return [[flag, "x\ny"], [f"{flag}=x"], *([prefix] for prefix in short)]
+    return [[flag], [flag, "-" + value], [f"{flag}={value}"], [flag, value, "x\ny"],
+            *([prefix, value] for prefix in short), *([flag, bad] for bad in BAD_VALUES)]
+
+
+@st.composite
+def command_lines(draw, workloads):
+    """A real subcommand and its real flags, in any order and with repeats,
+    most values valid and some near-valid, now and then a stray token."""
+    command = draw(st.sampled_from(sorted(FLAG_VALUES)))
+    values = {flag: choices or workloads for flag, choices in FLAG_VALUES[command].items()}
+    flags = draw(st.lists(st.sampled_from(sorted(values)), max_size=6))
+    if draw(st.booleans()):  # every flag too, so that many draws are well formed
+        flags += values
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        value = None if values[flag] is None else draw(st.sampled_from(values[flag]))
+        if draw(st.integers(0, 5)) == 0:
+            argv += draw(st.sampled_from(_near(flag, value)))
+        else:
+            argv += [flag] if value is None else [flag, value]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(STRAY_TOKENS)))
+    return argv
+
+
+def _argparse_vars(argv):
+    """``vars`` of what argparse parses from ``argv``, or how it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(cli._build_parser(argv).parse_args(argv))
+        except SystemExit as exit_:
+            return ("exit", exit_.code, out.getvalue() + err.getvalue())
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines(CASE_WORKLOADS + ("myload.csv", "dir/load.json")))
+def test_the_scan_declines_or_reads_what_argparse_reads(argv):
+    scanned = cli._scan(argv)
+    assert scanned is None or vars(scanned) == _argparse_vars(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce-paper", "--format", "json"],
+    ["export-figures"],
+    ["compare", "--workload", "case:ILL", "--algos", "rr,dqrrr,irrvq,sarr,rp5,mrr,dabrr"],
+    *(["run", "--algo", "dabrr", "--workload", "case:I", "--format", fmt, "--gantt"]
+      for fmt in ("text", "json", "csv")),
+    ["run", "--algo", "irrvq", "--workload", os.path.join(os.sep, "work", "dense.csv"),
+     "--format", "json"],
+    # the README's examples
+    ["run", "--algo", "dabrr", "--workload", "case:I", "--gantt"],
+    ["run", "--algo", "rr:q=25", "--workload", "myload.csv", "--format", "json"],
+    ["compare", "--workload", "case:V", "--algos", "dabrr,sarr,mrr:floor=25",
+     "--baseline", "rr:q=25"],
+    ["reproduce-paper", "--cases", "all", "--format", "text"],
+    ["generate", "--n", "8", "--burst-min", "5", "--burst-max", "120", "--order", "random",
+     "--arrival", "staggered:30", "--seed", "7", "-o", "load.csv"],
+    ["export-figures", "-o", "figures.csv"],
+], ids=" ".join)
+def test_the_scan_reads_every_benchmarked_and_documented_command(argv):
+    scanned = cli._scan(argv)
+    assert scanned is not None
+    assert vars(scanned) == _argparse_vars(argv)
+
+
+def test_every_command_line_exits_0_1_or_2_and_an_error_is_one_line(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where -o writes
+
+    @settings(max_examples=300, deadline=None)
+    @given(command_lines(CASE_WORKLOADS))
+    def check(argv):
+        proc = rrsim(*argv)
+        assert proc.returncode in (0, 1, 2)
+        if proc.returncode == 2:
+            assert proc.stderr.startswith("rrsim: ") and proc.stderr.endswith("\n")
+            assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+    check()
 
 
 def test_console_script_runs_the_command_in_sys_argv(monkeypatch):

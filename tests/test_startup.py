@@ -17,9 +17,10 @@ from test_golden_outputs import COMMAND_DIGESTS, RUN_OUTPUT_DIGESTS
 LOADED_ON_FIRST_USE = {"rrsim.reproduce", "rrsim.gantt"}
 
 # Runs each argv given on its command line through ``rrsim.cli.main`` and
-# prints, per command, its exit status, the SHA-256 of its stdout, the
-# rrsim modules loaded after it and the loaded modules that hold the
-# published registry; with no argv it only imports rrsim.cli.
+# prints, per command, its exit status (a help or usage exit included), the
+# SHA-256 of its stdout, the rrsim modules loaded after it, whether argparse
+# and gettext are, and the loaded modules that hold the published registry;
+# with no argv it only imports rrsim.cli.
 _CHILD = """
 import contextlib, hashlib, io, json, sys
 import rrsim.cli
@@ -28,13 +29,17 @@ def loaded():
     registry = [name for name, m in list(sys.modules.items())
                 if {"ExpectedRow", "expected_row"} & getattr(m, "__dict__", {}).keys()]
     return {"loaded": sorted(m for m in sys.modules if m.startswith("rrsim")),
+            "parsing": sorted({"argparse", "gettext"} & sys.modules.keys()),
             "registry": sorted(registry)}
 
 report = [loaded()]
 for argv in map(json.loads, sys.argv[1:]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        status = rrsim.cli.main(argv)
+        try:
+            status = rrsim.cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
     report.append({"status": status, **loaded(),
                    "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()})
 print(json.dumps(report))
@@ -70,6 +75,14 @@ def test_commands_that_need_them_load_them_and_print_their_golden_output():
     assert "rrsim.reproduce" in reproduce["loaded"]
     assert reproduce["registry"] == figures["registry"] == ["rrsim.reproduce"]
     assert (figures["status"], figures["sha256"]) == (0, COMMAND_DIGESTS["export-figures"])
+
+
+def test_argparse_loads_only_for_help_and_refused_command_lines():
+    imported, ran, helped = _fresh(["run", "--algo", "dabrr", "--workload", "case:I"],
+                                   ["run", "-h"])
+    assert imported["parsing"] == ran["parsing"] == []
+    assert ran["status"] == 0
+    assert (helped["status"], helped["parsing"]) == (0, ["argparse", "gettext"])
 
 
 def test_only_two_records_remain_dataclasses():
