@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: run, compare, reproduce-paper, generate, export-figures.
-Exit codes: 0 success, 1 reproduction mismatch, 2 usage, parse or output error.
+Exit codes: 0 success, 1 reproduction mismatch, 2 usage, parse or output
+error, or a command that runs out of memory.
 All configuration is via flags; no environment variables.
 A well-formed command line (a subcommand, then its exact flags and their
 values) is read by one scan over the flag table, with no parser built.  Help
@@ -302,6 +303,10 @@ def main(argv=None) -> int:
         reason = getattr(exc, "strerror", None) or exc
         sys.stderr.write(_error_line(f"cannot write output: {reason}"))
         return USAGE_ERROR
+    except MemoryError:
+        pass  # leave the handler first: its traceback holds the command's frames and what they built
+    sys.stderr.write(_error_line(f"out of memory while running {args.command}"))
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

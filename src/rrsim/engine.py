@@ -3,10 +3,11 @@
 Every policy runs on one cycle loop over one ready queue, stored as two
 columns: each queued process's submission index and its remaining work.
 The trace stores each cycle's quantum once, and each slice as its
-process's submission index and its run, objects the engine already holds
-(a run is the cycle's quantum or the process's remaining work), plus one
-byte for its termination.  Start and end times are derived from the runs
-and from one break per idle gap.
+process's submission index, an object the engine already holds, plus one
+byte for its termination.  A slice that preempts its process ran the
+cycle's quantum, so only a slice that completes its process stores its
+run, the work that process had left.  Start and end times are derived
+from the runs and from one break per idle gap.
 At each cycle start the policy gets a snapshot whose ``entries`` is a
 read-only :class:`ReadyQueue` view of the columns, and answers with a
 plain ``(order, quantum)`` pair: a quantum for the whole cycle and an
@@ -238,10 +239,11 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     never = arrivals[-1] + sum(burst_col) + 1  # beyond every slice's end
     arrivals.append(never)  # so the next arrival after the last one is ``never``
 
-    # the trace's columns: one entry per slice in three (its process's
-    # submission index, its run, and its termination as a byte, 1 when the
-    # slice completes the process), per cycle in two; no record, and no new
-    # object: a run is the cycle's quantum or the work left
+    # the trace's columns: one entry per slice in two (its process's
+    # submission index, and its termination as a byte, 1 when the slice
+    # completes the process and 0 when it runs the quantum), one per
+    # completion in one (its run, the work left), per cycle in two; no
+    # record, and no new object
     ks, runs, quanta, counts = [], [], [], []
     terminations = bytearray()
     clock = arrivals[0]
@@ -271,7 +273,7 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
     while index or due != never:
         if not index:
             clock = due
-            break_at.append(len(runs))
+            break_at.append(len(ks))
             break_start.append(clock)
             due = admit(clock)
             continue
@@ -294,7 +296,6 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
             ks.append(k)
             index, remaining = [], []  # new lists: the snapshot's view keeps the ones it was handed
             if work > quantum:
-                runs.append(quantum)
                 terminations.append(0)
                 clock += quantum
                 if clock >= due and tail_rejoin:
@@ -313,7 +314,6 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
             finished = run_remaining[:cut]
             ks += run_index
             runs += finished
-            runs += repeat(quantum, n - cut)
             terminations += b"\x01" * cut
             terminations += bytes(n - cut)
             clock += sum(finished) + quantum * (n - cut)
@@ -322,25 +322,27 @@ def simulate(workload: Workload, policy: PolicyBehavior) -> ExecutionTrace:
             remaining = list(map(sub, run_remaining[cut:], repeat(quantum)))
             counts.append(n)
         else:
-            first = len(runs)  # the cycle's first slice
+            first = len(ks)  # the cycle's first slice
             index, remaining = [], []  # the next cycle's queue, filled in execution order
             for k, work in zip(run_index, run_remaining):
                 left = work - quantum
-                run = quantum if left > 0 else work
                 ks.append(k)
-                runs.append(run)
+                if left > 0:
+                    clock += quantum
+                else:
+                    runs.append(work)
+                    clock += work
                 terminations.append(left <= 0)
-                clock += run
                 if clock >= watch and tail_rejoin:
                     watch = due = admit(clock)  # same-ms arrivals enqueue before the preempted one
                 if left > 0:
                     index.append(k)
                     remaining.append(left)
                 if clock >= watch:  # slice-boundary restart: abandon the cycle, replan over all
-                    index += run_index[len(runs) - first:]  # the processes not yet dispatched
-                    remaining += run_remaining[len(runs) - first:]
+                    index += run_index[len(ks) - first:]  # the processes not yet dispatched
+                    remaining += run_remaining[len(ks) - first:]
                     break
-            counts.append(len(runs) - first)
+            counts.append(len(ks) - first)
         if clock >= due:
             due = admit(clock)
 
@@ -378,7 +380,8 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], l
     when there are no messages.
 
     The walk reads each slice's process by its submission index ``k``, into
-    lists, and its run and termination byte as stored; it derives the slice's start and end
+    lists, and its termination byte; its run is the next stored one, or
+    with byte 0 its cycle's quantum.  It derives the slice's start and end
     from the break before it and the runs since, and tests the tiling once
     per break.  Each group of checks sits behind one test that a valid
     slice passes, so a valid trace pays a few comparisons per slice; the
@@ -401,25 +404,29 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], l
     first = arrivals[0]  # no slice may start before the earliest arrival
     finished = 0
     end = float("-inf")  # the end of the slice before the break
-    slices = zip(index, view._run, view._per_slice(view._quanta), view._termination)
+    slices = zip(index, view._per_slice(view._quanta), view._termination)
+    stored = iter(view._run)  # the runs of slices with byte 1 or 2, in order
+    runs = None  # every slice's run, built only to word an overlap
     lengths = map(sub, view._stops(), view._break_at)
     for start, at, length in zip(view._break_start, view._break_at, lengths):
         # a break's start, then the runs since it.  An idle gap runs from the
         # later of the earliest arrival and the last slice's end; processes
         # that finished ran before it, so they arrived before its end
         if start > end and bisect_left(arrivals, start) != finished:
-            problems.extend(f"idle gap [{max(first, end)},{start}) while {other} is runnable"
-                            for other, arrived, rest in zip(pid_col, arrival_col, left)
-                            if arrived < start and rest > 0)
+            for other, arrived, rest in zip(pid_col, arrival_col, left):  # a loop, so that
+                if arrived < start and rest > 0:  # start and end stay fast locals, not cells
+                    problems.append(f"idle gap [{max(first, end)},{start}) while {other} is runnable")
         # SliceView.of refuses overlaps and runs below 1 ms, but the engine's
         # view skips it, so the walk still tests for both
         elif start < end:
-            problems.append(f"interval [{start},{start + view._run[at]}) overlaps the previous one")
+            runs = runs or view._slice_runs()
+            problems.append(f"interval [{start},{start + runs[at]}) overlaps the previous one")
         end = start
-        for k, run, quantum, termination in islice(slices, length):
+        for k, quantum, termination in islice(slices, length):
+            run = next(stored) if termination else quantum
             start = end
             end = start + run
-            if not (0 < run <= quantum and arrival[k] <= start):
+            if not (0 < run and run <= quantum and arrival[k] <= start):
                 if start < first:  # before every arrival, so before its own
                     problems.append(f"interval [{start},{end}) overlaps the previous one")
                 pid = names[k]
@@ -436,14 +443,15 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], l
                 first_dispatch[k] = start
             rest = left[k] = left[k] - run
             if rest <= 0:
-                if not termination:
+                if termination != 1:
                     problems.append(f"last slice of {names[k]} not marked completed")
                 if rest + run > 0:  # this slice used up the last of the burst
                     finished += 1
                     completion[k] = end
-            elif termination:
+            elif termination == 1:
                 problems.append(f"non-final slice of {names[k]} marked completed")
 
-    problems.extend(f"pid {pid}: executed {burst - rest} ms, burst is {burst} ms"
-                    for pid, burst, rest in zip(pid_col, burst_col, left) if rest)
+    if any(left):  # one pass in C: a valid trace leaves no process any work
+        problems.extend(f"pid {pid}: executed {burst - rest} ms, burst is {burst} ms"
+                        for pid, burst, rest in zip(pid_col, burst_col, left) if rest)
     return problems, completion, first_dispatch

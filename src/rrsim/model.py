@@ -17,10 +17,11 @@ A workload that is parsed, generated or a built-in fixture builds no
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import add, sub
 from typing import NamedTuple
 
@@ -216,7 +217,8 @@ def _validate_columns(pid: Sequence[str], arrival: Sequence[int], burst: Sequenc
 
 COMPLETED = "completed"
 QUANTUM_EXPIRED = "quantum_expired"
-_TERMINATIONS = (QUANTUM_EXPIRED, COMPLETED)  # by the byte a SliceView stores for each
+# by the byte a SliceView stores for each; a slice with byte 0 ran its cycle's quantum
+_TERMINATIONS = (QUANTUM_EXPIRED, COMPLETED, QUANTUM_EXPIRED)
 
 
 class Slice(NamedTuple):
@@ -241,17 +243,21 @@ class IdleGap(NamedTuple):
 
 
 class SliceView(Sequence):
-    """A read-only sequence of :class:`Slice`, stored as three columns of one
-    value per slice, two lists of one value per cycle and two of one per break.
+    """A read-only sequence of :class:`Slice`, stored as two columns of one
+    value per slice, one of one value per completed slice, two lists of one
+    value per cycle and two of one per break.
 
-    Per slice: the index of its pid in a pid table and its run
-    ``end - start``, in lists, and its termination as one byte of a
-    ``bytearray``: 0 for ``QUANTUM_EXPIRED``, 1 for ``COMPLETED``.  Per
-    cycle: the quantum and the number of slices.  A slice starts where the
-    one before it ended, except at a break: the first slice, and each one
-    after an idle gap.  Per break: the slice's index and its start.  Start
-    and end times are thus derived, and the engine stores no new int per
-    slice: a run is its cycle's quantum or the work its process had left.
+    Per slice: the index of its pid in a pid table, in a list, and its
+    termination as one byte of a ``bytearray``.  Per cycle: the quantum and
+    the number of slices.  A slice's run ``end - start`` is its cycle's
+    quantum unless it is stored: byte 0 is ``QUANTUM_EXPIRED`` after a run
+    of the quantum, byte 1 is ``COMPLETED``, and byte 2 is
+    ``QUANTUM_EXPIRED`` after any other run, which only :meth:`of` writes.
+    The runs of slices with byte 1 or 2 sit in one list, in slice order.  A
+    slice starts where the one before it ended, except at a break: the first
+    slice, and each one after an idle gap.  Per break: the slice's index and
+    its start.  Start and end times are thus derived, and the engine stores
+    no new int per slice and no run for a slice that preempts its process.
     A ``Slice`` is built only when the view is indexed or iterated, with
     its termination read back as the module's own constant; ``view[a:b]``
     is a ``tuple`` of them.  ``columns`` gives, in ``Slice`` field order,
@@ -262,14 +268,14 @@ class SliceView(Sequence):
     """
 
     __slots__ = ("_table", "_index", "_run", "_termination", "_quanta", "_counts",
-                 "_break_at", "_break_start", "_end", "_starts", "_cycle_ends")
+                 "_break_at", "_break_start", "_end", "_starts", "_runs_by_slice", "_cycle_ends")
 
     @classmethod
     def _raw(cls, *values):  # unchecked, for ``simulate``: the first nine slots, in order
         view = object.__new__(cls)
         (view._table, view._index, view._run, view._termination, view._quanta, view._counts,
          view._break_at, view._break_start, view._end) = values  # _end: no read rescans the runs
-        view._starts = view._cycle_ends = None  # built on first index
+        view._starts = view._runs_by_slice = view._cycle_ends = None  # built on first index
         return view
 
     @classmethod
@@ -310,21 +316,31 @@ class SliceView(Sequence):
                 break_at.append(i)
                 break_start.append(start)
             index.append(table.setdefault(pid, len(table)))
-            run.append(stop - start)
-            termination.append(term == COMPLETED)
+            # a run of the cycle's quantum that preempts is implied, not stored
+            code = 1 if term == COMPLETED else 0 if stop - start == q else 2
+            if code:
+                run.append(stop - start)
+            termination.append(code)
             end = stop
         return cls._raw(tuple(table), index, run, termination, quanta, counts, break_at,
                         break_start, end)
 
     def _stops(self) -> list[int]:
         """The slice after each break's run of slices, which the next break starts."""
-        return [*self._break_at[1:], len(self._run)]
+        return [*self._break_at[1:], len(self._termination)]
 
-    def _start_times(self):
-        """Each slice's start: its break's start plus the runs since that break."""
+    def _slice_runs(self) -> list[int]:
+        """Each slice's run: its cycle's quantum, then each stored run put
+        in place of its slice's, a scatter in C."""
+        runs = list(self._per_slice(self._quanta))
+        deque(map(runs.__setitem__, compress(count(), self._termination), self._run), 0)
+        return runs
+
+    def _start_times(self, runs: list[int]):
+        """Each slice's start: its break's start plus the ``runs`` since that break."""
         # each break's runs but its last, after the break's start
-        runs = map(self._run.__getitem__, map(slice, self._break_at,
-                                              map(sub, self._stops(), repeat(1))))
+        runs = map(runs.__getitem__, map(slice, self._break_at,
+                                         map(sub, self._stops(), repeat(1))))
         return chain.from_iterable(map(accumulate, map(chain, zip(self._break_start), runs)))
 
     def _per_slice(self, per_cycle: Iterable):
@@ -333,23 +349,25 @@ class SliceView(Sequence):
 
     @property
     def columns(self) -> tuple:
-        return (map(self._table.__getitem__, self._index), self._start_times(),
-                map(add, self._start_times(), self._run), self._per_slice(count(1)),
+        runs = self._slice_runs()
+        return (map(self._table.__getitem__, self._index), self._start_times(runs),
+                map(add, self._start_times(runs), runs), self._per_slice(count(1)),
                 self._per_slice(self._quanta), map(_TERMINATIONS.__getitem__, self._termination))
 
     def __len__(self) -> int:
-        return len(self._run)
+        return len(self._termination)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(map(self.__getitem__, range(len(self))[index]))
-        i = range(len(self._run))[index]  # an index as a list takes it, negative ones too
+        i = range(len(self))[index]  # an index as a list takes it, negative ones too
         if self._starts is None:  # one pass; then a read is a bisect over the cycles
-            self._starts = list(self._start_times())
+            self._runs_by_slice = self._slice_runs()
+            self._starts = list(self._start_times(self._runs_by_slice))
             self._cycle_ends = list(accumulate(self._counts))
         c = bisect_right(self._cycle_ends, i)  # the number of cycles before slice i's
         start = self._starts[i]
-        return _slice((self._table[self._index[i]], start, start + self._run[i], c + 1,
+        return _slice((self._table[self._index[i]], start, start + self._runs_by_slice[i], c + 1,
                        self._quanta[c], _TERMINATIONS[self._termination[i]]))
 
     def __iter__(self):
@@ -423,6 +441,6 @@ class ExecutionTrace:
     def idles(self) -> tuple[IdleGap, ...]:
         """The idle gaps: the hole before each break but the first slice."""
         view = self.slices
-        runs = map(view._run.__getitem__, map(slice, view._break_at, view._stops()))
+        runs = map(view._slice_runs().__getitem__, map(slice, view._break_at, view._stops()))
         ends = map(reduce, repeat(add), runs, view._break_start)  # each break's run's end
         return tuple(map(IdleGap, ends, view._break_start[1:]))

@@ -692,3 +692,31 @@ def test_closed_stdout_pipe_exits_two(n, sink, buffered):
     assert proc.returncode == 2
     assert proc.stderr.startswith("rrsim: ")
     assert len(proc.stderr.splitlines()) == 1
+
+
+# The child's address space, in MiB: about 20 on import of rrsim.cli, so a
+# small command runs within it, and a command that keeps allocating fails
+# within a few seconds
+_MEMORY_LIMIT_MIB = 48
+
+
+@pytest.mark.parametrize("args, command", [
+    # two processes of 3x10^8 ms at q=1: one slice per cycle, until the trace fills memory
+    (("run", "--algo", "rr:q=1", "--workload", "big.csv"), "run"),
+    (("generate", "--n", "100000000", "--burst-min", "1", "--burst-max", "9"), "generate"),
+], ids=["run", "generate"])
+def test_running_out_of_memory_is_one_line_and_exit_two(tmp_path, args, command):
+    resource = pytest.importorskip("resource", reason="no resource module to limit a child's memory")
+    (tmp_path / "big.csv").write_text("pid,arrival_ms,burst_ms\nA,0,300000000\nB,0,300000000\n")
+    limit = _MEMORY_LIMIT_MIB * 2**20
+
+    def limit_memory():  # in the child alone, before it starts Python
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    # the limit leaves room for a small command
+    small = rrsim_process("run", "--algo", "rr", "--workload", "case:I",
+                          preexec_fn=limit_memory, timeout=60)
+    assert (small.returncode, small.stderr) == (0, "")
+    proc = rrsim_process(*args, cwd=tmp_path, preexec_fn=limit_memory, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"rrsim: out of memory while running {command}\n"

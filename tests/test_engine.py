@@ -896,11 +896,15 @@ def test_slices_listed_out_of_time_order_are_refused():
 def _engine_style_trace(table, index, run, termination, break_at, break_start):
     """A trace of one cycle at quantum 10, its view built as ``simulate``
     builds one, without ``SliceView.of``'s refusals: each termination
-    stored as its byte, 1 for ``COMPLETED`` and 0 for ``QUANTUM_EXPIRED``."""
+    stored as its byte, 1 for ``COMPLETED``, and for ``QUANTUM_EXPIRED`` 0
+    after a run of the quantum and 2 after any other; each run with a
+    nonzero byte is stored."""
     end = break_start[-1] + sum(run[break_at[-1]:])
-    codes = bytearray(term == COMPLETED for term in termination)
+    codes = bytearray(1 if term == COMPLETED else 0 if r == 10 else 2
+                      for r, term in zip(run, termination))
+    stored = [r for r, code in zip(run, codes) if code]
     return ExecutionTrace(PolicyDescriptor.of("RR", q=10), SliceView._raw(
-        table, index, run, codes, [10], [len(run)], break_at, break_start, end))
+        table, index, stored, codes, [10], [len(run)], break_at, break_start, end))
 
 
 def test_the_walk_guards_a_view_built_without_refusals():

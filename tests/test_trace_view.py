@@ -1,15 +1,19 @@
 """The columnar trace: ``ExecutionTrace.slices`` is a read-only view over
-three per-slice columns (pid index, run, termination byte), two per-cycle lists
-and the breaks (the first slice and each one after an idle gap), and
-reads like the tuple of ``Slice`` it replaced."""
+two per-slice columns (pid index, termination byte), the runs that a
+cycle's quantum does not give, two per-cycle lists and the breaks (the
+first slice and each one after an idle gap), and reads like the tuple of
+``Slice`` it replaced."""
 import dataclasses
 import json
 import re
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import seeded_workload
+from reference_walk import walk_trace as reference_walk
 from rrsim import (
     ExecutionTrace,
     PolicyDescriptor,
@@ -25,7 +29,14 @@ from rrsim.engine import _walk_trace
 from rrsim.gantt import render_gantt
 from rrsim.model import COMPLETED, QUANTUM_EXPIRED, SliceView
 from rrsim.policies import POLICY_NAMES, standard_policy
-from rrsim.workloads import ALL_ZERO, CASE_IDS, GeneratorSpec, benchmark_case, generate_workload
+from rrsim.workloads import (
+    ALL_ZERO,
+    CASE_IDS,
+    STAGGERED,
+    GeneratorSpec,
+    benchmark_case,
+    generate_workload,
+)
 
 _SLICES = (Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED),
            Slice("P2", 5, 8, 1, 5, COMPLETED),
@@ -122,14 +133,17 @@ def test_hand_built_values_are_kept_as_given():
         _trace(overlap)
 
 
-def test_trace_holds_at_most_20_bytes_per_slice():
-    # a slice is two list entries, its pid's index and its run, each an
-    # object that already exists (a run is its cycle's quantum or its
-    # process's remaining work), so no int is made per slice, and one byte
-    # for its termination; a cycle's quantum and slice count are stored
-    # once per cycle, and a break once per idle gap
+@pytest.mark.parametrize("arrival, max_gap", [(ALL_ZERO, 0), (STAGGERED, 5)],
+                         ids=["all-zero", "staggered"])
+def test_trace_holds_at_most_11_bytes_per_slice(arrival, max_gap):
+    # a slice is one list entry, its pid's index, an object that already
+    # exists, and one byte for its termination; only a slice that completes
+    # its process stores its run (its process's remaining work, also an
+    # object that exists), since a slice that preempts ran its cycle's
+    # quantum, so no int is made per slice; a cycle's quantum and slice
+    # count are stored once per cycle, and a break once per idle gap
     workload = generate_workload(GeneratorSpec(n=300, burst_min=1, burst_max=500,
-                                               arrival=ALL_ZERO, seed=0))
+                                               arrival=arrival, max_gap=max_gap, seed=0))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -138,7 +152,7 @@ def test_trace_holds_at_most_20_bytes_per_slice():
     finally:
         tracemalloc.stop()
     assert len(trace.slices) > 1000
-    assert held / len(trace.slices) <= 20, (held, len(trace.slices))
+    assert held / len(trace.slices) <= 11, (held, len(trace.slices))
 
 
 def test_each_cycle_is_stored_once_and_read_back_per_slice():
@@ -187,22 +201,55 @@ def test_a_fixture_trace_rebuilt_by_hand_is_stored_alike(case_id, name):
 
 
 def test_seeded_traces_rebuilt_by_hand_are_stored_alike():
-    for seed in range(200):
+    for seed in range(1000):
         for name in POLICY_NAMES:
             _assert_stored_alike(seeded_workload(seed), name)
 
 
+def _stored(view):
+    """What a view stores: each slice's pid (read through its table), then
+    every column as it is held."""
+    return ([*map(view._table.__getitem__, view._index)], view._run, view._termination,
+            view._quanta, view._counts, view._break_at, view._break_start, view._end)
+
+
 def _assert_stored_alike(workload, name):
     """A trace's slices, listed and stored again by ``SliceView.of`` (with a
-    pid table of its own), are the engine's view, breaks included, and the
-    walk finds the same in both."""
+    pid table of its own), are stored exactly as the engine stores them, a
+    preempting slice that ran its quantum with no run in both, so the views
+    compare and hash alike; and the walk finds the same in both."""
     trace = simulate(workload, standard_policy(name))
     view = SliceView.of(tuple(trace.slices))
-    assert view == trace.slices, name  # equal views have equal break lists
+    assert _stored(view) == _stored(trace.slices), name
+    assert set(view._termination) <= {0, 1}, name
+    assert view == trace.slices and hash(view) == hash(trace.slices), name
     rebuilt = ExecutionTrace(trace.algorithm, view, passes=trace.passes)
     assert rebuilt.idles == trace.idles and rebuilt.end_time() == trace.end_time()
     assert _walk_trace(rebuilt, workload) == _walk_trace(trace, workload), name
     assert trace_violations(trace, workload) == [], name
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), name=st.sampled_from(POLICY_NAMES), data=st.data())
+def test_a_preempting_slice_shorter_than_its_quantum_keeps_its_run(seed, name, data):
+    workload = seeded_workload(seed)
+    slices = simulate(workload, standard_policy(name)).slices[:]
+    preempting = [i for i, s in enumerate(slices)
+                  if s.termination == QUANTUM_EXPIRED and s.end - s.start > 1]
+    assume(preempting)
+    i = data.draw(st.sampled_from(preempting), label="slice")
+    cut = data.draw(st.integers(1, slices[i].end - slices[i].start - 1), label="ms cut")
+    # the slices after it keep their times, or move back to close the gap
+    shift = data.draw(st.sampled_from((0, cut)), label="shift")
+    short = slices[i]._replace(end=slices[i].end - cut)
+    later = tuple(s._replace(start=s.start - shift, end=s.end - shift) for s in slices[i + 1:])
+    edited = slices[:i] + (short,) + later
+    trace = ExecutionTrace(PolicyDescriptor.of(name), edited)
+    view = trace.slices
+    assert view._termination[i] == 2 and view[i] == short and tuple(view) == edited
+    problems = trace_violations(trace, workload)
+    assert problems == reference_walk(trace, workload)[0]
+    assert f"pid {short.pid}: executed" in "; ".join(problems)
 
 
 def test_terminations_read_back_as_the_module_constants():
