@@ -52,8 +52,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice, repeat
-from operator import lt, sub
+from itertools import accumulate, compress, islice, repeat
+from operator import lt, ne, sub
 from typing import Callable, Iterable, NamedTuple
 
 from .model import (
@@ -155,6 +155,7 @@ class ReadySnapshot(NamedTuple):
 
 _snapshot = record_builder(ReadySnapshot)  # built in C: checks no field
 _new = object.__new__
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -359,8 +360,11 @@ def trace_violations(trace: ExecutionTrace, workload: Workload) -> list[str]:
     its process's remaining work.  A trace runs forward in time, so the
     hole before each break is an idle gap, and every process that arrived
     before its end must already be finished; a slice that starts before
-    the earliest arrival overlaps.  Each slice runs within the quantum
-    that its trace stores once for its cycle, so no quantum below 1 passes.
+    the earliest arrival overlaps.  Each slice runs within the quantum that
+    its trace stores once for its cycle, so no quantum below 1 passes.  A
+    slice that ran a quantum of 1 or more and leaves its process work is
+    tested against its arrival only at the process's first slice: no start
+    falls before a message, and every slice after one is tested in full.
 
     The walk reads each slice's process by its index into the trace's pid
     table.  A trace from :func:`simulate` shares its workload's pid column
@@ -379,13 +383,16 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], l
     and first dispatch, in submission order; the two lists are complete only
     when there are no messages.
 
-    The walk reads each slice's process by its submission index ``k``, into
-    lists, and its termination byte; its run is the next stored one, or
-    with byte 0 its cycle's quantum.  It derives the slice's start and end
-    from the break before it and the runs since, and tests the tiling once
-    per break.  Each group of checks sits behind one test that a valid
-    slice passes, so a valid trace pays a few comparisons per slice; the
-    detailed tests, and their messages, run only when a group's test trips.
+    The walk goes a run at a time: the cycles of one quantum up to the next
+    break, that quantum a local.  It reads each slice as its process's
+    submission index ``k``, into lists, and its termination byte; its run is
+    the next stored one, or with byte 0 the run's quantum.  It derives the
+    slice's start and end from the break before it and the runs since, and
+    tests the tiling once per break.  A slice not tested against its
+    arrival only counts its work; in any other, each group of checks sits
+    behind one test that a valid slice passes, and the detailed tests run
+    only when it trips.  Until ``exact`` falls, every finished process
+    arrived before a gap, so the gap test reads one of the sorted arrivals.
     """
     problems: list[str] = []
     pid_col, arrival_col, burst_col = workload.columns
@@ -397,22 +404,26 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], l
         position = dict(zip(pid_col, range(n)))
         index = map([position.get(pid, n + j) for j, pid in enumerate(table)].__getitem__, index)
         names = pid_col + table  # a pid the workload lacks maps past n, to its own name
-    arrival = [*arrival_col, *repeat(float("inf"), len(names) - n)]
+    arrival = [*arrival_col, *repeat(_INF, len(names) - n)]
     left = list(burst_col)  # the work each process has left
-    completion, first_dispatch = [None] * n, [None] * n
+    completion, first_dispatch = [None] * n, [None] * len(names)  # an unknown pid's stays None
     arrivals = sorted(arrival_col)
     first = arrivals[0]  # no slice may start before the earliest arrival
+    arrivals.append(_INF)  # ``arrivals[finished]`` once all have finished
     finished = 0
-    end = float("-inf")  # the end of the slice before the break
-    slices = zip(index, view._per_slice(view._quanta), view._termination)
+    end = -_INF  # the end of the slice before the break
+    slices = zip(index, view._termination)
     stored = iter(view._run)  # the runs of slices with byte 1 or 2, in order
     runs = None  # every slice's run, built only to word an overlap
-    lengths = map(sub, view._stops(), view._break_at)
-    for start, at, length in zip(view._break_start, view._break_at, lengths):
+    quanta = view._quanta  # a run of one quantum ends at the last cycle and before a new quantum
+    quantum_runs = compress(zip(accumulate(view._counts), quanta), map(ne, quanta, [*quanta[1:], None]))
+    stop_q, exact = 0, True  # where the run stops; False once a start may precede an arrival
+    for start, at, stop in zip(view._break_start, view._break_at, view._stops()):
         # a break's start, then the runs since it.  An idle gap runs from the
         # later of the earliest arrival and the last slice's end; processes
         # that finished ran before it, so they arrived before its end
-        if start > end and bisect_left(arrivals, start) != finished:
+        if start > end and (arrivals[finished] < start if exact
+                            else bisect_left(arrivals, start) != finished):
             for other, arrived, rest in zip(pid_col, arrival_col, left):  # a loop, so that
                 if arrived < start and rest > 0:  # start and end stay fast locals, not cells
                     problems.append(f"idle gap [{max(first, end)},{start}) while {other} is runnable")
@@ -421,37 +432,53 @@ def _walk_trace(trace: ExecutionTrace, workload: Workload) -> tuple[list[str], l
         elif start < end:
             runs = runs or view._slice_runs()
             problems.append(f"interval [{start},{start + runs[at]}) overlaps the previous one")
+            exact = fast = False
         end = start
-        for k, quantum, termination in islice(slices, length):
-            run = next(stored) if termination else quantum
-            start = end
-            end = start + run
-            if not (0 < run and run <= quantum and arrival[k] <= start):
-                if start < first:  # before every arrival, so before its own
-                    problems.append(f"interval [{start},{end}) overlaps the previous one")
-                pid = names[k]
-                if k >= n:
-                    problems.append(f"slice for unknown pid {pid!r}")
+        while at < stop:
+            if at == stop_q:  # the next quantum's run
+                stop_q, q = next(quantum_runs)
+                fast = exact and q > 0  # a slice with byte 0 may take the short body
+            length = (stop_q if stop_q < stop else stop) - at
+            at += length
+            for k, termination in islice(slices, length):
+                if termination:
+                    run = next(stored)
+                elif fast and first_dispatch[k] is not None and (rest := left[k] - q) > 0:
+                    left[k] = rest
+                    end += q
                     continue
-                if run <= 0:
-                    problems.append(f"empty or reversed slice {pid} [{start},{end})")
-                if run > quantum:
-                    problems.append(f"slice {pid} [{start},{end}) exceeds quantum {quantum}")
-                if start < arrival[k]:
-                    problems.append(f"slice {pid} starts at {start} before arrival {arrival[k]}")
-            if first_dispatch[k] is None:
-                first_dispatch[k] = start
-            rest = left[k] = left[k] - run
-            if rest <= 0:
-                if termination != 1:
-                    problems.append(f"last slice of {names[k]} not marked completed")
-                if rest + run > 0:  # this slice used up the last of the burst
-                    finished += 1
-                    completion[k] = end
-            elif termination == 1:
-                problems.append(f"non-final slice of {names[k]} marked completed")
+                else:
+                    run = q
+                start = end
+                end = start + run
+                if not (0 < run and run <= q and arrival[k] <= start):
+                    exact = fast = False
+                    if start < first:  # before every arrival, so before its own
+                        problems.append(f"interval [{start},{end}) overlaps the previous one")
+                    pid = names[k]
+                    if k >= n:
+                        problems.append(f"slice for unknown pid {pid!r}")
+                        continue
+                    if run <= 0:
+                        problems.append(f"empty or reversed slice {pid} [{start},{end})")
+                    if run > q:
+                        problems.append(f"slice {pid} [{start},{end}) exceeds quantum {q}")
+                    if start < arrival[k]:
+                        problems.append(f"slice {pid} starts at {start} before arrival {arrival[k]}")
+                if first_dispatch[k] is None:
+                    first_dispatch[k] = start
+                rest = left[k] = left[k] - run
+                if rest <= 0:
+                    if termination != 1:
+                        problems.append(f"last slice of {names[k]} not marked completed")
+                    if rest + run > 0:  # this slice used up the last of the burst
+                        finished += 1
+                        completion[k] = end
+                elif termination == 1:
+                    problems.append(f"non-final slice of {names[k]} marked completed")
 
     if any(left):  # one pass in C: a valid trace leaves no process any work
         problems.extend(f"pid {pid}: executed {burst - rest} ms, burst is {burst} ms"
                         for pid, burst, rest in zip(pid_col, burst_col, left) if rest)
+    del first_dispatch[n:]
     return problems, completion, first_dispatch

@@ -11,7 +11,9 @@ from fractions import Fraction
 from operator import sub
 from typing import Mapping, NamedTuple
 
-from .engine import _walk_trace, trace_violations  # noqa: F401 (bench/tracing.py wraps it)
+# bench/tracing.py wraps trace_violations, but compute_metrics calls _walk_trace: the
+# wrapper sees no call, so check.s.* reads 0 until the tracer times the walk (ROADMAP item 2)
+from .engine import _walk_trace, trace_violations  # noqa: F401
 from .fileio import _indented_json, _json_row_template
 from .model import ExecutionTrace, PolicyDescriptor, Workload
 

@@ -3,6 +3,7 @@ import dataclasses
 import random
 import re
 import time
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -38,10 +39,11 @@ from rrsim.policies import (
     POLICY_NAMES,
     make_dabrr,
     make_dqrrr,
+    make_irrvq,
     make_round_robin,
     standard_policy,
 )
-from rrsim.workloads import benchmark_case
+from rrsim.workloads import ALL_ZERO, GeneratorSpec, benchmark_case, generate_workload
 
 
 def test_dabrr_case_i_trace():
@@ -893,30 +895,116 @@ def test_slices_listed_out_of_time_order_are_refused():
         dataclasses.replace(good, slices=(second, first) + good.slices[2:])
 
 
-def _engine_style_trace(table, index, run, termination, break_at, break_start):
-    """A trace of one cycle at quantum 10, its view built as ``simulate``
-    builds one, without ``SliceView.of``'s refusals: each termination
-    stored as its byte, 1 for ``COMPLETED``, and for ``QUANTUM_EXPIRED`` 0
-    after a run of the quantum and 2 after any other; each run with a
-    nonzero byte is stored."""
-    end = break_start[-1] + sum(run[break_at[-1]:])
-    codes = bytearray(1 if term == COMPLETED else 0 if r == 10 else 2
-                      for r, term in zip(run, termination))
-    stored = [r for r, code in zip(run, codes) if code]
+def _unchecked_trace(slices):
+    """The trace of ``slices``, its view built as ``simulate`` builds one,
+    without ``SliceView.of``'s refusals: a cycle per new ``cycle`` field,
+    a break at the first slice and wherever a start is not the end before
+    it, and each termination as its byte, 1 for ``COMPLETED``, and for
+    ``QUANTUM_EXPIRED`` 0 after a run of the quantum and 2 after any
+    other; each run with a nonzero byte is stored."""
+    table, index, stored, quanta, counts, break_at, break_start = {}, [], [], [], [], [], []
+    codes = bytearray()
+    end = None
+    for i, (pid, start, stop, cycle, quantum, termination) in enumerate(slices):
+        if cycle > len(counts):
+            quanta.append(quantum)
+            counts.append(0)
+        counts[-1] += 1
+        if start != end:
+            break_at.append(i)
+            break_start.append(start)
+        index.append(table.setdefault(pid, len(table)))
+        codes.append(1 if termination == COMPLETED else 0 if stop - start == quantum else 2)
+        stored += [stop - start] if codes[-1] else []
+        end = stop
     return ExecutionTrace(PolicyDescriptor.of("RR", q=10), SliceView._raw(
-        table, index, stored, codes, [10], [len(run)], break_at, break_start, end))
+        tuple(table), index, stored, codes, quanta, counts, break_at, break_start, end))
 
 
 def test_the_walk_guards_a_view_built_without_refusals():
     # a zero run, then P1's whole burst
-    empty = _engine_style_trace(("P1",), [0, 0], [0, 10], [QUANTUM_EXPIRED, COMPLETED], [0], [0])
+    empty = _unchecked_trace([Slice("P1", 0, 0, 1, 10, QUANTUM_EXPIRED),
+                              Slice("P1", 0, 10, 1, 10, COMPLETED)])
     assert trace_violations(empty, validate_workload(_ONE)) == ["empty or reversed slice P1 [0,0)"]
     # a break at 5, though the slice before it ends at 10
-    overlap = _engine_style_trace(("P1", "P2"), [0, 1], [10, 10], [COMPLETED] * 2, [0, 1], [0, 5])
+    overlap = _unchecked_trace([Slice("P1", 0, 10, 1, 10, COMPLETED),
+                                Slice("P2", 5, 15, 1, 10, COMPLETED)])
     assert [*overlap.slices] == [Slice("P1", 0, 10, 1, 10, COMPLETED),
                                  Slice("P2", 5, 15, 1, 10, COMPLETED)]
     assert trace_violations(overlap, validate_workload(_TWO)) == [
         "interval [5,15) overlaps the previous one"]
+
+
+def _both_walks(trace, workload):
+    """The walk's messages, completions and first dispatches, and the
+    reference walk's, each process's in submission order."""
+    pids = [p.pid for p in workload]
+    expected, done, dispatched = reference_walk(trace, workload)
+    return (_walk_trace(trace, workload),
+            (expected, [done.get(pid) for pid in pids], [dispatched.get(pid) for pid in pids]))
+
+
+# Traces on which the walk's shortcuts must give up.  A slice with byte 0
+# takes the short body, which tests no arrival, only in a run whose quantum
+# is at least 1, and only until the first message that a start may precede
+# its process's arrival; a run of one quantum stops at each break and at
+# each change of quantum; a pid the workload lacks is never dispatched.
+@pytest.mark.parametrize("records, trace, message", [
+    # a byte-0 slice of a cycle at quantum 0 is empty, though P1 has run
+    pytest.param(_ONE, _unchecked_trace([
+        Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED), Slice("P1", 5, 5, 2, 0, QUANTUM_EXPIRED),
+        Slice("P1", 5, 10, 3, 5, COMPLETED)]),
+        "empty or reversed slice P1 [5,5)", id="quantum-zero"),
+    # P1 was runnable throughout a gap inside cycle 1, and ran before it
+    pytest.param([("P1", 0, 15), ("P2", 0, 10)], _hand_trace([
+        Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED), Slice("P2", 5, 10, 1, 5, QUANTUM_EXPIRED),
+        Slice("P1", 13, 18, 1, 5, QUANTUM_EXPIRED), Slice("P2", 18, 23, 1, 5, COMPLETED),
+        Slice("P1", 23, 28, 2, 5, COMPLETED)]),
+        "idle gap [10,13) while P1 is runnable", id="gap-inside-a-cycle"),
+    pytest.param([("P1", 0, 10), ("P2", 12, 15)], _hand_trace([
+        Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED), Slice("P1", 5, 10, 1, 5, COMPLETED),
+        Slice("P2", 12, 17, 1, 5, QUANTUM_EXPIRED), Slice("P2", 17, 22, 1, 5, QUANTUM_EXPIRED),
+        Slice("P2", 22, 27, 1, 5, COMPLETED)]),
+        None, id="valid-gap-inside-a-cycle"),
+    # cycles 2 and 3 share quantum 5 across the break; cycle 4 changes it
+    pytest.param([("P1", 0, 8), ("P2", 20, 11)], _hand_trace([
+        Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED), Slice("P1", 5, 8, 2, 5, COMPLETED),
+        Slice("P2", 20, 25, 3, 5, QUANTUM_EXPIRED), Slice("P2", 25, 28, 4, 3, QUANTUM_EXPIRED),
+        Slice("P2", 28, 31, 5, 3, COMPLETED)]),
+        None, id="equal-quanta-across-a-break"),
+    pytest.param(_ONE, _hand_trace([
+        Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED), Slice("P9", 5, 10, 1, 5, QUANTUM_EXPIRED),
+        Slice("P1", 10, 15, 2, 5, COMPLETED), Slice("P9", 15, 20, 2, 5, QUANTUM_EXPIRED),
+        Slice("P9", 20, 25, 3, 5, COMPLETED)]),
+        "slice for unknown pid 'P9'", id="unknown-pid-in-three-cycles"),
+    # P2 and P3 finish before they arrive, so more processes have finished
+    # than arrived before the gap, in which P1 is runnable
+    pytest.param([("P1", 0, 10), ("P2", 50, 5), ("P3", 60, 5)], _hand_trace([
+        Slice("P2", 0, 5, 1, 10, COMPLETED), Slice("P3", 5, 10, 1, 10, COMPLETED),
+        Slice("P1", 20, 30, 1, 10, COMPLETED)]),
+        "idle gap [10,20) while P1 is runnable", id="finished-before-arriving-then-gap"),
+])
+def test_the_walks_shortcuts_give_the_reference_walks_results(records, trace, message):
+    workload = validate_workload(records)
+    walk, reference = _both_walks(trace, workload)
+    assert walk == reference
+    assert message in walk[0] if message else walk[0] == []
+
+
+def test_an_overlap_makes_every_later_slice_test_its_arrival():
+    # P2 first ran at its arrival, 10; the break at 2 overlaps and runs it
+    # again, a slice of its cycle's quantum, before its arrival
+    workload = validate_workload([("P1", 0, 10), ("P2", 10, 20)])
+    trace = _unchecked_trace([
+        Slice("P1", 0, 5, 1, 5, QUANTUM_EXPIRED), Slice("P1", 5, 10, 1, 5, COMPLETED),
+        Slice("P2", 10, 15, 1, 5, QUANTUM_EXPIRED), Slice("P2", 2, 15, 2, 13, QUANTUM_EXPIRED),
+        Slice("P2", 15, 17, 2, 13, COMPLETED)])
+    walk, (expected, *reference) = _both_walks(trace, workload)
+    # only SliceView.of words a slice that starts before the one before it
+    assert expected.pop(1) == "slice P2 [2,15) listed out of time order"
+    assert walk == (expected, *reference)
+    assert expected == ["interval [2,15) overlaps the previous one",
+                        "slice P2 starts at 2 before arrival 10"]
 
 
 def test_only_the_engine_builds_a_view_unchecked():
@@ -944,3 +1032,31 @@ def test_checker_runs_in_linear_time_over_many_idle_gaps():
     started = time.perf_counter()
     assert trace_violations(trace, w) == []
     assert time.perf_counter() - started < 1.0
+
+
+def test_checker_runs_in_linear_time_over_many_cycles():
+    # RR runs a lone process one slice per pass: 10,000 cycles of one quantum
+    w = validate_workload([("P1", 0, 10_000)])
+    trace = simulate(w, make_round_robin(1))
+    assert len(trace.slices._counts) == 10_000
+    started = time.perf_counter()
+    assert trace_violations(trace, w) == []
+    assert time.perf_counter() - started < 1.0
+
+
+def test_the_walk_holds_nothing_per_slice():
+    # its lists are per process, per cycle and per break: a list of one
+    # pointer per slice would take 8 B a slice, over 400 KB here
+    workload = generate_workload(GeneratorSpec(n=400, burst_min=1, burst_max=500,
+                                               arrival=ALL_ZERO, max_gap=0, seed=0))
+    trace = simulate(workload, make_irrvq())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert _walk_trace(trace, workload)[0] == []
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    held = len(workload) + len(trace.slices._counts)
+    assert len(trace.slices) >= 40_000
+    assert peak <= 128 * held, (peak, held)
